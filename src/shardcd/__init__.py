@@ -15,8 +15,9 @@ from .dataio import (DataFormatError, SyntheticSpec, gen_synthetic,
 from .engine import (EngineConfig, RoundTrace, SolveResult, SolverState,
                      block_sigma_k, check_lemma3, check_sigma_safety,
                      run_round, solve, theory_round_bound)
-from .local import (LocalResult, SubproblemView, coordinate_update,
-                    measure_theta, solve_local, subproblem_value)
+from .local import (BlockColumns, LocalResult, SubproblemView,
+                    coordinate_update, measure_theta, solve_local,
+                    subproblem_value)
 from .objectives import (DataFit, DualDomainError, ELASTIC_NET, GapReport, L1,
                          LEAST_SQUARES, LOGISTIC, ObjectiveSpec, Regularizer,
                          default_support_bound, dual_value, duality_gap,

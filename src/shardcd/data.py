@@ -2,7 +2,9 @@
 
 The solver only ever touches the data one column at a time (single
 coordinate updates) or as whole-matrix products when computing
-certificates, so the matrix is stored compressed by column.
+certificates, so the matrix is stored compressed by column. The
+whole-matrix products run in scipy's sparse kernels over the same
+buffers.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 __all__ = ["ColMatrix", "Partition", "partition_columns", "sq_spectral_norm"]
 
@@ -21,6 +24,8 @@ class ColMatrix:
     prediction vector. Row indices within a column are strictly
     ascending; all stored values are finite. Squared column norms are
     cached at construction and refreshed by :meth:`normalize_columns`.
+    The products run on a scipy CSC array (and its CSR transpose) that
+    share the three buffers, so in-place rescaling is seen by them.
 
     Parameters
     ----------
@@ -39,14 +44,15 @@ class ColMatrix:
         self.rows = np.ascontiguousarray(rows, dtype=np.int64)
         self.vals = np.ascontiguousarray(vals, dtype=np.float64)
         self.normalized = False
-        self._validate()
-        # flat column id per stored entry, for vectorized A^T products
-        self._col_ids = np.repeat(
-            np.arange(self.n_cols, dtype=np.int64), np.diff(self.indptr)
-        )
+        self._col_ids = self._validate()
+        self._csc = scipy.sparse.csc_array(
+            (self.vals, self.rows, self.indptr),
+            shape=(self.n_rows, self.n_cols), copy=False)
+        self._csr_t = self._csc.T
         self._refresh_norms()
 
     def _validate(self):
+        """Check the invariants; returns the column id of every stored entry."""
         if self.n_rows < 0 or self.n_cols < 0:
             raise ValueError("matrix shape must be nonnegative")
         if self.indptr.shape != (self.n_cols + 1,):
@@ -61,10 +67,14 @@ class ColMatrix:
             raise ValueError("row index out of range")
         if not np.all(np.isfinite(self.vals)):
             raise ValueError("matrix values must be finite")
-        for i in range(self.n_cols):
-            r = self.rows[self.indptr[i] : self.indptr[i + 1]]
-            if len(r) > 1 and np.any(np.diff(r) <= 0):
-                raise ValueError(f"column {i}: row indices not strictly ascending")
+        col_ids = np.repeat(np.arange(self.n_cols, dtype=np.int64),
+                            np.diff(self.indptr))
+        bad = np.flatnonzero((np.diff(self.rows) <= 0)
+                             & (col_ids[1:] == col_ids[:-1]))
+        if len(bad):
+            raise ValueError(f"column {col_ids[bad[0]]}: "
+                             "row indices not strictly ascending")
+        return col_ids
 
     def _refresh_norms(self):
         sq = self.vals * self.vals
@@ -151,20 +161,14 @@ class ColMatrix:
         a = np.asarray(a, dtype=np.float64)
         if len(a) != self.n_cols:
             raise ValueError(f"vector length {len(a)} != n_cols {self.n_cols}")
-        if self.nnz == 0:
-            return np.zeros(self.n_rows)
-        return np.bincount(self.rows, weights=self.vals * a[self._col_ids],
-                           minlength=self.n_rows)
+        return self._csc @ a
 
     def mat_tvec(self, u):
         """Return A^T u, i.e. all column inner products at once (length n)."""
         u = np.asarray(u, dtype=np.float64)
         if len(u) != self.n_rows:
             raise ValueError(f"vector length {len(u)} != n_rows {self.n_rows}")
-        if self.nnz == 0:
-            return np.zeros(self.n_cols)
-        return np.bincount(self._col_ids, weights=self.vals * u[self.rows],
-                           minlength=self.n_cols)
+        return self._csr_t @ u
 
     def axpy_column(self, i, s, u):
         """In-place u += s * column_i, touching stored entries only."""

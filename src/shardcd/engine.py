@@ -1,13 +1,18 @@
 """Synchronous multi-worker driver with per-round gap certificates.
 
 One round: freeze the shared prediction vector v = A alpha, hand every
-worker a read-only view (its column block, the data-fit gradient w, and
-its share of the data-fit value), let each produce a block-local update,
-then apply all updates at a barrier, scaled by the aggregation weight
-gamma, in fixed ascending worker order so runs are bit-reproducible.
-Workers may run on a thread pool or sequentially; results are identical
-either way. Rounds are transactional: a worker failure leaves the state
+worker a read-only view (its column block, the data-fit gradient w, its
+columns' inner products A^T w, and its share of the data-fit value), let
+each produce a block-local update, then apply all updates at a barrier,
+scaled by the aggregation weight gamma, in fixed ascending worker order
+so runs are bit-reproducible. Workers run one after another in this
+process. Rounds are transactional: a worker failure leaves the state
 untouched.
+
+Each piece of whole-data work is done once per round. The certificate
+computes f(v), w = grad f(v) and A^T w, and the next round's views reuse
+them; a round without a certificate before it computes them once itself.
+Each block's column slices and squared norms are built once per solve.
 
 Timing in traces is simulated (configured per-round latency plus a
 per-update cost model) so traces are deterministic; measured wall times
@@ -18,13 +23,13 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .local import SubproblemView, measure_theta, solve_local, subproblem_value
-from .objectives import (ELASTIC_NET, duality_gap, f_grad, f_value,
+from .local import (BlockColumns, SubproblemView, measure_theta, solve_local,
+                    subproblem_value)
+from .objectives import (ELASTIC_NET, L1, duality_gap, f_grad, f_value,
                          primal_value)
 
 __all__ = [
@@ -54,7 +59,6 @@ class EngineConfig:
     gap_tol: float = 1e-6
     seed: int = 0
     trace_every: int = 1
-    parallel: bool = False
     estimate_theta: bool = False
     collect_block_norms: bool = False
     round_latency: float = 0.0
@@ -118,58 +122,71 @@ def _worker_seed(global_seed, k, t):
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _build_views(state, cfg, spec, m, p):
-    w = f_grad(spec.data_fit, state.v)
-    f_share = f_value(spec.data_fit, state.v) / p.k_count
+def _build_views(state, cfg, spec, m, p, shared=None, blocks=None):
+    """One view per worker at `state`.
+
+    `shared` is a GapReport taken at state.v, whose f(v), w and A^T w
+    are reused; without it they are computed here, once for all
+    workers. `blocks` holds each block's BlockColumns when the caller
+    built them already.
+    """
+    if shared is None:
+        w = f_grad(spec.data_fit, state.v)
+        fit = f_value(spec.data_fit, state.v)
+        atw = m.mat_tvec(w)
+    else:
+        fit, w, atw = shared.fit, shared.w, shared.atw
+    f_share = fit / p.k_count
     return [
         SubproblemView(
             matrix=m,
-            block=p.blocks[k],
+            block=block,
             w=w,
-            alpha_block=state.alpha[p.blocks[k]],
+            alpha_block=state.alpha[block],
             sigma_prime=cfg.sigma_prime,
             tau=spec.data_fit.tau,
             reg=spec.reg,
             f_share=f_share,
+            xw=atw[block],
+            columns=None if blocks is None else blocks[k],
         )
-        for k in range(p.k_count)
+        for k, block in enumerate(p.blocks)
     ]
 
 
-def run_round(state, cfg, spec, m, p):
+def run_round(state, cfg, spec, m, p, shared=None, blocks=None):
     """Execute one synchronous round; returns (new state, worker results).
 
-    The data-fit gradient is computed once and shared read-only. Local
-    solves run on disjoint blocks (threaded when cfg.parallel), then the
-    coefficient and shared-vector updates are reduced at a barrier in
-    ascending worker order. Any worker failure aborts the round with the
-    input state unchanged.
+    The data-fit gradient and A^T w are computed once (or taken from
+    `shared`, see _build_views) and shared read-only. Local solves run
+    on disjoint blocks, then the coefficient and shared-vector updates
+    are reduced at a barrier in ascending worker order. L1 coefficients
+    are clipped back into the box, which only removes rounding: each is
+    a convex combination of two in-box values. Any worker failure aborts
+    the round with the input state unchanged.
     """
     if p.k_count != cfg.k_count:
         raise ValueError(f"config expects {cfg.k_count} workers, "
                          f"partition has {p.k_count}")
     if p.n_cols != m.n_cols:
         raise ValueError("partition does not match matrix columns")
-    views = _build_views(state, cfg, spec, m, p)
+    views = _build_views(state, cfg, spec, m, p, shared, blocks)
     t = state.round
-    seeds = [_worker_seed(cfg.seed, k, t) for k in range(p.k_count)]
-    if cfg.parallel and p.k_count > 1:
-        with ThreadPoolExecutor(max_workers=p.k_count) as pool:
-            futures = [pool.submit(solve_local, views[k], cfg.h_local, seeds[k])
-                       for k in range(p.k_count)]
-            results = [f.result() for f in futures]
-    else:
-        results = [solve_local(views[k], cfg.h_local, seeds[k])
-                   for k in range(p.k_count)]
+    results = [solve_local(views[k], cfg.h_local, _worker_seed(cfg.seed, k, t))
+               for k in range(p.k_count)]
 
     # barrier: apply all updates in fixed ascending worker order
     new_alpha = state.alpha.copy()
     dv = np.zeros(m.n_rows)
-    for k in range(p.k_count):
-        block = p.blocks[k]
-        for j, val in results[k].delta_alpha.items():
-            new_alpha[block[j]] += cfg.gamma * val
-        dv += results[k].delta_v
+    for block, res in zip(p.blocks, results):
+        delta = res.delta_alpha
+        idx = block[np.fromiter(delta.keys(), np.int64, len(delta))]
+        new_alpha[idx] += cfg.gamma * np.fromiter(delta.values(), np.float64,
+                                                  len(delta))
+        dv += res.delta_v
+    if spec.reg.kind == L1:
+        bound = spec.reg.support_bound
+        np.clip(new_alpha, -bound, bound, out=new_alpha)
     new_v = state.v + cfg.gamma * dv
     return SolverState(alpha=new_alpha, v=new_v, round=t + 1), results
 
@@ -199,6 +216,7 @@ def solve(cfg, spec, m, p):
     }
     if cfg.collect_block_norms:
         diag["block_sigma"] = [block_sigma_k(m, p, k) for k in range(p.k_count)]
+    blocks = [BlockColumns.of(m, block) for block in p.blocks]
 
     def certify(t, updates, theta):
         rep = duality_gap(spec, m, state.alpha, state.v)
@@ -208,17 +226,19 @@ def solve(cfg, spec, m, p):
             round=t, primal=rep.primal, dual=rep.dual, gap=rep.gap,
             nnz=int(np.count_nonzero(state.alpha)), local_updates=updates,
             elapsed_ms=elapsed_ms, theta_estimate=theta))
-        return rep.gap
+        return rep
 
-    gap = certify(0, 0, None)
-    if gap <= cfg.gap_tol:
+    # the last certificate, while it was taken at the current state
+    shared = certify(0, 0, None)
+    if shared.gap <= cfg.gap_tol:
         return SolveResult(state, traces, "gap_tol", diag)
 
     stop_reason = "max_rounds"
     for t in range(1, cfg.max_rounds + 1):
         prev = state
         t0 = time.perf_counter()
-        state, results = run_round(state, cfg, spec, m, p)
+        state, results = run_round(state, cfg, spec, m, p, shared, blocks)
+        shared = None
         diag["wall_times"].append(time.perf_counter() - t0)
         updates = sum(r.updates_done for r in results)
         diag["clamp_hits"] += sum(r.clamp_hits for r in results)
@@ -235,11 +255,11 @@ def solve(cfg, spec, m, p):
                 raise RuntimeError(f"shared vector drifted from A alpha by {drift:g}")
             theta = None
             if cfg.estimate_theta:
-                views = _build_views(prev, cfg, spec, m, p)
+                views = _build_views(prev, cfg, spec, m, p, blocks=blocks)
                 theta = max(measure_theta(views[k], results[k])
                             for k in range(p.k_count))
-            gap = certify(t, updates, theta)
-            if gap <= cfg.gap_tol:
+            shared = certify(t, updates, theta)
+            if shared.gap <= cfg.gap_tol:
                 stop_reason = "gap_tol"
                 break
     return SolveResult(state, traces, stop_reason, diag)
@@ -273,6 +293,7 @@ def check_lemma3(spec, m, p, cfg, trials=200, seed=0, sigma_scale=None):
         scale = 0.45 * reg.support_bound
     else:
         scale = 1.0
+    blocks = [BlockColumns.of(m, block) for block in p.blocks]
     worst = -math.inf
     for _ in range(trials):
         gamma = float(rng.uniform(0.05, 1.0))
@@ -282,6 +303,7 @@ def check_lemma3(spec, m, p, cfg, trials=200, seed=0, sigma_scale=None):
         v = m.mat_vec(alpha)
         f_share = f_value(spec.data_fit, v) / p.k_count
         w = f_grad(spec.data_fit, v)
+        atw = m.mat_tvec(w)
 
         rhs = (1.0 - gamma) * primal_value(spec, m, alpha, v)
         for k in range(p.k_count):
@@ -292,7 +314,7 @@ def check_lemma3(spec, m, p, cfg, trials=200, seed=0, sigma_scale=None):
             view = SubproblemView(
                 matrix=m, block=block, w=w, alpha_block=alpha[block],
                 sigma_prime=sigma_prime, tau=spec.data_fit.tau, reg=reg,
-                f_share=f_share)
+                f_share=f_share, xw=atw[block], columns=blocks[k])
             dmap = {j: float(delta[block[j]]) for j in range(len(block))}
             rhs += gamma * subproblem_value(view, dmap, zk)
 

@@ -21,9 +21,29 @@ import numpy as np
 from .objectives import L1, ell_value
 
 __all__ = [
-    "SubproblemView", "LocalResult",
+    "BlockColumns", "SubproblemView", "LocalResult",
     "subproblem_value", "coordinate_update", "solve_local", "measure_theta",
 ]
+
+
+@dataclass(frozen=True, eq=False)
+class BlockColumns:
+    """Constants of one column block, built once per solve.
+
+    `pool` holds the local positions of the block's positive-norm
+    columns, the only ones coordinate descent updates; `cols` holds
+    their (rows, vals) slices and `sq` their squared norms.
+    """
+
+    pool: np.ndarray
+    cols: list
+    sq: np.ndarray
+
+    @classmethod
+    def of(cls, m, block):
+        sq = m.col_sq_norms[block]
+        pool = np.flatnonzero(sq > 0.0)
+        return cls(pool, [m.column(int(i)) for i in block[pool]], sq[pool])
 
 
 @dataclass
@@ -34,6 +54,9 @@ class SubproblemView:
     `w` the data-fit gradient at the shared prediction vector, and
     `f_share` the worker's share of the data-fit value (supplied by the
     driver so local objective values are comparable across workers).
+    `xw` holds the owned columns' inner products with `w`, (A^T w)[block],
+    and `columns` the block's per-solve constants; both are computed
+    here when the driver does not supply them.
     """
 
     matrix: object
@@ -44,21 +67,28 @@ class SubproblemView:
     tau: float
     reg: object
     f_share: float = 0.0
+    xw: np.ndarray | None = None
+    columns: BlockColumns | None = None
 
     def __post_init__(self):
         if self.sigma_prime <= 0:
             raise ValueError("sigma_prime must be positive")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
+        if self.xw is None:
+            self.xw = self.matrix.mat_tvec(self.w)[self.block]
+        if self.columns is None:
+            self.columns = BlockColumns.of(self.matrix, self.block)
 
 
 @dataclass
 class LocalResult:
     """Outcome of one local solve.
 
-    delta_alpha maps local column position -> coefficient change;
-    delta_v is the running product A * delta, maintained incrementally
-    and equal to the fresh product up to accumulation rounding.
+    delta_alpha maps local column position -> coefficient change, for
+    the changed coordinates only; delta_v is the running product
+    A * delta, maintained incrementally and equal to the fresh product
+    up to accumulation rounding.
     """
 
     delta_alpha: dict
@@ -139,6 +169,57 @@ def coordinate_update(reg, current_total, g_lin, q):
     return _enet_step(current_total, g_lin, q, reg.lam, reg.eta)
 
 
+def _coordinate_pass(view, order, totals, z):
+    """Exact single-coordinate steps on the pool positions in `order`.
+
+    `totals` (a list, one entry per pool column) holds the coordinates'
+    current values alpha_i + d_i; it and the running product z = A d are
+    updated in place (rows within a column are distinct, so the gathered
+    z[r] is reused for the write). Returns the number of steps the L1
+    box clamped.
+    """
+    cols = view.columns.cols
+    sp_tau = view.sigma_prime / view.tau
+    xw = view.xw[view.columns.pool].tolist()
+    qs = (sp_tau * view.columns.sq).tolist()
+    dot = np.dot
+    reg = view.reg
+    clamp_hits = 0
+    if reg.kind == L1:
+        lam, bound = reg.lam, reg.support_bound
+        for t in order:
+            r, v = cols[t]
+            c = totals[t]
+            zr = z[r]
+            new, clamped = _l1_step(c, xw[t] + sp_tau * float(dot(v, zr)),
+                                    qs[t], lam, bound)
+            clamp_hits += clamped
+            dlt = new - c
+            if dlt != 0.0:
+                totals[t] = new
+                z[r] = zr + dlt * v
+    else:
+        lam, eta = reg.lam, reg.eta
+        for t in order:
+            r, v = cols[t]
+            c = totals[t]
+            zr = z[r]
+            new = _enet_step(c, xw[t] + sp_tau * float(dot(v, zr)),
+                             qs[t], lam, eta)
+            dlt = new - c
+            if dlt != 0.0:
+                totals[t] = new
+                z[r] = zr + dlt * v
+    return clamp_hits
+
+
+def _delta_map(pool, start, totals):
+    """Local position -> coefficient change, for the changed pool columns."""
+    diff = np.asarray(totals) - start
+    changed = np.flatnonzero(diff)
+    return dict(zip(pool[changed].tolist(), diff[changed].tolist()))
+
+
 def solve_local(view, h, seed):
     """Run h epochs of randomized coordinate descent on the subproblem.
 
@@ -151,54 +232,19 @@ def solve_local(view, h, seed):
     """
     if h < 1:
         raise ValueError("local epoch count h must be >= 1")
-    m = view.matrix
-    block = view.block
-    d = m.n_rows
-    z = np.zeros(d)
-    sq = m.col_sq_norms
-    pool = [j for j in range(len(block)) if sq[block[j]] > 0.0]
-    frozen = len(block) - len(pool)
-    if not pool:
+    pool = view.columns.pool
+    z = np.zeros(view.matrix.n_rows)
+    frozen = len(view.block) - len(pool)
+    if not len(pool):
         return LocalResult({}, z, 0, 0, frozen)
 
-    sp_tau = view.sigma_prime / view.tau
-    cols = [m.column(int(block[j])) for j in pool]
-    xw = np.array([np.dot(v, view.w[r]) for r, v in cols])
-    qs = sp_tau * np.array([sq[block[j]] for j in pool])
-    totals = view.alpha_block[pool].astype(np.float64, copy=True)
-
-    rng = np.random.default_rng(seed)
-    n_updates = h * len(block)
-    draws = rng.integers(0, len(pool), size=n_updates).tolist()
-
-    reg = view.reg
-    clamp_hits = 0
-    if reg.kind == L1:
-        lam, bound = reg.lam, reg.support_bound
-        for t in draws:
-            r, v = cols[t]
-            g_lin = xw[t] + sp_tau * np.dot(v, z[r])
-            new, clamped = _l1_step(totals[t], g_lin, qs[t], lam, bound)
-            clamp_hits += clamped
-            dlt = new - totals[t]
-            if dlt != 0.0:
-                totals[t] = new
-                z[r] += dlt * v
-    else:
-        lam, eta = reg.lam, reg.eta
-        for t in draws:
-            r, v = cols[t]
-            g_lin = xw[t] + sp_tau * np.dot(v, z[r])
-            new = _enet_step(totals[t], g_lin, qs[t], lam, eta)
-            dlt = new - totals[t]
-            if dlt != 0.0:
-                totals[t] = new
-                z[r] += dlt * v
-
+    n_updates = h * len(view.block)
+    draws = np.random.default_rng(seed).integers(0, len(pool), size=n_updates)
     start = view.alpha_block[pool]
-    delta = {pool[t]: float(totals[t] - start[t])
-             for t in range(len(pool)) if totals[t] != start[t]}
-    return LocalResult(delta, z, n_updates, clamp_hits, frozen)
+    totals = start.tolist()
+    clamp_hits = _coordinate_pass(view, draws.tolist(), totals, z)
+    return LocalResult(_delta_map(pool, start, totals), z, n_updates,
+                       clamp_hits, frozen)
 
 
 def _cd_minimize(view, max_sweeps, tol=1e-14):
@@ -208,51 +254,31 @@ def _cd_minimize(view, max_sweeps, tol=1e-14):
     or the sweep budget runs out. Returns (delta map, z, value); used as
     the reference when grading a budgeted local solve.
     """
-    m = view.matrix
-    block = view.block
-    sq = m.col_sq_norms
-    pool = [j for j in range(len(block)) if sq[block[j]] > 0.0]
-    z = np.zeros(m.n_rows)
-    if not pool:
+    pool = view.columns.pool
+    z = np.zeros(view.matrix.n_rows)
+    if not len(pool):
         return {}, z, subproblem_value(view, {}, z)
 
     sp_tau = view.sigma_prime / view.tau
-    cols = [m.column(int(block[j])) for j in pool]
-    xw = np.array([np.dot(v, view.w[r]) for r, v in cols])
-    qs = sp_tau * np.array([sq[block[j]] for j in pool])
-    totals = view.alpha_block[pool].astype(np.float64, copy=True)
-    reg = view.reg
-    is_l1 = reg.kind == L1
+    start = view.alpha_block[pool]
+    totals = start.tolist()
 
     def value():
         pen = view.alpha_block.astype(np.float64, copy=True)
         pen[pool] = totals
         quad = 0.5 * sp_tau * float(np.dot(z, z))
         return (view.f_share + float(np.dot(view.w, z)) + quad
-                + float(np.sum(ell_value(reg, pen))))
+                + float(np.sum(ell_value(view.reg, pen))))
 
     prev = value()
     for _ in range(max_sweeps):
-        for t in range(len(pool)):
-            r, v = cols[t]
-            g_lin = xw[t] + sp_tau * np.dot(v, z[r])
-            if is_l1:
-                new, _ = _l1_step(totals[t], g_lin, qs[t], reg.lam, reg.support_bound)
-            else:
-                new = _enet_step(totals[t], g_lin, qs[t], reg.lam, reg.eta)
-            dlt = new - totals[t]
-            if dlt != 0.0:
-                totals[t] = new
-                z[r] += dlt * v
+        _coordinate_pass(view, range(len(pool)), totals, z)
         cur = value()
         if prev - cur < tol:
             prev = cur
             break
         prev = cur
-    start = view.alpha_block[pool]
-    delta = {pool[t]: float(totals[t] - start[t])
-             for t in range(len(pool)) if totals[t] != start[t]}
-    return delta, z, prev
+    return _delta_map(pool, start, totals), z, prev
 
 
 def measure_theta(view, result, oracle_iters=400):

@@ -252,10 +252,25 @@ def ell_conj(reg, x):
 # certificates
 
 class GapReport(NamedTuple):
+    """Certificate at one iterate, plus the quantities it computed there.
+
+    `fit` is the data-fit value f(v), `w` = grad f(v) the dual candidate
+    and `atw` = A^T w; the next round's local views start from exactly
+    these three.
+    """
+
     gap: float
     primal: float
     dual: float
     w: np.ndarray
+    fit: float
+    atw: np.ndarray
+
+
+def _check_v(m, a, v):
+    v_ref = m.mat_vec(a)
+    if np.max(np.abs(v - v_ref)) > 1e-8 * (1.0 + np.max(np.abs(v_ref))):
+        raise ValueError("stale prediction vector: v != A a")
 
 
 def primal_value(spec, m, a, v, debug=False):
@@ -267,9 +282,7 @@ def primal_value(spec, m, a, v, debug=False):
     a = np.asarray(a, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if debug:
-        v_ref = m.mat_vec(a)
-        if np.max(np.abs(v - v_ref)) > 1e-8 * (1.0 + np.max(np.abs(v_ref))):
-            raise ValueError("stale prediction vector: v != A a")
+        _check_v(m, a, v)
     pen = ell_value(spec.reg, a)
     total = float(np.sum(pen))
     if math.isinf(total):
@@ -279,25 +292,36 @@ def primal_value(spec, m, a, v, debug=False):
 
 def dual_value(spec, m, w):
     """Dual objective f*(w) + sum_i l*(-x_i^T w)."""
-    corr = -m.mat_tvec(w)
-    return f_conj(spec.data_fit, w) + float(np.sum(ell_conj(spec.reg, corr)))
+    return _dual_from(spec, w, m.mat_tvec(w))
+
+
+def _dual_from(spec, w, atw):
+    return f_conj(spec.data_fit, w) + float(np.sum(ell_conj(spec.reg, -atw)))
 
 
 def duality_gap(spec, m, a, v, debug=False):
     """Certificate at the iterate a (with v = A a).
 
-    Maps a to the dual candidate w = grad f(v) and returns
-    (gap, primal, dual, w) with gap = dual + primal >= -1e-9 up to
-    rounding; gap bounds the primal suboptimality from above. An
-    infinite primal (support-bound violation) is an error: the iterate
-    left the level set the certificate is defined on.
+    Maps a to the dual candidate w = grad f(v) and returns a GapReport
+    with gap = dual + primal >= -1e-9 up to rounding; gap bounds the
+    primal suboptimality from above. An infinite primal (support-bound
+    violation) is an error: the iterate left the level set the
+    certificate is defined on.
     """
-    primal = primal_value(spec, m, a, v, debug=debug)
-    if math.isinf(primal):
+    a = np.asarray(a, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if debug:
+        _check_v(m, a, v)
+    pen = float(np.sum(ell_value(spec.reg, a)))
+    if math.isinf(pen):
         raise ValueError("primal value is infinite; iterate outside support bound")
+    fit = f_value(spec.data_fit, v)
     w = f_grad(spec.data_fit, v)
-    dual = dual_value(spec, m, w)
-    return GapReport(gap=dual + primal, primal=primal, dual=dual, w=w)
+    atw = m.mat_tvec(w)
+    primal = fit + pen
+    dual = _dual_from(spec, w, atw)
+    return GapReport(gap=dual + primal, primal=primal, dual=dual, w=w,
+                     fit=fit, atw=atw)
 
 
 def gap_is_optimal(gap, primal, rel_tol=1e-6):

@@ -134,3 +134,57 @@ def cyclic_cd_lasso_like(dense_a, b, reg, iters=20000, tol=1e-15):
         if biggest < tol:
             break
     return alpha
+
+
+def local_solve_loop(view, h, seed):
+    """Per-column reference for the local coordinate-descent solve.
+
+    Recomputes every column's inner product with the view's gradient one
+    column at a time and keeps the update as a dict, with the shrinkage
+    steps written out here. Draws the same coordinate sequence as the
+    package solver. Returns (delta map, A delta, updates, clamp hits,
+    frozen columns).
+    """
+    m = view.matrix
+    block = view.block
+    sq = m.col_sq_norms
+    pool = [j for j in range(len(block)) if sq[block[j]] > 0.0]
+    z = np.zeros(m.n_rows)
+    if not pool:
+        return {}, z, 0, 0, len(block)
+    sp_tau = view.sigma_prime / view.tau
+    cols = [m.column(int(block[j])) for j in pool]
+    xw = [float(np.dot(v, view.w[r])) for r, v in cols]
+    totals = [float(view.alpha_block[j]) for j in pool]
+    reg = view.reg
+    n_updates = h * len(block)
+    draws = np.random.default_rng(seed).integers(0, len(pool), size=n_updates)
+    clamps = 0
+    for t in draws:
+        r, v = cols[t]
+        q = sp_tau * sq[block[pool[t]]]
+        g = xw[t] + sp_tau * float(np.dot(v, z[r]))
+        c = totals[t]
+        if reg.kind == "l1":
+            new = math.copysign(max(abs(c - g / q) - reg.lam / q, 0.0), c - g / q)
+            if abs(new) > reg.support_bound:
+                new = math.copysign(reg.support_bound, new)
+                clamps += 1
+        else:
+            num = q * c - g
+            thr = reg.lam * (1.0 - reg.eta)
+            new = math.copysign(max(abs(num) - thr, 0.0), num) \
+                / (q + reg.lam * reg.eta)
+        if new != c:
+            z[r] += (new - c) * v
+            totals[t] = new
+    delta = {pool[t]: totals[t] - float(view.alpha_block[pool[t]])
+             for t in range(len(pool))
+             if totals[t] != view.alpha_block[pool[t]]}
+    return delta, z, n_updates, clamps, len(block) - len(pool)
+
+
+def normalized_dense(dense):
+    """Dense matrix with every nonzero column scaled to unit norm."""
+    norms = np.sqrt(np.sum(dense * dense, axis=0))
+    return dense / np.where(norms > 0.0, norms, 1.0)

@@ -3,7 +3,7 @@ import pytest
 
 import shardcd as sc
 from conftest import random_matrix
-from oracles import dense_from_columns
+from oracles import dense_from_columns, normalized_dense
 
 
 def test_col_dot_single_entry():
@@ -58,6 +58,23 @@ def test_mat_tvec_matches_dense_oracle():
     dense = dense_from_columns(5, cols)
     u = rng.standard_normal(5)
     assert np.max(np.abs(m.mat_tvec(u) - dense.T @ u)) <= 1e-12
+
+
+def test_products_match_dense_after_normalize():
+    rng = np.random.default_rng(44)
+    for _ in range(10):
+        n, d = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        m, cols = random_matrix(rng, n=n, d=d, density=0.5)
+        cols[int(rng.integers(0, n))] = []
+        m = sc.ColMatrix.from_columns(d, cols)
+        dense = dense_from_columns(d, cols)
+        a, u = rng.standard_normal(n), rng.standard_normal(d)
+        for ref in (dense, normalized_dense(dense)):
+            if ref is not dense:
+                m.normalize_columns()  # in place: the products must see it
+            assert np.max(np.abs(m.toarray() - ref)) <= 1e-15
+            assert np.max(np.abs(m.mat_vec(a) - ref @ a)) <= 1e-12
+            assert np.max(np.abs(m.mat_tvec(u) - ref.T @ u)) <= 1e-12
 
 
 def test_mat_vec_length_mismatch():
@@ -178,6 +195,19 @@ def test_constructor_rejects_bad_columns():
         sc.ColMatrix.from_columns(2, [[(2, 1.0)]])  # row out of range
     with pytest.raises(ValueError):
         sc.ColMatrix.from_columns(2, [[(0, np.inf)]])  # nonfinite
+
+
+def test_constructors_reject_unordered_rows_naming_the_column():
+    with pytest.raises(ValueError, match="column 1"):
+        sc.ColMatrix.from_columns(3, [[(0, 1.0)], [(2, 1.0), (2, -1.0)]])
+    with pytest.raises(ValueError, match="column 2"):
+        sc.ColMatrix.from_coo(3, 3, [0, 1, 1, 1], [0, 0, 2, 2],
+                              [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match="column 0"):
+        sc.ColMatrix(3, 2, [0, 2, 3], [2, 1, 0], [1.0, 2.0, 3.0])
+    # ascending rows that only look unordered across a column boundary
+    m = sc.ColMatrix(3, 2, [0, 2, 3], [1, 2, 0], [1.0, 2.0, 3.0])
+    assert m.nnz == 3
 
 
 def test_sq_spectral_norm_examples():

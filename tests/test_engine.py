@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import shardcd as sc
 from shardcd import engine as eng
@@ -60,17 +61,31 @@ def test_dead_zone_lambda_is_fixed_point():
     assert np.array_equal(res.state.alpha, np.zeros(m.n_cols))
 
 
-def test_round_is_deterministic_and_parallel_matches_sequential():
+def test_round_is_deterministic():
     m, spec, p = desk_setup(seed=7)
-    seq = sc.EngineConfig(k_count=4, h_local=3, max_rounds=12, gap_tol=0.0,
-                          seed=9, parallel=False)
-    par = sc.EngineConfig(k_count=4, h_local=3, max_rounds=12, gap_tol=0.0,
-                          seed=9, parallel=True)
-    r1 = sc.solve(seq, spec, m, p)
-    r2 = sc.solve(par, spec, m, p)
+    cfg = sc.EngineConfig(k_count=4, h_local=3, max_rounds=12, gap_tol=0.0,
+                          seed=9)
+    r1 = sc.solve(cfg, spec, m, p)
+    r2 = sc.solve(cfg, spec, m, p)
     assert np.array_equal(r1.state.alpha, r2.state.alpha)
     assert np.array_equal(r1.state.v, r2.state.v)
     assert [t.gap for t in r1.traces] == [t.gap for t in r2.traces]
+
+
+def test_l1_barrier_keeps_coefficients_in_box():
+    # sigma' = 1 < gamma K lets local steps clamp at the box; rebuilding
+    # alpha + gamma (total - start) at the barrier used to land 1 ulp past B
+    m, b, _ = sc.gen_synthetic(sc.SyntheticSpec(
+        n=200, d=100, density=0.3, true_nnz=15, noise_sd=0.1, seed=0))
+    m.normalize_columns()
+    spec = lasso_objective(m, b, frac=0.1)
+    p = sc.partition_columns(m.n_cols, 16)
+    cfg = sc.EngineConfig(k_count=16, h_local=20, sigma_prime=1.0,
+                          max_rounds=30, gap_tol=0.0, seed=0)
+    res = sc.solve(cfg, spec, m, p)
+    assert res.state.round == 30
+    assert np.max(np.abs(res.state.alpha)) <= spec.reg.support_bound
+    assert all(t.gap >= -1e-9 for t in res.traces)
 
 
 def test_infinite_gap_tol_does_no_work():
@@ -357,3 +372,36 @@ def test_estimate_theta_recorded_in_trace():
     res = sc.solve(cfg, spec, m, p)
     assert all(t.theta_estimate is not None for t in res.traces[1:])
     assert all(0.0 <= t.theta_estimate <= 1.0 for t in res.traces[1:])
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**16), k=st.integers(1, 6),
+       kind=st.sampled_from(["l1", "elastic_net"]),
+       unsafe_sigma=st.booleans(), h=st.integers(1, 4))
+def test_round_invariants_over_random_partitions(seed, k, kind, unsafe_sigma, h):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(max(k, 2), 30)), int(rng.integers(4, 20))
+    m, b, _ = regression_instance(seed=seed, n=n, d=d)
+    if rng.random() < 0.5:
+        m.normalize_columns()
+    spec = lasso_objective(m, b, frac=0.1) if kind == "l1" else enet_objective(b)
+    perm = rng.permutation(n)
+    blocks = tuple(np.sort(c) for c in np.array_split(perm, k))
+    owner = np.empty(n, dtype=np.int64)
+    for kk, blk in enumerate(blocks):
+        owner[blk] = kk
+    p = sc.Partition(k_count=k, blocks=blocks, owner=owner)
+    # sigma' below gamma K is unsafe; only the box keeps L1 runs bounded
+    sigma = 1.0 if unsafe_sigma and kind == "l1" else None
+    cfg = sc.EngineConfig(k_count=k, h_local=h, sigma_prime=sigma,
+                          max_rounds=8, gap_tol=0.0, seed=seed)
+    state = sc.SolverState.initial(m)
+    for _ in range(cfg.max_rounds):
+        state, _ = sc.run_round(state, cfg, spec, m, p)
+        v_ref = m.mat_vec(state.alpha)
+        assert np.max(np.abs(state.v - v_ref)) \
+            <= 1e-8 * (1.0 + np.max(np.abs(v_ref)))
+        if kind == "l1":
+            assert np.max(np.abs(state.alpha)) <= spec.reg.support_bound
+        assert sc.duality_gap(spec, m, state.alpha, state.v).gap >= -1e-9

@@ -5,7 +5,7 @@ import pytest
 
 import shardcd as sc
 from conftest import enet_objective, lasso_objective, random_matrix, regression_instance
-from oracles import golden_min
+from oracles import golden_min, local_solve_loop
 
 
 def make_view(seed=1, n=12, d=8, kind="l1", sigma_prime=2.0, alpha_scale=0.2):
@@ -210,6 +210,42 @@ def test_solve_local_residual_consistency():
         acc[view.block[j]] += dv
     ref = view.matrix.mat_vec(acc)
     assert np.max(np.abs(res.delta_v - ref)) <= 1e-10 * (1 + np.max(np.abs(ref)))
+
+
+def test_solve_local_matches_per_column_loop():
+    # tolerance fixed before the vectorized path was written: the only
+    # arithmetic change is how each column's x_i^T w is summed
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        kind = "l1" if trial % 2 else "elastic_net"
+        n, d = int(rng.integers(4, 30)), int(rng.integers(3, 20))
+        m, cols = random_matrix(rng, n=n, d=d, density=0.4)
+        if trial % 3 == 0:
+            cols[0] = []
+            m = sc.ColMatrix.from_columns(d, cols)
+        b = rng.standard_normal(d)
+        fit = sc.DataFit(kind=sc.LEAST_SQUARES, labels=b)
+        lam = float(rng.uniform(0.05, 0.5)) * float(np.max(np.abs(m.mat_tvec(b))))
+        spec = sc.make_objective(fit, kind, lam, eta=0.5)
+        alpha = 0.3 * rng.standard_normal(n)
+        v = m.mat_vec(alpha)
+        block = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                   replace=False))
+        view = sc.SubproblemView(
+            matrix=m, block=block, w=sc.f_grad(fit, v),
+            alpha_block=alpha[block], sigma_prime=float(rng.uniform(0.5, 4.0)),
+            tau=1.0, reg=spec.reg, f_share=sc.f_value(fit, v))
+        h = int(rng.integers(1, 4))
+        res = sc.solve_local(view, h=h, seed=trial)
+        delta, z, updates, clamps, frozen = local_solve_loop(view, h, trial)
+        assert sorted(res.delta_alpha) == sorted(delta)
+        for j, dv in delta.items():
+            got, ref = alpha[block[j]] + res.delta_alpha[j], alpha[block[j]] + dv
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+        assert np.max(np.abs(res.delta_v - z), initial=0.0) \
+            <= 1e-12 * max(1.0, np.max(np.abs(z), initial=0.0))
+        assert (res.updates_done, res.clamp_hits, res.frozen_cols) == \
+            (updates, clamps, frozen)
 
 
 def test_solve_local_skips_zero_columns():
