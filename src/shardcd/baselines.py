@@ -5,19 +5,20 @@ coordinate descent (one shrinkage step per sampled coordinate, all
 applied together with a damping factor beta / batch). The single-update,
 one-coordinate-per-worker extreme of the mini-batch scheme is the
 classic high-communication configuration the round-based solver is
-meant to improve on.
+meant to improve on. Both run through the solver's own driver loop, so
+they are certified, drift-checked, traced and stopped exactly like it.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import sq_spectral_norm
-from .engine import RoundTrace, SolveResult, SolverState, _worker_seed
-from .objectives import L1, duality_gap, f_grad, soft_threshold
+from .engine import SolverState, _drive, _worker_seed
+from .local import coordinate_update
+from .objectives import L1, f_grad, soft_threshold
 
 __all__ = ["BaselineConfig", "prox_gd_step", "mb_cd_round", "solve_baseline"]
 
@@ -65,22 +66,27 @@ def _prox(reg, u, step):
     return shrink / (1.0 + step * reg.lam * reg.eta)
 
 
-def prox_gd_step(state, spec, m, step):
-    """One full proximal gradient step; the shared vector is recomputed."""
+def prox_gd_step(state, spec, m, step, shared=None):
+    """One full proximal gradient step; the shared vector is recomputed.
+
+    `shared` is a certificate taken at `state`; its A^T w is the gradient.
+    """
     if step <= 0:
         raise ValueError("step must be positive")
-    g = m.mat_tvec(f_grad(spec.data_fit, state.v))
+    g = m.mat_tvec(f_grad(spec.data_fit, state.v)) if shared is None \
+        else shared.atw
     alpha = _prox(spec.reg, state.alpha - step * g, step)
     return SolverState(alpha=alpha, v=m.mat_vec(alpha), round=state.round + 1)
 
 
-def mb_cd_round(state, spec, m, b, beta, seed):
+def mb_cd_round(state, spec, m, b, beta, seed, shared=None):
     """One mini-batch coordinate-descent round.
 
     Samples b distinct coordinates, computes each one's solo shrinkage
     update against the current gradient (curvature ||x_i||^2 / tau, no
     cross terms), and applies all of them scaled by beta / b, updating
     the shared vector incrementally. Zero-norm coordinates stay frozen.
+    `shared` is a certificate taken at `state`; its w is the gradient.
     """
     n = m.n_cols
     if not 1 <= b <= n:
@@ -89,10 +95,9 @@ def mb_cd_round(state, spec, m, b, beta, seed):
         raise ValueError("beta must lie in [1, batch]")
     rng = np.random.default_rng(seed)
     coords = rng.choice(n, size=b, replace=False)
-    w = f_grad(spec.data_fit, state.v)
+    w = f_grad(spec.data_fit, state.v) if shared is None else shared.w
     tau = spec.data_fit.tau
     sq = m.col_sq_norms
-    reg = spec.reg
     scale = beta / b
 
     alpha = state.alpha.copy()
@@ -101,18 +106,8 @@ def mb_cd_round(state, spec, m, b, beta, seed):
         i = int(i)
         if sq[i] <= 0.0:
             continue
-        q = sq[i] / tau
-        g_lin = m.col_dot(i, w)
         c = alpha[i]
-        if reg.kind == L1:
-            target = c - g_lin / q
-            new = soft_threshold(target, reg.lam / q)
-            new = min(max(new, -reg.support_bound), reg.support_bound)
-        else:
-            num = q * c - g_lin
-            thr = reg.lam * (1.0 - reg.eta)
-            den = q + reg.lam * reg.eta
-            new = soft_threshold(num, thr) / den
+        new = coordinate_update(spec.reg, c, m.col_dot(i, w), sq[i] / tau)
         dlt = scale * (new - c)
         if dlt != 0.0:
             alpha[i] = c + dlt
@@ -121,45 +116,24 @@ def mb_cd_round(state, spec, m, b, beta, seed):
 
 
 def solve_baseline(cfg, spec, m):
-    """Drive a baseline to the gap tolerance, recording the same traces
-    as the round-based solver so runs are directly comparable."""
-    spec.check_dims(m)
-    state = SolverState.initial(m)
-    step = cfg.step_size
-    if cfg.kind == PROX_GD and step is None:
-        norm_sq = sq_spectral_norm(m, iters=60, seed=cfg.seed)
-        if norm_sq <= 0.0:
-            raise ValueError("cannot pick a step size for an all-zero matrix")
-        step = spec.data_fit.tau / norm_sq
+    """Drive a baseline to the gap tolerance through the solver's loop,
+    recording the same traces and stop reasons so runs are directly
+    comparable."""
+    step_size = cfg.step_size
+    if cfg.kind == PROX_GD:
+        if step_size is None:
+            norm_sq = sq_spectral_norm(m, iters=60, seed=cfg.seed)
+            if norm_sq <= 0.0:
+                raise ValueError("cannot pick a step size for an all-zero matrix")
+            step_size = spec.data_fit.tau / norm_sq
 
-    traces = []
-    diag = {"wall_times": [], "step_size": step}
+        def step(state, shared, traced):
+            return prox_gd_step(state, spec, m, step_size, shared), m.n_cols, None
+    else:
+        def step(state, shared, traced):
+            seed = _worker_seed(cfg.seed, 0, state.round + 1)
+            return (mb_cd_round(state, spec, m, cfg.batch_size, cfg.beta_scale,
+                                seed, shared), cfg.batch_size, None)
 
-    def certify(t, updates):
-        rep = duality_gap(spec, m, state.alpha, state.v)
-        traces.append(RoundTrace(
-            round=t, primal=rep.primal, dual=rep.dual, gap=rep.gap,
-            nnz=int(np.count_nonzero(state.alpha)), local_updates=updates,
-            elapsed_ms=0.0, theta_estimate=None))
-        return rep.gap
-
-    gap = certify(0, 0)
-    if gap <= cfg.gap_tol:
-        return SolveResult(state, traces, "gap_tol", diag)
-    stop_reason = "max_rounds"
-    for t in range(1, cfg.max_rounds + 1):
-        t0 = time.perf_counter()
-        if cfg.kind == PROX_GD:
-            state = prox_gd_step(state, spec, m, step)
-            updates = m.n_cols
-        else:
-            state = mb_cd_round(state, spec, m, cfg.batch_size, cfg.beta_scale,
-                                _worker_seed(cfg.seed, 0, t))
-            updates = cfg.batch_size
-        diag["wall_times"].append(time.perf_counter() - t0)
-        if t % cfg.trace_every == 0 or t == cfg.max_rounds:
-            gap = certify(t, updates)
-            if gap <= cfg.gap_tol:
-                stop_reason = "gap_tol"
-                break
-    return SolveResult(state, traces, stop_reason, diag)
+    return _drive(step, spec, m, cfg.max_rounds, cfg.gap_tol, cfg.trace_every,
+                  {"step_size": step_size})

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the gap tolerance was reached (or a requested
 diagnostic check passed), 2 when the round budget ran out first (or a
-diagnostic observed a violation), 1 for usage or data errors.
+diagnostic observed a violation), 3 when the run diverged (a certified
+primal value rose above the zero start's), 1 for usage or data errors.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .objectives import (DataFit, LEAST_SQUARES, LOGISTIC, make_objective)
 __all__ = ["cli_main", "main", "RunSpec"]
 
 OBJECTIVES = ("lasso", "elastic_net", "sparse_logistic")
+EXIT_CODES = {"gap_tol": 0, "max_rounds": 2, "diverged": 3}
 
 
 @dataclass
@@ -208,7 +210,7 @@ def cli_main(argv=None):
     print(f"{run.objective} [{label}] rounds={result.state.round} "
           f"primal={last.primal:.10g} gap={last.gap:.6g} nnz={last.nnz} "
           f"stop={result.stop_reason}")
-    return 0 if result.stop_reason == "gap_tol" else 2
+    return EXIT_CODES[result.stop_reason]
 
 
 def main():

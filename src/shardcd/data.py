@@ -99,14 +99,6 @@ class ColMatrix:
                    np.array(vals, dtype=np.float64))
 
     @classmethod
-    def from_dense(cls, arr):
-        arr = np.asarray(arr, dtype=np.float64)
-        d, n = arr.shape
-        cols = [[(int(j), float(arr[j, i])) for j in np.nonzero(arr[:, i])[0]]
-                for i in range(n)]
-        return cls.from_columns(d, cols)
-
-    @classmethod
     def from_coo(cls, n_rows, n_cols, coo_rows, coo_cols, coo_vals):
         """Build from unsorted triplets. Duplicate (row, col) pairs are invalid."""
         coo_rows = np.asarray(coo_rows, dtype=np.int64)
@@ -131,9 +123,6 @@ class ColMatrix:
         """Cached squared Euclidean norms of the columns."""
         return self._col_sq_norms
 
-    def col_norm(self, i):
-        return float(np.sqrt(self._col_sq_norms[i]))
-
     def column(self, i):
         """Views of the row indices and values of column `i`."""
         if not 0 <= i < self.n_cols:
@@ -142,9 +131,7 @@ class ColMatrix:
         return self.rows[lo:hi], self.vals[lo:hi]
 
     def toarray(self):
-        out = np.zeros((self.n_rows, self.n_cols))
-        out[self.rows, self._col_ids] = self.vals
-        return out
+        return self._csc.toarray()
 
     # ------------------------------------------------------------------
     # products
@@ -216,12 +203,10 @@ class Partition:
         return [len(b) for b in self.blocks]
 
 
-def partition_columns(n, k, strategy="contiguous", seed=0):
-    """Split columns {0..n-1} into k balanced blocks.
+def partition_columns(n, k, strategy="contiguous"):
+    """Split columns {0..n-1} into k balanced, deterministic blocks.
 
-    Balanced means block sizes differ by at most one. Both strategies
-    are fully deterministic; `seed` is accepted for interface stability
-    but unused by the built-in strategies.
+    Balanced means block sizes differ by at most one.
     """
     if k <= 0:
         raise ValueError("k must be positive")
@@ -247,33 +232,18 @@ def sq_spectral_norm(m, cols=None, iters=50, seed=0):
     `cols=None` the whole matrix is used. Returns 0.0 for an empty or
     all-zero subset.
     """
-    if cols is None:
-        cols = np.arange(m.n_cols)
-    cols = np.asarray(cols, dtype=np.int64)
-    if len(cols) == 0:
+    a = m._csc if cols is None else m._csc[:, np.asarray(cols, dtype=np.int64)]
+    if a.shape[1] == 0:
         return 0.0
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(len(cols))
-    slices = [m.column(int(i)) for i in cols]
-
-    def a_local(x):
-        y = np.zeros(m.n_rows)
-        for xi, (r, v) in zip(x, slices):
-            if xi != 0.0:
-                y[r] += xi * v
-        return y
-
-    def at_local(y):
-        return np.array([np.dot(v, y[r]) for r, v in slices])
-
+    u = np.random.default_rng(seed).standard_normal(a.shape[1])
     est = 0.0
     for _ in range(max(int(iters), 1)):
-        y = a_local(u)
-        z = at_local(y)
+        y = a @ u
+        z = a.T @ y
         nz = np.linalg.norm(z)
         if nz == 0.0:
             return 0.0
         est = float(np.dot(y, y) / np.dot(u, u))
         u = z / nz
-    y = a_local(u)
+    y = a @ u
     return max(est, float(np.dot(y, y) / np.dot(u, u)))

@@ -23,15 +23,14 @@ class DataFormatError(ValueError):
     """Malformed input data file."""
 
 
-def read_libsvm(path, transpose_to_columns=True):
+def read_libsvm(path):
     """Read a sparse dataset in the plain-text `label idx:val ...` format.
 
     Feature indices are 1-based and must be strictly ascending within a
-    line. With `transpose_to_columns` (the default), examples become the
-    ROWS of the returned matrix and features the COLUMNS, which is the
-    layout the column-partitioned solver expects: one coefficient per
-    feature, one shared-vector entry per example. With the flag off the
-    matrix is transposed (examples as columns).
+    line. Examples become the ROWS of the returned matrix and features
+    the COLUMNS, which is the layout the column-partitioned solver
+    expects: one coefficient per feature, one shared-vector entry per
+    example.
 
     Returns (matrix, labels); labels has one entry per example. An empty
     file is an error.
@@ -73,35 +72,30 @@ def read_libsvm(path, transpose_to_columns=True):
     if example == 0:
         raise DataFormatError(f"{path}: empty dataset")
     labels = np.asarray(labels, dtype=np.float64)
-    if transpose_to_columns:
-        m = ColMatrix.from_coo(example, n_features, ex_rows, ex_cols, ex_vals)
-    else:
-        m = ColMatrix.from_coo(n_features, example, ex_cols, ex_rows, ex_vals)
-    return m, labels
+    return ColMatrix.from_coo(example, n_features, ex_rows, ex_cols, ex_vals), labels
 
 
-def write_libsvm(path, m, labels, transpose_to_columns=True):
-    """Inverse of :func:`read_libsvm`; values are written round-trip exact."""
-    if transpose_to_columns:
-        if len(labels) != m.n_rows:
-            raise ValueError("labels must have one entry per matrix row")
-        n_examples = m.n_rows
-        ex_of = m.rows
-        feat_of = m._col_ids
-    else:
-        if len(labels) != m.n_cols:
-            raise ValueError("labels must have one entry per matrix column")
-        n_examples = m.n_cols
-        ex_of = m._col_ids
-        feat_of = m.rows
-    order = np.lexsort((feat_of, ex_of))
-    lines = [[repr(float(y))] for y in labels]
-    for t in order:
-        lines[ex_of[t]].append(f"{feat_of[t] + 1}:{float(m.vals[t])!r}")
+def write_libsvm(path, m, labels):
+    """Inverse of :func:`read_libsvm`; values are written round-trip exact.
+
+    Entries are sorted by (example, feature) once and written one example
+    at a time, so only one line's numbers are held as Python objects.
+    """
+    if len(labels) != m.n_rows:
+        raise ValueError("labels must have one entry per matrix row")
+    order = np.lexsort((m._col_ids, m.rows))
+    examples = m.rows[order]
+    features = m._col_ids[order] + 1
+    vals = m.vals[order]
+    bounds = np.searchsorted(examples, np.arange(m.n_rows + 1)).tolist()
     with open(path, "w") as fh:
-        for parts in lines:
+        for e in range(m.n_rows):
+            lo, hi = bounds[e], bounds[e + 1]
+            parts = [repr(float(labels[e]))]
+            parts += [f"{f}:{v!r}" for f, v in zip(features[lo:hi].tolist(),
+                                                   vals[lo:hi].tolist())]
             fh.write(" ".join(parts) + "\n")
-    return n_examples
+    return m.n_rows
 
 
 @dataclass(frozen=True)

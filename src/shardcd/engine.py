@@ -14,6 +14,11 @@ computes f(v), w = grad f(v) and A^T w, and the next round's views reuse
 them; a round without a certificate before it computes them once itself.
 Each block's column slices and squared norms are built once per solve.
 
+One driver loop (_drive) certifies, checks v = A alpha, records traces
+and decides the stop for the solver and for both baselines alike, so
+their traces and stop reasons ("gap_tol", "diverged", "max_rounds")
+mean the same thing.
+
 Timing in traces is simulated (configured per-round latency plus a
 per-update cost model) so traces are deterministic; measured wall times
 are kept separately in the solve diagnostics.
@@ -60,7 +65,6 @@ class EngineConfig:
     seed: int = 0
     trace_every: int = 1
     estimate_theta: bool = False
-    collect_block_norms: bool = False
     round_latency: float = 0.0
     update_cost: float = 0.0
 
@@ -191,78 +195,97 @@ def run_round(state, cfg, spec, m, p, shared=None, blocks=None):
     return SolverState(alpha=new_alpha, v=new_v, round=t + 1), results
 
 
-def solve(cfg, spec, m, p):
-    """Run rounds until the duality gap reaches gap_tol or rounds run out.
+def _drive(step, spec, m, max_rounds, gap_tol, trace_every, diag,
+           round_latency=0.0, update_cost=0.0):
+    """The certify, drift-check, trace and stop loop every method runs.
 
-    A certificate is computed for the zero starting point before any
-    work, then every `trace_every` rounds (and at the final round), so
-    gap computation is amortized when tracing sparsely. Returns the
-    final state, the recorded traces, the stop reason ("gap_tol" or
-    "max_rounds"), and a diagnostics dict with measured wall times,
-    per-round coefficient extremes, and clamp/frozen-column counters.
+    `step(state, shared, traced)` advances one round and returns (new
+    state, coordinate updates, theta estimate or None); `shared` is the
+    certificate taken at `state` or None, and `traced` says whether the
+    new state will be certified. Certificates are taken at the zero
+    start, every `trace_every` rounds and at the final round, each after
+    checking v = A alpha. Stops with "gap_tol" at a certified gap within
+    gap_tol, "diverged" at a certified primal not at most the zero
+    start's (a monotone method never climbs above it; this also catches
+    NaN), else "max_rounds"; the returned state is the one certified
+    last. Adds measured step seconds (`wall_times`) and the simulated
+    elapsed time (`sim_elapsed_s`) to `diag`.
     """
     spec.check_dims(m)
-    if m.n_cols != p.n_cols:
-        raise ValueError("partition does not match matrix columns")
     state = SolverState.initial(m)
     traces = []
-    diag = {
-        "wall_times": [],
-        "max_abs_coef": [],
-        "clamp_hits": 0,
-        "frozen_cols": 0,
-        "columns_normalized": bool(getattr(m, "normalized", False)),
-        "sim_elapsed_s": 0.0,
-    }
-    if cfg.collect_block_norms:
-        diag["block_sigma"] = [block_sigma_k(m, p, k) for k in range(p.k_count)]
-    blocks = [BlockColumns.of(m, block) for block in p.blocks]
+    diag["wall_times"] = []
+    diag["sim_elapsed_s"] = 0.0
 
-    def certify(t, updates, theta):
+    def certify(t, updates=0, theta=None, seconds=0.0):
         rep = duality_gap(spec, m, state.alpha, state.v)
-        elapsed_ms = 1000.0 * (cfg.round_latency + cfg.update_cost * updates) \
-            if t > 0 else 0.0
         traces.append(RoundTrace(
             round=t, primal=rep.primal, dual=rep.dual, gap=rep.gap,
             nnz=int(np.count_nonzero(state.alpha)), local_updates=updates,
-            elapsed_ms=elapsed_ms, theta_estimate=theta))
+            elapsed_ms=1000.0 * seconds, theta_estimate=theta))
         return rep
 
     # the last certificate, while it was taken at the current state
-    shared = certify(0, 0, None)
-    if shared.gap <= cfg.gap_tol:
+    shared = certify(0)
+    if shared.gap <= gap_tol:
         return SolveResult(state, traces, "gap_tol", diag)
 
-    stop_reason = "max_rounds"
-    for t in range(1, cfg.max_rounds + 1):
-        prev = state
+    for t in range(1, max_rounds + 1):
+        traced = t % trace_every == 0 or t == max_rounds
         t0 = time.perf_counter()
-        state, results = run_round(state, cfg, spec, m, p, shared, blocks)
-        shared = None
+        state, updates, theta = step(state, shared, traced)
         diag["wall_times"].append(time.perf_counter() - t0)
-        updates = sum(r.updates_done for r in results)
-        diag["clamp_hits"] += sum(r.clamp_hits for r in results)
-        diag["frozen_cols"] = max(diag["frozen_cols"],
-                                  sum(r.frozen_cols for r in results))
-        diag["max_abs_coef"].append(float(np.max(np.abs(state.alpha), initial=0.0)))
-        diag["sim_elapsed_s"] += cfg.round_latency + cfg.update_cost * updates
-
-        if t % cfg.trace_every == 0 or t == cfg.max_rounds:
-            # shared-vector drift check, amortized with the certificate
+        seconds = round_latency + update_cost * updates
+        diag["sim_elapsed_s"] += seconds
+        shared = None
+        if traced:
             v_ref = m.mat_vec(state.alpha)
             drift = np.max(np.abs(state.v - v_ref), initial=0.0)
             if drift > 1e-8 * (1.0 + np.max(np.abs(state.v), initial=0.0)):
                 raise RuntimeError(f"shared vector drifted from A alpha by {drift:g}")
-            theta = None
-            if cfg.estimate_theta:
-                views = _build_views(prev, cfg, spec, m, p, blocks=blocks)
-                theta = max(measure_theta(views[k], results[k])
-                            for k in range(p.k_count))
-            shared = certify(t, updates, theta)
-            if shared.gap <= cfg.gap_tol:
-                stop_reason = "gap_tol"
-                break
-    return SolveResult(state, traces, stop_reason, diag)
+            shared = certify(t, updates, theta, seconds)
+            if shared.gap <= gap_tol:
+                return SolveResult(state, traces, "gap_tol", diag)
+            if not shared.primal <= traces[0].primal:
+                return SolveResult(state, traces, "diverged", diag)
+    return SolveResult(state, traces, "max_rounds", diag)
+
+
+def solve(cfg, spec, m, p):
+    """Run rounds until the duality gap reaches gap_tol or rounds run out.
+
+    Rounds run through _drive, which certifies the zero start and then
+    every `trace_every` rounds (and the final round), so gap computation
+    is amortized when tracing sparsely. Returns the final state, the
+    recorded traces, the stop reason ("gap_tol", "diverged" or
+    "max_rounds"), and a diagnostics dict with measured wall times,
+    per-round coefficient extremes, and clamp/frozen-column counters.
+    """
+    if m.n_cols != p.n_cols:
+        raise ValueError("partition does not match matrix columns")
+    diag = {
+        "max_abs_coef": [],
+        "clamp_hits": 0,
+        "frozen_cols": 0,
+        "columns_normalized": bool(getattr(m, "normalized", False)),
+    }
+    blocks = [BlockColumns.of(m, block) for block in p.blocks]
+
+    def step(state, shared, traced):
+        new, results = run_round(state, cfg, spec, m, p, shared, blocks)
+        diag["clamp_hits"] += sum(r.clamp_hits for r in results)
+        diag["frozen_cols"] = max(diag["frozen_cols"],
+                                  sum(r.frozen_cols for r in results))
+        diag["max_abs_coef"].append(float(np.max(np.abs(new.alpha), initial=0.0)))
+        theta = None
+        if traced and cfg.estimate_theta:
+            views = _build_views(state, cfg, spec, m, p, blocks=blocks)
+            theta = max(measure_theta(view, res)
+                        for view, res in zip(views, results))
+        return new, sum(r.updates_done for r in results), theta
+
+    return _drive(step, spec, m, cfg.max_rounds, cfg.gap_tol, cfg.trace_every,
+                  diag, cfg.round_latency, cfg.update_cost)
 
 
 # ----------------------------------------------------------------------

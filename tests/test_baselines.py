@@ -41,12 +41,17 @@ def test_mb_cd_single_coordinate_matches_scalar_oracle():
     dense = dense_from_columns(8, cols)
     b_vec = rng.standard_normal(8)
     fit = sc.DataFit(kind=sc.LEAST_SQUARES, labels=b_vec)
-    spec = sc.make_objective(fit, "l1", 0.1 * float(np.max(np.abs(dense.T @ b_vec))))
-    lam, bound = spec.reg.lam, spec.reg.support_bound
+    lam = 0.1 * float(np.max(np.abs(dense.T @ b_vec)))
+    for kind in ("l1", "elastic_net"):
+        check_mb_cd_against_oracle(m, dense, b_vec, sc.make_objective(
+            fit, kind, lam, eta=0.4 if kind == "elastic_net" else None))
 
+
+def check_mb_cd_against_oracle(m, dense, b_vec, spec):
+    lam, bound = spec.reg.lam, spec.reg.support_bound
     state = sc.SolverState.initial(m)
     alpha_ref = np.zeros(10)
-    for t, seed in enumerate((42, 7, 9, 1, 30)):
+    for seed in (42, 7, 9, 1, 30):
         state = sc.mb_cd_round(state, spec, m, b=1, beta=1.0, seed=seed)
         # oracle: same sampled coordinate, dense solo shrinkage step
         i = int(np.random.default_rng(seed).choice(10, size=1, replace=False)[0])
@@ -54,10 +59,18 @@ def test_mb_cd_single_coordinate_matches_scalar_oracle():
         if q > 0:
             resid = dense @ alpha_ref - b_vec
             g = float(dense[:, i] @ resid)
-            target = alpha_ref[i] - g / q
-            new = np.sign(target) * max(abs(target) - lam / q, 0.0)
-            alpha_ref[i] = min(max(new, -bound), bound)
+            if spec.reg.kind == sc.L1:
+                target = alpha_ref[i] - g / q
+                new = np.sign(target) * max(abs(target) - lam / q, 0.0)
+                alpha_ref[i] = min(max(new, -bound), bound)
+            else:
+                # argmin_a q/2 (a - c)^2 + g (a - c) + lam (eta a^2/2 + (1-eta)|a|)
+                eta = spec.reg.eta
+                num = q * alpha_ref[i] - g
+                alpha_ref[i] = np.sign(num) * max(abs(num) - lam * (1 - eta),
+                                                  0.0) / (q + lam * eta)
         assert np.allclose(state.alpha, alpha_ref, atol=1e-12)
+    assert np.count_nonzero(alpha_ref) >= 2
     assert np.max(np.abs(state.v - m.mat_vec(state.alpha))) <= 1e-12
 
 
@@ -114,3 +127,24 @@ def test_full_batch_jacobi_runs():
     state = sc.SolverState.initial(m)
     nxt = sc.mb_cd_round(state, spec, m, b=16, beta=1.0, seed=3)
     assert np.max(np.abs(nxt.v - m.mat_vec(nxt.alpha))) <= 1e-10
+
+
+def test_mb_cd_drift_is_caught_by_the_driver(monkeypatch):
+    # a shared-vector update that is lost must stop the run, as in solve
+    m, b, _ = regression_instance(seed=8, n=12, d=8)
+    spec = lasso_objective(m, b)
+    monkeypatch.setattr(sc.ColMatrix, "axpy_column", lambda self, i, s, u: None)
+    with pytest.raises(RuntimeError, match="drifted"):
+        sc.solve_baseline(sc.BaselineConfig(kind="mb_cd", batch_size=4,
+                                            max_rounds=5, gap_tol=0.0), spec, m)
+
+
+def test_prox_gd_with_too_long_a_step_diverges():
+    m, b, _ = regression_instance(seed=9, n=12, d=8)
+    spec = lasso_objective(m, b)
+    step = 10.0 / sc.sq_spectral_norm(m, iters=60)
+    res = sc.solve_baseline(sc.BaselineConfig(
+        kind="prox_gd", step_size=step, max_rounds=200, gap_tol=0.0), spec, m)
+    assert res.stop_reason == "diverged"
+    assert res.traces[-1].round == res.state.round < 200
+    assert res.traces[-1].primal > res.traces[0].primal

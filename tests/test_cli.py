@@ -29,6 +29,13 @@ def test_budget_exhausted_exits_two(capsys):
     assert "stop=max_rounds" in capsys.readouterr().out
 
 
+def test_diverged_run_exits_three(capsys):
+    rc = run(f"{SMALL} --objective lasso --lambda 0.01 --baseline prox_gd "
+             f"--step 100 --rounds 50 --gap-tol 1e-12")
+    assert rc == 3
+    assert "stop=diverged" in capsys.readouterr().out
+
+
 def test_usage_errors_exit_one(capsys):
     assert run("--bogus") == 1
     assert run(f"{SMALL} --objective lasso --lambda 0.1 --k 0") == 1
@@ -53,11 +60,15 @@ def test_data_and_synthetic_mutually_exclusive(capsys):
 
 def test_python_dash_m_entry_point():
     import subprocess, sys
+    from pathlib import Path
+    # run from the directory holding the imported package, so the child
+    # process finds the same shardcd without an install
     proc = subprocess.run(
         [sys.executable, "-m", "shardcd", "--synthetic", "20,12,0.5,2,0.1,3",
          "--objective", "lasso", "--lambda", "1.0", "--rounds", "500",
          "--gap-tol", "1e-5"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        cwd=Path(sc.__file__).resolve().parents[1])
     assert proc.returncode in (0, 2)
     assert "lasso" in proc.stdout
 

@@ -126,7 +126,7 @@ def test_partition_balance_odd():
 
 
 def test_partition_round_robin_exhaustive():
-    p = sc.partition_columns(100, 7, strategy="round_robin", seed=1)
+    p = sc.partition_columns(100, 7, strategy="round_robin")
     seen = np.concatenate(p.blocks)
     assert len(seen) == 100
     assert set(seen.tolist()) == set(range(100))
@@ -215,3 +215,15 @@ def test_sq_spectral_norm_examples():
     assert sc.sq_spectral_norm(one) == pytest.approx(1.0, abs=1e-9)
     two = sc.ColMatrix.from_columns(3, [[(1, 1.0)], [(1, 1.0)]])
     assert sc.sq_spectral_norm(two) == pytest.approx(2.0, abs=1e-9)
+    assert sc.sq_spectral_norm(two, cols=[]) == 0.0
+    rng = np.random.default_rng(31)
+    for trial in range(20):
+        m, columns = random_matrix(rng, n=12, d=9, density=0.4)
+        dense = dense_from_columns(9, columns)
+        cols = np.sort(rng.choice(12, size=int(rng.integers(1, 13)),
+                                  replace=False))
+        for subset in (None, cols):
+            ref = np.linalg.norm(dense if subset is None
+                                 else dense[:, subset], 2) ** 2
+            got = sc.sq_spectral_norm(m, cols=subset, iters=2000, seed=trial)
+            assert got == pytest.approx(ref, rel=1e-9)

@@ -72,20 +72,43 @@ def test_round_is_deterministic():
     assert [t.gap for t in r1.traces] == [t.gap for t in r2.traces]
 
 
-def test_l1_barrier_keeps_coefficients_in_box():
-    # sigma' = 1 < gamma K lets local steps clamp at the box; rebuilding
-    # alpha + gamma (total - start) at the barrier used to land 1 ulp past B
+def divergent_setup(kind):
+    """K=16, sigma' = 1 < gamma K, H=20: unsafe scaling that diverges."""
     m, b, _ = sc.gen_synthetic(sc.SyntheticSpec(
         n=200, d=100, density=0.3, true_nnz=15, noise_sd=0.1, seed=0))
     m.normalize_columns()
     spec = lasso_objective(m, b, frac=0.1)
-    p = sc.partition_columns(m.n_cols, 16)
+    if kind == "elastic_net":
+        spec = sc.make_objective(spec.data_fit, "elastic_net", spec.reg.lam,
+                                 eta=0.5)
     cfg = sc.EngineConfig(k_count=16, h_local=20, sigma_prime=1.0,
                           max_rounds=30, gap_tol=0.0, seed=0)
+    return m, spec, sc.partition_columns(m.n_cols, 16), cfg
+
+
+def test_l1_barrier_keeps_coefficients_in_box():
+    # sigma' = 1 < gamma K lets local steps clamp at the box; rebuilding
+    # alpha + gamma (total - start) at the barrier used to land 1 ulp past B
+    m, spec, p, cfg = divergent_setup("l1")
+    state = sc.SolverState.initial(m)
+    for _ in range(30):
+        state, _ = sc.run_round(state, cfg, spec, m, p)
+        assert np.max(np.abs(state.alpha)) <= spec.reg.support_bound
+        assert sc.duality_gap(spec, m, state.alpha, state.v).gap >= -1e-9
+    assert state.round == 30
+    assert sc.solve(cfg, spec, m, p).stop_reason == "diverged"
+
+
+@pytest.mark.parametrize("kind", ["l1", "elastic_net"])
+def test_divergent_run_stops_at_its_last_certificate(kind):
+    m, spec, p, cfg = divergent_setup(kind)
     res = sc.solve(cfg, spec, m, p)
-    assert res.state.round == 30
-    assert np.max(np.abs(res.state.alpha)) <= spec.reg.support_bound
-    assert all(t.gap >= -1e-9 for t in res.traces)
+    assert res.stop_reason == "diverged"
+    last = res.traces[-1]
+    assert last.round == res.state.round < cfg.max_rounds
+    assert last.primal > res.traces[0].primal
+    assert last.primal == sc.primal_value(spec, m, res.state.alpha,
+                                          res.state.v)
 
 
 def test_infinite_gap_tol_does_no_work():
@@ -351,18 +374,6 @@ def test_frozen_columns_surface_in_diagnostics():
     res = sc.solve(sc.EngineConfig(k_count=2, h_local=2, max_rounds=5,
                                    gap_tol=0.0, seed=0), spec, m, p)
     assert res.diagnostics["frozen_cols"] == 2
-
-
-def test_block_norms_collected_on_request():
-    m, spec, p = desk_setup(seed=28, n=24, d=16)
-    m.normalize_columns()
-    cfg = sc.EngineConfig(k_count=4, max_rounds=1, gap_tol=0.0, seed=0,
-                          collect_block_norms=True)
-    res = sc.solve(cfg, spec, m, p)
-    sigmas = res.diagnostics["block_sigma"]
-    assert len(sigmas) == 4
-    for k, sig in enumerate(sigmas):
-        assert 0.0 < sig <= len(p.blocks[k]) + 1e-6
 
 
 def test_estimate_theta_recorded_in_trace():

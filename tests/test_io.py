@@ -48,6 +48,9 @@ def test_read_libsvm_label_only_example(tmp_path):
     assert m.n_rows == 3
     assert labels.tolist() == [1.0, -1.0, 1.0]
     assert m.toarray()[1].tolist() == [0.0, 0.0]
+    out = tmp_path / "bare_out.txt"
+    sc.write_libsvm(out, m, labels)
+    assert out.read_text() == "1.0 1:0.5\n-1.0\n1.0 2:1.0\n"
 
 
 def test_read_libsvm_rejects_nonascending(tmp_path):
@@ -75,28 +78,6 @@ def test_libsvm_round_trip(tmp_path):
     assert np.array_equal(m2.indptr, m.indptr)
     assert np.array_equal(m2.rows, m.rows)
     assert np.array_equal(m2.vals, m.vals)
-
-
-def test_libsvm_transposed_round_trip(tmp_path):
-    rng = np.random.default_rng(17)
-    m, _ = random_matrix(rng, n=6, d=8, density=0.6)
-    labels = rng.standard_normal(6)  # one label per column (example)
-    path = tmp_path / "tp.txt"
-    sc.write_libsvm(path, m, labels, transpose_to_columns=False)
-    m2, labels2 = sc.read_libsvm(path, transpose_to_columns=False)
-    assert np.array_equal(labels2, labels)
-    assert m2.n_cols == m.n_cols
-    assert np.array_equal(m2.toarray(), m.toarray()[: m2.n_rows])
-
-
-def test_libsvm_transposed_layout(tmp_path):
-    path = tmp_path / "t.txt"
-    path.write_text("1 1:0.5\n-1 2:1.0 3:2.0\n")
-    m, labels = sc.read_libsvm(path, transpose_to_columns=False)
-    # examples become columns: 3 features x 2 examples
-    assert (m.n_rows, m.n_cols) == (3, 2)
-    assert m.toarray().tolist() == [[0.5, 0.0], [0.0, 1.0], [0.0, 2.0]]
-    assert labels.tolist() == [1.0, -1.0]
 
 
 def test_gen_synthetic_deterministic_and_dense():
