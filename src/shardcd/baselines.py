@@ -18,7 +18,7 @@ import numpy as np
 from .data import sq_spectral_norm
 from .engine import SolverState, _drive, _worker_seed
 from .local import coordinate_update
-from .objectives import L1, f_grad, soft_threshold
+from .objectives import f_grad, soft_threshold
 
 __all__ = ["BaselineConfig", "prox_gd_step", "mb_cd_round", "solve_baseline"]
 
@@ -59,11 +59,11 @@ class BaselineConfig:
 
 
 def _prox(reg, u, step):
-    if reg.kind == L1:
-        out = soft_threshold(u, step * reg.lam)
-        return np.clip(out, -reg.support_bound, reg.support_bound)
-    shrink = soft_threshold(u, step * reg.lam * (1.0 - reg.eta))
-    return shrink / (1.0 + step * reg.lam * reg.eta)
+    """Vector prox of step * l: the shrinkage of `coordinate_update` at
+    curvature 1/step and zero slope, elementwise."""
+    l1, l2, bound = reg.penalty
+    return np.clip(soft_threshold(u, step * l1) / (1.0 + step * l2),
+                   -bound, bound)
 
 
 def prox_gd_step(state, spec, m, step, shared=None):

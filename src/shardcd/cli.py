@@ -3,7 +3,8 @@
 Exit codes: 0 when the gap tolerance was reached (or a requested
 diagnostic check passed), 2 when the round budget ran out first (or a
 diagnostic observed a violation), 3 when the run diverged (a certified
-primal value rose above the zero start's), 1 for usage or data errors.
+primal value rose above the zero start's, or the iterate overflowed),
+1 for usage or data errors.
 """
 
 from __future__ import annotations

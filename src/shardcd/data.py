@@ -72,8 +72,10 @@ class ColMatrix:
         bad = np.flatnonzero((np.diff(self.rows) <= 0)
                              & (col_ids[1:] == col_ids[:-1]))
         if len(bad):
-            raise ValueError(f"column {col_ids[bad[0]]}: "
-                             "row indices not strictly ascending")
+            r, c = self.rows[bad[0]], col_ids[bad[0]]
+            if r == self.rows[bad[0] + 1]:
+                raise ValueError(f"duplicate entry at (row {r}, column {c})")
+            raise ValueError(f"column {c}: row indices not strictly ascending")
         return col_ids
 
     def _refresh_norms(self):
@@ -104,6 +106,10 @@ class ColMatrix:
         coo_rows = np.asarray(coo_rows, dtype=np.int64)
         coo_cols = np.asarray(coo_cols, dtype=np.int64)
         coo_vals = np.asarray(coo_vals, dtype=np.float64)
+        bad = np.flatnonzero((coo_cols < 0) | (coo_cols >= n_cols))
+        if len(bad):
+            raise ValueError(f"column index {coo_cols[bad[0]]} out of range "
+                             f"[0, {n_cols})")
         order = np.lexsort((coo_rows, coo_cols))
         rows = coo_rows[order]
         vals = coo_vals[order]

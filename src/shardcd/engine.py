@@ -34,12 +34,12 @@ import numpy as np
 
 from .local import (BlockColumns, SubproblemView, measure_theta, solve_local,
                     subproblem_value)
-from .objectives import (ELASTIC_NET, L1, duality_gap, f_grad, f_value,
+from .objectives import (ELASTIC_NET, duality_gap, f_grad, f_value,
                          primal_value)
 
 __all__ = [
     "EngineConfig", "SolverState", "RoundTrace", "SolveResult",
-    "run_round", "solve",
+    "run_round", "solve", "check_v",
     "check_lemma3", "check_sigma_safety", "theory_round_bound", "block_sigma_k",
 ]
 
@@ -164,10 +164,11 @@ def run_round(state, cfg, spec, m, p, shared=None, blocks=None):
     The data-fit gradient and A^T w are computed once (or taken from
     `shared`, see _build_views) and shared read-only. Local solves run
     on disjoint blocks, then the coefficient and shared-vector updates
-    are reduced at a barrier in ascending worker order. L1 coefficients
-    are clipped back into the box, which only removes rounding: each is
-    a convex combination of two in-box values. Any worker failure aborts
-    the round with the input state unchanged.
+    are reduced at a barrier in ascending worker order. Coefficients are
+    clipped to the penalty's [-B, B] unconditionally: for the L1 box this
+    only removes rounding, since each is a convex combination of two
+    in-box values, and for B = inf (elastic net) the clip does nothing.
+    Any worker failure aborts the round with the input state unchanged.
     """
     if p.k_count != cfg.k_count:
         raise ValueError(f"config expects {cfg.k_count} workers, "
@@ -188,11 +189,19 @@ def run_round(state, cfg, spec, m, p, shared=None, blocks=None):
         new_alpha[idx] += cfg.gamma * np.fromiter(delta.values(), np.float64,
                                                   len(delta))
         dv += res.delta_v
-    if spec.reg.kind == L1:
-        bound = spec.reg.support_bound
-        np.clip(new_alpha, -bound, bound, out=new_alpha)
+    bound = spec.reg.penalty[2]
+    np.clip(new_alpha, -bound, bound, out=new_alpha)
     new_v = state.v + cfg.gamma * dv
     return SolverState(alpha=new_alpha, v=new_v, round=t + 1), results
+
+
+def check_v(m, alpha, v):
+    """Return the drift max |v - A alpha|; a finite drift beyond
+    1e-8 (1 + max |v|) is a bookkeeping fault and raises RuntimeError."""
+    drift = float(np.max(np.abs(v - m.mat_vec(alpha)), initial=0.0))
+    if math.inf > drift > 1e-8 * (1.0 + np.max(np.abs(v), initial=0.0)):
+        raise RuntimeError(f"shared vector drifted from A alpha by {drift:g}")
+    return drift
 
 
 def _drive(step, spec, m, max_rounds, gap_tol, trace_every, diag,
@@ -204,50 +213,48 @@ def _drive(step, spec, m, max_rounds, gap_tol, trace_every, diag,
     certificate taken at `state` or None, and `traced` says whether the
     new state will be certified. Certificates are taken at the zero
     start, every `trace_every` rounds and at the final round, each after
-    checking v = A alpha. Stops with "gap_tol" at a certified gap within
-    gap_tol, "diverged" at a certified primal not at most the zero
-    start's (a monotone method never climbs above it; this also catches
-    NaN), else "max_rounds"; the returned state is the one certified
-    last. Adds measured step seconds (`wall_times`) and the simulated
-    elapsed time (`sim_elapsed_s`) to `diag`.
+    check_v. Stops with "gap_tol" at a certified gap within gap_tol and
+    with "diverged" at a certified primal not at most the zero start's (a
+    monotone method never climbs above it), else "max_rounds"; the
+    returned state is the one in the last trace row. A non-finite drift
+    or gap stops the run as "diverged", without a trace row, at the state
+    certified before it (at the zero start it raises ValueError). Adds
+    measured step seconds (`wall_times`) and the simulated elapsed time
+    (`sim_elapsed_s`) to `diag`.
     """
     spec.check_dims(m)
-    state = SolverState.initial(m)
+    state = certified = SolverState.initial(m)
     traces = []
     diag["wall_times"] = []
     diag["sim_elapsed_s"] = 0.0
-
-    def certify(t, updates=0, theta=None, seconds=0.0):
-        rep = duality_gap(spec, m, state.alpha, state.v)
+    # the last certificate, while it was taken at the current state
+    shared, updates, theta, seconds = None, 0, None, 0.0
+    for t in range(max_rounds + 1):
+        if t:  # round 0 certifies the zero start
+            traced = t % trace_every == 0 or t == max_rounds
+            t0 = time.perf_counter()
+            state, updates, theta = step(state, shared, traced)
+            diag["wall_times"].append(time.perf_counter() - t0)
+            seconds = round_latency + update_cost * updates
+            diag["sim_elapsed_s"] += seconds
+            shared = None
+            if not traced:
+                continue
+        drift = check_v(m, state.alpha, state.v)
+        shared = duality_gap(spec, m, state.alpha, state.v)
+        if not math.isfinite(drift + shared.gap):
+            if not t:
+                raise ValueError("objective is not finite at the zero start")
+            return SolveResult(certified, traces, "diverged", diag)
         traces.append(RoundTrace(
-            round=t, primal=rep.primal, dual=rep.dual, gap=rep.gap,
+            round=t, primal=shared.primal, dual=shared.dual, gap=shared.gap,
             nnz=int(np.count_nonzero(state.alpha)), local_updates=updates,
             elapsed_ms=1000.0 * seconds, theta_estimate=theta))
-        return rep
-
-    # the last certificate, while it was taken at the current state
-    shared = certify(0)
-    if shared.gap <= gap_tol:
-        return SolveResult(state, traces, "gap_tol", diag)
-
-    for t in range(1, max_rounds + 1):
-        traced = t % trace_every == 0 or t == max_rounds
-        t0 = time.perf_counter()
-        state, updates, theta = step(state, shared, traced)
-        diag["wall_times"].append(time.perf_counter() - t0)
-        seconds = round_latency + update_cost * updates
-        diag["sim_elapsed_s"] += seconds
-        shared = None
-        if traced:
-            v_ref = m.mat_vec(state.alpha)
-            drift = np.max(np.abs(state.v - v_ref), initial=0.0)
-            if drift > 1e-8 * (1.0 + np.max(np.abs(state.v), initial=0.0)):
-                raise RuntimeError(f"shared vector drifted from A alpha by {drift:g}")
-            shared = certify(t, updates, theta, seconds)
-            if shared.gap <= gap_tol:
-                return SolveResult(state, traces, "gap_tol", diag)
-            if not shared.primal <= traces[0].primal:
-                return SolveResult(state, traces, "diverged", diag)
+        certified = state
+        if shared.gap <= gap_tol:
+            return SolveResult(state, traces, "gap_tol", diag)
+        if not shared.primal <= traces[0].primal:
+            return SolveResult(state, traces, "diverged", diag)
     return SolveResult(state, traces, "max_rounds", diag)
 
 

@@ -7,9 +7,13 @@ Each worker owns a column block and, per round, approximately minimizes
 over block-supported updates d, where w is the gradient of the data-fit
 term at the round's shared prediction vector and `const` is that
 vector's share of the data-fit value. Single-coordinate restrictions
-have closed-form minimizers (shrinkage steps), so the solver is plain
-randomized coordinate descent with an epoch budget; more epochs buy a
-better approximation at the cost of per-round work.
+have closed-form minimizers, so the solver is plain randomized
+coordinate descent with an epoch budget; more epochs buy a better
+approximation at the cost of per-round work.
+
+Both regularizers are l(a) = l1 |a| + l2 a^2 / 2 on [-B, B] (L1 is
+(lam, 0, B), the elastic net (lam (1 - eta), lam eta, inf)), so every
+step is one scalar shrinkage clipped to [-B, B], a no-op for B = inf.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import L1, ell_value
+from .objectives import ell_value
 
 __all__ = [
     "BlockColumns", "SubproblemView", "LocalResult",
@@ -98,58 +102,35 @@ class LocalResult:
     frozen_cols: int = 0
 
 
-def subproblem_value(view, delta, z, debug=False):
+def subproblem_value(view, delta, z):
     """Evaluate the local objective at a sparse update.
 
     `delta` maps local positions to coefficient changes and `z` is the
-    caller-maintained product A * delta. With debug=True, z is
-    re-verified against a fresh product of the accumulated delta.
+    caller-maintained product A * delta.
     """
-    if debug:
-        z_ref = np.zeros(view.matrix.n_rows)
-        for j, dv in delta.items():
-            view.matrix.axpy_column(int(view.block[j]), dv, z_ref)
-        if np.max(np.abs(z - z_ref), initial=0.0) > 1e-8 * (1.0 + np.max(np.abs(z_ref), initial=0.0)):
-            raise ValueError("stale local product: z != A delta")
     totals = view.alpha_block.astype(np.float64, copy=True)
-    for j, dv in delta.items():
-        totals[j] += dv
+    totals[list(delta)] += list(delta.values())
     quad = 0.5 * (view.sigma_prime / view.tau) * float(np.dot(z, z))
     return (view.f_share + float(np.dot(view.w, z)) + quad
             + float(np.sum(ell_value(view.reg, totals))))
 
 
-def _l1_step(c, g_lin, q, lam, bound):
-    """Closed-form single-coordinate minimizer for the box-restricted L1 term.
-
-    Returns (new_total, clamped). The box clamp is defense in depth: for
-    the default bound and monotone descent from zero it never engages.
-    """
-    target = c - g_lin / q
-    thr = lam / q
-    if target > thr:
-        raw = target - thr
-    elif target < -thr:
-        raw = target + thr
+def _shrink(c, g, q, l1, l2, bound):
+    """Minimizer of q (a - c)^2 / 2 + g (a - c) + l1 |a| + l2 a^2 / 2 on
+    [-bound, bound], and whether the clip engaged (for the default L1 box
+    and monotone descent from zero it never does)."""
+    num = q * c - g
+    if num > l1:
+        new = (num - l1) / (q + l2)
+    elif num < -l1:
+        new = (num + l1) / (q + l2)
     else:
-        raw = 0.0
-    if raw > bound:
+        return 0.0, False
+    if new > bound:
         return bound, True
-    if raw < -bound:
+    if new < -bound:
         return -bound, True
-    return raw, False
-
-
-def _enet_step(c, g_lin, q, lam, eta):
-    """Closed-form single-coordinate minimizer for the elastic-net term."""
-    num = q * c - g_lin
-    thr = lam * (1.0 - eta)
-    den = q + lam * eta
-    if num > thr:
-        return (num - thr) / den
-    if num < -thr:
-        return (num + thr) / den
-    return 0.0
+    return new, False
 
 
 def coordinate_update(reg, current_total, g_lin, q):
@@ -159,14 +140,12 @@ def coordinate_update(reg, current_total, g_lin, q):
     `g_lin` the local objective's smooth-part derivative there, and
     q > 0 the smooth-part curvature (sigma'/tau times the squared
     column norm). The smooth part is exactly quadratic along a
-    coordinate, so a shrinkage step is the exact minimizer.
+    coordinate, so the shrinkage step of the penalty form
+    l1 |a| + l2 a^2 / 2, clipped to [-B, B], is the exact minimizer.
     """
     if q <= 0:
         raise ValueError("curvature q must be positive")
-    if reg.kind == L1:
-        new, _ = _l1_step(current_total, g_lin, q, reg.lam, reg.support_bound)
-        return new
-    return _enet_step(current_total, g_lin, q, reg.lam, reg.eta)
+    return _shrink(current_total, g_lin, q, *reg.penalty)[0]
 
 
 def _coordinate_pass(view, order, totals, z):
@@ -175,41 +154,27 @@ def _coordinate_pass(view, order, totals, z):
     `totals` (a list, one entry per pool column) holds the coordinates'
     current values alpha_i + d_i; it and the running product z = A d are
     updated in place (rows within a column are distinct, so the gathered
-    z[r] is reused for the write). Returns the number of steps the L1
-    box clamped.
+    z[r] is reused for the write). Returns the number of steps the
+    support bound clipped.
     """
     cols = view.columns.cols
     sp_tau = view.sigma_prime / view.tau
     xw = view.xw[view.columns.pool].tolist()
     qs = (sp_tau * view.columns.sq).tolist()
     dot = np.dot
-    reg = view.reg
+    l1, l2, bound = view.reg.penalty
     clamp_hits = 0
-    if reg.kind == L1:
-        lam, bound = reg.lam, reg.support_bound
-        for t in order:
-            r, v = cols[t]
-            c = totals[t]
-            zr = z[r]
-            new, clamped = _l1_step(c, xw[t] + sp_tau * float(dot(v, zr)),
-                                    qs[t], lam, bound)
-            clamp_hits += clamped
-            dlt = new - c
-            if dlt != 0.0:
-                totals[t] = new
-                z[r] = zr + dlt * v
-    else:
-        lam, eta = reg.lam, reg.eta
-        for t in order:
-            r, v = cols[t]
-            c = totals[t]
-            zr = z[r]
-            new = _enet_step(c, xw[t] + sp_tau * float(dot(v, zr)),
-                             qs[t], lam, eta)
-            dlt = new - c
-            if dlt != 0.0:
-                totals[t] = new
-                z[r] = zr + dlt * v
+    for t in order:
+        r, v = cols[t]
+        c = totals[t]
+        zr = z[r]
+        new, clamped = _shrink(c, xw[t] + sp_tau * float(dot(v, zr)),
+                               qs[t], l1, l2, bound)
+        clamp_hits += clamped
+        dlt = new - c
+        if dlt != 0.0:
+            totals[t] = new
+            z[r] = zr + dlt * v
     return clamp_hits
 
 
@@ -256,29 +221,17 @@ def _cd_minimize(view, max_sweeps, tol=1e-14):
     """
     pool = view.columns.pool
     z = np.zeros(view.matrix.n_rows)
-    if not len(pool):
-        return {}, z, subproblem_value(view, {}, z)
-
-    sp_tau = view.sigma_prime / view.tau
     start = view.alpha_block[pool]
     totals = start.tolist()
-
-    def value():
-        pen = view.alpha_block.astype(np.float64, copy=True)
-        pen[pool] = totals
-        quad = 0.5 * sp_tau * float(np.dot(z, z))
-        return (view.f_share + float(np.dot(view.w, z)) + quad
-                + float(np.sum(ell_value(view.reg, pen))))
-
-    prev = value()
+    delta = {}
+    value = subproblem_value(view, delta, z)
     for _ in range(max_sweeps):
         _coordinate_pass(view, range(len(pool)), totals, z)
-        cur = value()
-        if prev - cur < tol:
-            prev = cur
+        delta = _delta_map(pool, start, totals)
+        before, value = value, subproblem_value(view, delta, z)
+        if before - value < tol:
             break
-        prev = cur
-    return _delta_map(pool, start, totals), z, prev
+    return delta, z, value
 
 
 def measure_theta(view, result, oracle_iters=400):

@@ -148,3 +148,24 @@ def test_prox_gd_with_too_long_a_step_diverges():
     assert res.stop_reason == "diverged"
     assert res.traces[-1].round == res.state.round < 200
     assert res.traces[-1].primal > res.traces[0].primal
+
+
+def test_prox_matches_scalar_step():
+    # prox-GD's vector prox is coordinate_update at curvature 1/step, zero slope
+    from shardcd.baselines import _prox
+    rng = np.random.default_rng(41)
+    for trial in range(200):
+        lam = float(rng.uniform(0.05, 3.0))
+        step = float(rng.uniform(0.01, 5.0))
+        if trial % 2:
+            bound = float(rng.uniform(0.5, 5.0))
+            reg = sc.Regularizer(kind=sc.L1, lam=lam, support_bound=bound)
+            u = rng.uniform(-3.0, 3.0, size=20) * bound  # some beyond +-B
+        else:
+            reg = sc.Regularizer(kind=sc.ELASTIC_NET, lam=lam,
+                                 eta=float(rng.uniform(0.05, 1.0)))
+            u = 5.0 * rng.standard_normal(20)
+        got = _prox(reg, u, step)
+        for ui, gi in zip(u.tolist(), got.tolist()):
+            ref = sc.coordinate_update(reg, ui, 0.0, 1.0 / step)
+            assert abs(gi - ref) <= 1e-12 * abs(ref)

@@ -210,6 +210,17 @@ def test_constructors_reject_unordered_rows_naming_the_column():
     assert m.nnz == 3
 
 
+def test_from_coo_names_bad_indices():
+    with pytest.raises(ValueError, match=r"column index 3 out of range \[0, 2\)"):
+        sc.ColMatrix.from_coo(2, 2, [0, 1], [0, 3], [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"column index -1 out of range"):
+        sc.ColMatrix.from_coo(2, 2, [0, 1], [-1, 0], [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"duplicate entry at \(row 1, column 0\)"):
+        sc.ColMatrix.from_coo(2, 2, [1, 0, 1], [0, 1, 0], [1.0, 2.0, 3.0])
+    m = sc.ColMatrix.from_coo(2, 2, [1, 1, 0], [0, 1, 0], [1.0, 2.0, 3.0])
+    assert np.array_equal(m.toarray(), [[3.0, 0.0], [1.0, 2.0]])
+
+
 def test_sq_spectral_norm_examples():
     one = sc.ColMatrix.from_columns(3, [[(0, 1.0)]])
     assert sc.sq_spectral_norm(one) == pytest.approx(1.0, abs=1e-9)

@@ -111,6 +111,43 @@ def test_divergent_run_stops_at_its_last_certificate(kind):
                                           res.state.v)
 
 
+@pytest.mark.parametrize("rounds", [400, 2000])
+def test_non_finite_run_stops_at_its_last_finite_certificate(rounds):
+    # between certificates the elastic-net iterate overflows: at 400
+    # rounds alpha is finite but its penalty is not, at 2000 it is NaN
+    m, spec, p, cfg = divergent_setup("elastic_net")
+    cfg.max_rounds = cfg.trace_every = rounds
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = sc.solve(cfg, spec, m, p)
+    assert res.stop_reason == "diverged"
+    assert res.state.round == res.traces[-1].round == 0
+    for tr in res.traces:
+        assert all(math.isfinite(x) for x in (tr.primal, tr.dual, tr.gap,
+                                              tr.nnz, tr.local_updates,
+                                              tr.elapsed_ms))
+    assert np.array_equal(res.state.alpha, np.zeros(m.n_cols))
+
+
+def test_non_finite_zero_start_is_an_input_error():
+    m, b, _ = regression_instance(seed=3, n=20, d=10)
+    spec = enet_objective(1e160 * b)  # f(0) = ||b||^2 / 2 overflows
+    cfg = sc.EngineConfig(k_count=2, max_rounds=5, gap_tol=1e-6)
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="not finite at the zero start"):
+        sc.solve(cfg, spec, m, sc.partition_columns(20, 2))
+
+
+def test_check_v_detects_stale_v():
+    m, b, _ = regression_instance(seed=24)
+    a = np.ones(m.n_cols) * 0.01
+    with pytest.raises(RuntimeError, match="drifted"):
+        eng.check_v(m, a, np.zeros(m.n_rows))
+    assert eng.check_v(m, a, m.mat_vec(a)) <= 1e-12
+    a[0] = np.inf
+    with np.errstate(invalid="ignore"):
+        assert not math.isfinite(eng.check_v(m, a, m.mat_vec(a)))
+
+
 def test_infinite_gap_tol_does_no_work():
     m, spec, p = desk_setup(seed=8)
     cfg = sc.EngineConfig(k_count=4, max_rounds=100, gap_tol=math.inf, seed=0)

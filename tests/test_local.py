@@ -76,13 +76,6 @@ def test_subproblem_quadratic_term_linear_in_sigma():
     assert g2 - g1 == pytest.approx(quad1, rel=1e-10)
 
 
-def test_subproblem_value_debug_detects_stale_z():
-    view, _ = make_view(seed=5)
-    with pytest.raises(ValueError):
-        sc.subproblem_value(view, {0: 0.5}, np.zeros(view.matrix.n_rows),
-                            debug=True)
-
-
 def test_coordinate_update_zero_gradient_stays_zero():
     l1 = sc.Regularizer(kind=sc.L1, lam=1.0, support_bound=10.0)
     en = sc.Regularizer(kind=sc.ELASTIC_NET, lam=1.0, eta=0.5)

@@ -208,14 +208,6 @@ def test_primal_value_matches_scratch_recompute():
     assert sc.primal_value(spec, m, a, v) == pytest.approx(ref, rel=1e-12)
 
 
-def test_primal_value_debug_detects_stale_v():
-    m, b, _ = regression_instance(seed=24)
-    spec = lasso_objective(m, b)
-    a = np.ones(m.n_cols) * 0.01
-    with pytest.raises(ValueError):
-        sc.primal_value(spec, m, a, np.zeros(m.n_rows), debug=True)
-
-
 def test_dual_value_flat_region():
     m, b, _ = regression_instance(seed=25)
     fit = ls_fit(b)
