@@ -12,7 +12,7 @@ untouched.
 Each piece of whole-data work is done once per round. The certificate
 computes f(v), w = grad f(v) and A^T w, and the next round's views reuse
 them; a round without a certificate before it computes them once itself.
-Each block's column slices and squared norms are built once per solve.
+Each block's column ids and squared norms are built once per solve.
 
 One driver loop (_drive) certifies, checks v = A alpha, records traces
 and decides the stop for the solver and for both baselines alike, so
@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .local import (BlockColumns, SubproblemView, measure_theta, solve_local,
-                    subproblem_value)
+from .local import (BlockColumns, SubproblemView, kernel_name, measure_theta,
+                    solve_local, subproblem_value)
 from .objectives import (ELASTIC_NET, duality_gap, f_grad, f_value,
                          primal_value)
 
@@ -218,7 +218,9 @@ def _drive(step, spec, m, max_rounds, gap_tol, trace_every, diag,
     monotone method never climbs above it), else "max_rounds"; the
     returned state is the one in the last trace row. A non-finite drift
     or gap stops the run as "diverged", without a trace row, at the state
-    certified before it (at the zero start it raises ValueError). Adds
+    certified before it (at the zero start it raises ValueError); a round
+    whose v is not finite is certified at once, between trace rounds too,
+    so an overflowed run stops there. Adds
     measured step seconds (`wall_times`) and the simulated elapsed time
     (`sim_elapsed_s`) to `diag`.
     """
@@ -238,7 +240,7 @@ def _drive(step, spec, m, max_rounds, gap_tol, trace_every, diag,
             seconds = round_latency + update_cost * updates
             diag["sim_elapsed_s"] += seconds
             shared = None
-            if not traced:
+            if not traced and np.isfinite(state.v).all():
                 continue
         drift = check_v(m, state.alpha, state.v)
         shared = duality_gap(spec, m, state.alpha, state.v)
@@ -266,7 +268,8 @@ def solve(cfg, spec, m, p):
     is amortized when tracing sparsely. Returns the final state, the
     recorded traces, the stop reason ("gap_tol", "diverged" or
     "max_rounds"), and a diagnostics dict with measured wall times,
-    per-round coefficient extremes, and clamp/frozen-column counters.
+    per-round coefficient extremes, clamp/frozen-column counters and the
+    coordinate-pass kernel that ran ("c" or "python").
     """
     if m.n_cols != p.n_cols:
         raise ValueError("partition does not match matrix columns")
@@ -275,6 +278,7 @@ def solve(cfg, spec, m, p):
         "clamp_hits": 0,
         "frozen_cols": 0,
         "columns_normalized": bool(getattr(m, "normalized", False)),
+        "kernel": kernel_name(),
     }
     blocks = [BlockColumns.of(m, block) for block in p.blocks]
 

@@ -14,10 +14,20 @@ approximation at the cost of per-round work.
 Both regularizers are l(a) = l1 |a| + l2 a^2 / 2 on [-B, B] (L1 is
 (lam, 0, B), the elastic net (lam (1 - eta), lam eta, inf)), so every
 step is one scalar shrinkage clipped to [-B, B], a no-op for B = inf.
+
+The coordinate pass runs in a C kernel (_cd.c), compiled once per
+process with the C compiler on PATH and loaded with ctypes; without a
+working compiler the Python loop runs, which is also the kernel's
+reference. The two agree up to the summation order of each x_i^T z.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import shutil
+import subprocess
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,19 +45,22 @@ class BlockColumns:
     """Constants of one column block, built once per solve.
 
     `pool` holds the local positions of the block's positive-norm
-    columns, the only ones coordinate descent updates; `cols` holds
-    their (rows, vals) slices and `sq` their squared norms.
+    columns, the only ones coordinate descent updates; `ids` holds their
+    matrix column ids (int64, for indexing `indptr`) and `sq` their
+    squared norms.
     """
 
     pool: np.ndarray
-    cols: list
+    ids: np.ndarray
     sq: np.ndarray
 
     @classmethod
     def of(cls, m, block):
         sq = m.col_sq_norms[block]
         pool = np.flatnonzero(sq > 0.0)
-        return cls(pool, [m.column(int(i)) for i in block[pool]], sq[pool])
+        # ids index indptr directly, so numpy's negative wrap is applied here
+        ids = np.asarray(block, dtype=np.int64)[pool] % m.n_cols
+        return cls(pool, ids, sq[pool])
 
 
 @dataclass
@@ -148,39 +161,95 @@ def coordinate_update(reg, current_total, g_lin, q):
     return _shrink(current_total, g_lin, q, *reg.penalty)[0]
 
 
+def _build_kernel():
+    """Compile _cd.c with the C compiler on PATH into a private temporary
+    directory, load it and remove the directory; None when any step
+    fails."""
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        return None
+    try:
+        with tempfile.TemporaryDirectory(prefix="shardcd-",
+                                         ignore_cleanup_errors=True) as tmp:
+            lib = os.path.join(tmp, "_cd.so")
+            subprocess.run([cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off",
+                            "-o", lib,
+                            os.path.join(os.path.dirname(__file__), "_cd.c")],
+                           stdin=subprocess.DEVNULL, capture_output=True,
+                           check=True, timeout=120)
+            fn = ctypes.CDLL(lib).cd_pass
+    except (OSError, subprocess.SubprocessError, AttributeError):
+        return None
+    fn.restype = ctypes.c_int64
+    fn.argtypes = ([ctypes.c_int64] + [ctypes.c_void_p] * 9
+                   + [ctypes.c_double] * 4)
+    return fn
+
+
+_UNBUILT = object()
+_kernel = _UNBUILT  # cd_pass of _cd.c once built, or None for the Python loop
+
+
+def kernel_name():
+    """Which coordinate pass this process runs, "c" or "python"; the C
+    kernel is built on the first call."""
+    global _kernel
+    if _kernel is _UNBUILT:
+        _kernel = _build_kernel()
+    return "python" if _kernel is None else "c"
+
+
 def _coordinate_pass(view, order, totals, z):
     """Exact single-coordinate steps on the pool positions in `order`.
 
-    `totals` (a list, one entry per pool column) holds the coordinates'
-    current values alpha_i + d_i; it and the running product z = A d are
-    updated in place (rows within a column are distinct, so the gathered
-    z[r] is reused for the write). Returns the number of steps the
-    support bound clipped.
+    `order` is an int64 array; `totals` (float64, one entry per pool
+    column) holds the coordinates' current values alpha_i + d_i. It and
+    the running product z = A d are updated in place. Runs the C kernel
+    when it built, else the Python loop below, its reference: the same
+    steps in the same operation order (rows within a column are
+    distinct, so the gathered z[r] is reused for the write). Returns the
+    number of steps the support bound clipped.
     """
-    cols = view.columns.cols
+    cols, m = view.columns, view.matrix
     sp_tau = view.sigma_prime / view.tau
-    xw = view.xw[view.columns.pool].tolist()
-    qs = (sp_tau * view.columns.sq).tolist()
-    dot = np.dot
+    xw = np.asarray(view.xw, dtype=np.float64)[cols.pool]
+    qs = sp_tau * cols.sq
     l1, l2, bound = view.reg.penalty
+    if kernel_name() == "c":
+        ids = cols.ids
+        # the kernel indexes unchecked: refuse what could read out of bounds
+        if not (ids.dtype == np.int64 and ids.flags.c_contiguous
+                and len(ids) == len(qs) == len(xw)
+                and (not len(ids) or 0 <= ids.min() and ids.max() < m.n_cols)):
+            raise ValueError("block columns do not match the matrix")
+        return _kernel(len(order), order.ctypes.data, ids.ctypes.data,
+                       m.indptr.ctypes.data, m.rows.ctypes.data,
+                       m.vals.ctypes.data, xw.ctypes.data, qs.ctypes.data,
+                       totals.ctypes.data, z.ctypes.data, sp_tau, l1, l2, bound)
+    spans = list(zip(m.indptr[cols.ids].tolist(),
+                     m.indptr[cols.ids + 1].tolist()))
+    rows, vals, dot = m.rows, m.vals, np.dot
+    xw, qs, tot = xw.tolist(), qs.tolist(), totals.tolist()
     clamp_hits = 0
-    for t in order:
-        r, v = cols[t]
-        c = totals[t]
+    for t in order.tolist():
+        lo, hi = spans[t]
+        r, v = rows[lo:hi], vals[lo:hi]
+        c = tot[t]
         zr = z[r]
         new, clamped = _shrink(c, xw[t] + sp_tau * float(dot(v, zr)),
                                qs[t], l1, l2, bound)
         clamp_hits += clamped
         dlt = new - c
         if dlt != 0.0:
-            totals[t] = new
+            tot[t] = new
             z[r] = zr + dlt * v
+    totals[:] = tot
     return clamp_hits
 
 
 def _delta_map(pool, start, totals):
     """Local position -> coefficient change, for the changed pool columns."""
-    diff = np.asarray(totals) - start
+    diff = totals - start
     changed = np.flatnonzero(diff)
     return dict(zip(pool[changed].tolist(), diff[changed].tolist()))
 
@@ -206,8 +275,8 @@ def solve_local(view, h, seed):
     n_updates = h * len(view.block)
     draws = np.random.default_rng(seed).integers(0, len(pool), size=n_updates)
     start = view.alpha_block[pool]
-    totals = start.tolist()
-    clamp_hits = _coordinate_pass(view, draws.tolist(), totals, z)
+    totals = start.astype(np.float64)
+    clamp_hits = _coordinate_pass(view, draws, totals, z)
     return LocalResult(_delta_map(pool, start, totals), z, n_updates,
                        clamp_hits, frozen)
 
@@ -222,11 +291,12 @@ def _cd_minimize(view, max_sweeps, tol=1e-14):
     pool = view.columns.pool
     z = np.zeros(view.matrix.n_rows)
     start = view.alpha_block[pool]
-    totals = start.tolist()
+    totals = start.astype(np.float64)
+    order = np.arange(len(pool), dtype=np.int64)
     delta = {}
     value = subproblem_value(view, delta, z)
     for _ in range(max_sweeps):
-        _coordinate_pass(view, range(len(pool)), totals, z)
+        _coordinate_pass(view, order, totals, z)
         delta = _delta_map(pool, start, totals)
         before, value = value, subproblem_value(view, delta, z)
         if before - value < tol:

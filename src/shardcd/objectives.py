@@ -90,7 +90,8 @@ class Regularizer:
     elastic_net:  l(a) = lam * (eta * a^2 / 2 + (1 - eta) * |a|).
 
     The L1 kind always carries a finite support bound B; the elastic
-    net is strongly convex with constant mu = lam * eta.
+    net carries none (B = inf) and is strongly convex with constant
+    mu = lam * eta.
     """
 
     kind: str
@@ -108,6 +109,8 @@ class Regularizer:
         if self.kind == L1 and not (math.isfinite(self.support_bound)
                                     and self.support_bound > 0):
             raise ValueError("l1 regularizer requires a finite support bound")
+        if self.kind == ELASTIC_NET and self.support_bound != math.inf:
+            raise ValueError("elastic net takes no support bound")
 
     @property
     def penalty(self):

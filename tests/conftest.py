@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import shardcd as sc
+from shardcd import local
 
 
 def random_matrix(rng, n, d, density=0.4):
@@ -44,3 +45,14 @@ def enet_objective(b, lam=0.3, eta=0.5):
 def small_instance():
     m, b, _ = regression_instance(seed=5)
     return m, b
+
+
+@pytest.fixture(params=["c", "python"])
+def pass_kernel(request, monkeypatch):
+    """Run a test on the C coordinate pass and on the Python loop; the
+    Python run sets the module's kernel handle to None."""
+    if request.param == "python":
+        monkeypatch.setattr(local, "_kernel", None)
+    elif local.kernel_name() != "c":
+        pytest.skip("no C compiler to build the kernel with")
+    return request.param

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import shardcd as sc
 from shardcd import engine as eng
+from shardcd import local
 from conftest import enet_objective, lasso_objective, regression_instance
 
 
@@ -126,6 +127,21 @@ def test_non_finite_run_stops_at_its_last_finite_certificate(rounds):
                                               tr.nnz, tr.local_updates,
                                               tr.elapsed_ms))
     assert np.array_equal(res.state.alpha, np.zeros(m.n_cols))
+
+
+def test_overflowed_v_stops_the_run_between_certificates():
+    m, spec, p, cfg = divergent_setup("elastic_net")
+    cfg.max_rounds = cfg.trace_every = 2000
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = sc.solve(cfg, spec, m, p)
+        steps = len(res.diagnostics["wall_times"])
+        assert res.stop_reason == "diverged" and steps < cfg.max_rounds
+        # the run stopped at the first round whose v is not finite
+        state = eng.SolverState.initial(m)
+        for _ in range(steps):
+            assert np.isfinite(state.v).all()
+            state, _ = eng.run_round(state, cfg, spec, m, p)
+    assert not np.isfinite(state.v).all()
 
 
 def test_non_finite_zero_start_is_an_input_error():
@@ -376,6 +392,26 @@ def test_diagnostics_record_normalization():
     m.normalize_columns()
     res = sc.solve(cfg, spec, m, p)
     assert res.diagnostics["columns_normalized"] is True
+
+
+def test_solve_falls_back_to_python_without_a_compiler(monkeypatch):
+    m, spec, p = desk_setup(seed=26, n=60, d=30)
+    cfg = sc.EngineConfig(k_count=4, h_local=3, max_rounds=2000, gap_tol=1e-7,
+                          seed=3)
+    ref = sc.solve(cfg, spec, m, p)
+    assert ref.diagnostics["kernel"] == local.kernel_name()
+    monkeypatch.setattr(local.shutil, "which", lambda name: None)
+    monkeypatch.setattr(local, "_kernel", local._UNBUILT)
+    res = sc.solve(cfg, spec, m, p)
+    assert res.diagnostics["kernel"] == "python"
+    assert res.stop_reason == "gap_tol"
+    assert all(tr.gap >= -1e-9 for tr in res.traces)
+    assert eng.check_v(m, res.state.alpha, res.state.v) <= 1e-12
+    assert res.traces[-1].gap <= cfg.gap_tol
+    # the same run as on the kernel this process built, up to the last bits
+    assert len(res.traces) == len(ref.traces)
+    for a, b in zip(res.traces, ref.traces):
+        assert abs(a.primal - b.primal) <= 1e-12 * abs(b.primal)
 
 
 def test_round_robin_partition_reaches_same_optimum():

@@ -1,9 +1,12 @@
 import math
+import shutil
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import shardcd as sc
+from shardcd import local
 from conftest import enet_objective, lasso_objective, random_matrix, regression_instance
 from oracles import golden_min, local_solve_loop
 
@@ -205,9 +208,10 @@ def test_solve_local_residual_consistency():
     assert np.max(np.abs(res.delta_v - ref)) <= 1e-10 * (1 + np.max(np.abs(ref)))
 
 
-def test_solve_local_matches_per_column_loop():
+def test_solve_local_matches_per_column_loop(pass_kernel):
     # tolerance fixed before the vectorized path was written: the only
-    # arithmetic change is how each column's x_i^T w is summed
+    # arithmetic change is how each column's x_i^T w (and, in the C
+    # kernel, x_i^T z) is summed
     rng = np.random.default_rng(31)
     for trial in range(40):
         kind = "l1" if trial % 2 else "elastic_net"
@@ -239,6 +243,90 @@ def test_solve_local_matches_per_column_loop():
             <= 1e-12 * max(1.0, np.max(np.abs(z), initial=0.0))
         assert (res.updates_done, res.clamp_hits, res.frozen_cols) == \
             (updates, clamps, frozen)
+
+
+def needs_kernel():
+    if local.kernel_name() != "c":
+        pytest.skip("no C compiler to build the kernel with")
+
+
+def test_kernel_builds_with_a_compiler_on_path():
+    if not (shutil.which("cc") or shutil.which("gcc")):
+        pytest.skip("no C compiler on PATH")
+    assert local.kernel_name() == "c"
+
+
+def test_kernel_matches_python_loop(monkeypatch):
+    needs_kernel()
+    c_pass = local._kernel
+
+    def run(handle, fn, *args):
+        monkeypatch.setattr(local, "_kernel", handle)
+        return fn(*args)
+
+    rng = np.random.default_rng(57)
+    clamps = 0
+    for trial in range(40):
+        n, d = int(rng.integers(4, 30)), int(rng.integers(3, 20))
+        m, _ = random_matrix(rng, n=n, d=d, density=0.4)
+        b = rng.standard_normal(d)
+        fit = sc.DataFit(kind=sc.LEAST_SQUARES, labels=b)
+        lam = float(rng.uniform(0.05, 0.5)) * float(np.max(np.abs(m.mat_tvec(b))))
+        if trial % 2:  # an L1 box small enough for the clip to engage
+            reg = sc.Regularizer(kind=sc.L1, lam=lam,
+                                 support_bound=float(rng.uniform(0.05, 1.0)))
+        else:
+            reg = sc.Regularizer(kind=sc.ELASTIC_NET, lam=lam,
+                                 eta=float(rng.uniform(0.1, 1.0)))
+        bound = reg.penalty[2]
+        alpha = np.clip(0.3 * rng.standard_normal(n), -bound, bound)
+        v = m.mat_vec(alpha)
+        block = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                   replace=False))
+        view = sc.SubproblemView(
+            matrix=m, block=block, w=sc.f_grad(fit, v),
+            alpha_block=alpha[block], sigma_prime=float(rng.uniform(0.5, 4.0)),
+            tau=1.0, reg=reg, f_share=sc.f_value(fit, v))
+        h = int(rng.integers(1, 4))
+        got = run(c_pass, sc.solve_local, view, h, trial)
+        ref = run(None, sc.solve_local, view, h, trial)
+        assert sorted(got.delta_alpha) == sorted(ref.delta_alpha)
+        for j, dv in ref.delta_alpha.items():
+            a, r = alpha[block[j]] + got.delta_alpha[j], alpha[block[j]] + dv
+            assert abs(a - r) <= 1e-12 * max(1.0, abs(r))
+        scale = max(1.0, np.max(np.abs(ref.delta_v), initial=0.0))
+        assert np.max(np.abs(got.delta_v - ref.delta_v), initial=0.0) <= 1e-12 * scale
+        assert (got.updates_done, got.clamp_hits, got.frozen_cols) == \
+            (ref.updates_done, ref.clamp_hits, ref.frozen_cols)
+        clamps += ref.clamp_hits
+        # the cyclic reference solve runs the same pass
+        g_val = run(c_pass, local._cd_minimize, view, 50)[2]
+        r_val = run(None, local._cd_minimize, view, 50)[2]
+        assert abs(g_val - r_val) <= 1e-12 * max(1.0, abs(r_val))
+    assert clamps > 0
+
+
+def test_kernel_is_bit_identical_across_runs_and_threads():
+    needs_kernel()
+    view, _ = make_view(seed=41, n=30, d=20, kind="elastic_net")
+    first = sc.solve_local(view, h=5, seed=9)
+    with ThreadPoolExecutor(2) as pool:
+        again = list(pool.map(lambda _: sc.solve_local(view, h=5, seed=9),
+                              range(4)))
+    for res in [sc.solve_local(view, h=5, seed=9)] + again:
+        assert res.delta_alpha == first.delta_alpha
+        assert res.delta_v.tobytes() == first.delta_v.tobytes()
+        assert res.clamp_hits == first.clamp_hits
+
+
+def test_kernel_refuses_columns_outside_the_matrix():
+    needs_kernel()
+    view, _ = make_view(seed=3)
+    cols = view.columns
+    view.columns = sc.BlockColumns(cols.pool, cols.ids + view.matrix.n_cols,
+                                   cols.sq)
+    with pytest.raises(ValueError, match="do not match the matrix"):
+        sc.solve_local(view, h=1, seed=0)
 
 
 def test_solve_local_skips_zero_columns():

@@ -343,6 +343,8 @@ def test_regularizer_validation():
         sc.Regularizer(kind=sc.ELASTIC_NET, lam=1.0, eta=0.0)
     with pytest.raises(ValueError):
         sc.Regularizer(kind=sc.ELASTIC_NET, lam=-1.0, eta=0.5)
+    with pytest.raises(ValueError, match="no support bound"):
+        sc.Regularizer(kind=sc.ELASTIC_NET, lam=1.0, eta=0.5, support_bound=2.0)
 
 
 def test_gap_is_optimal_relative_scale():
