@@ -20,9 +20,8 @@ from .local import (BlockColumns, LocalResult, SubproblemView,
                     subproblem_value)
 from .objectives import (DataFit, DualDomainError, ELASTIC_NET, GapReport, L1,
                          LEAST_SQUARES, LOGISTIC, ObjectiveSpec, Regularizer,
-                         default_support_bound, dual_value, duality_gap,
-                         ell_conj, ell_value, f_conj, f_grad, f_value,
-                         gap_is_optimal, make_objective, primal_value,
-                         soft_threshold)
+                         default_support_bound, duality_gap, ell_conj,
+                         ell_value, f_conj, f_grad, f_value, make_objective,
+                         primal_value)
 
 __version__ = "0.1.0"

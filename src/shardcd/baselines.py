@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import sq_spectral_norm
-from .engine import SolverState, _drive, _worker_seed
+from .engine import SolverState, _check_drive_settings, _drive, _worker_seed
 from .local import coordinate_update
-from .objectives import f_grad, soft_threshold
+from .objectives import f_grad
 
 __all__ = ["BaselineConfig", "prox_gd_step", "mb_cd_round", "solve_baseline"]
 
@@ -54,16 +54,15 @@ class BaselineConfig:
             raise ValueError("batch_size must be >= 1")
         if not 1.0 <= self.beta_scale <= self.batch_size:
             raise ValueError("beta_scale must lie in [1, batch_size]")
-        if self.trace_every < 1:
-            raise ValueError("trace_every must be >= 1")
+        _check_drive_settings(self.max_rounds, self.gap_tol, self.trace_every)
 
 
 def _prox(reg, u, step):
     """Vector prox of step * l: the shrinkage of `coordinate_update` at
     curvature 1/step and zero slope, elementwise."""
     l1, l2, bound = reg.penalty
-    return np.clip(soft_threshold(u, step * l1) / (1.0 + step * l2),
-                   -bound, bound)
+    shrunk = np.sign(u) * np.maximum(np.abs(u) - step * l1, 0.0)
+    return np.clip(shrunk / (1.0 + step * l2), -bound, bound)
 
 
 def prox_gd_step(state, spec, m, step, shared=None):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,47 +22,10 @@ from .engine import EngineConfig
 from .local import measure_theta, solve_local
 from .objectives import (DataFit, LEAST_SQUARES, LOGISTIC, make_objective)
 
-__all__ = ["cli_main", "main", "RunSpec"]
+__all__ = ["cli_main", "main"]
 
 OBJECTIVES = ("lasso", "elastic_net", "sparse_logistic")
 EXIT_CODES = {"gap_tol": 0, "max_rounds": 2, "diverged": 3}
-
-
-@dataclass
-class RunSpec:
-    """Fully resolved run configuration assembled from the flags."""
-
-    objective: str
-    lam: float | None
-    eta: float | None
-    engine_cfg: EngineConfig
-    baseline_cfg: BaselineConfig | None = None
-    normalize: bool = False
-    output: str | None = None
-    format: str = "csv"
-
-    def __post_init__(self):
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {self.objective!r}")
-        if self.objective == "elastic_net" and self.eta is None:
-            raise ValueError("--eta is required for the elastic net")
-
-    @classmethod
-    def from_args(cls, args):
-        engine_cfg = EngineConfig(
-            k_count=args.k, h_local=args.h, gamma=args.gamma,
-            sigma_prime=args.sigma_prime, max_rounds=args.rounds,
-            gap_tol=args.gap_tol, seed=args.seed)
-        baseline_cfg = None
-        if args.baseline:
-            baseline_cfg = BaselineConfig(
-                kind=args.baseline, step_size=args.step,
-                batch_size=args.batch, beta_scale=args.beta,
-                max_rounds=args.rounds, gap_tol=args.gap_tol, seed=args.seed)
-        return cls(objective=args.objective, lam=args.lam, eta=args.eta,
-                   engine_cfg=engine_cfg, baseline_cfg=baseline_cfg,
-                   normalize=args.normalize, output=args.out,
-                   format=args.format)
 
 
 def build_parser():
@@ -134,20 +96,20 @@ def _load_instance(args):
     return m, labels
 
 
-def _make_spec(run, labels):
-    if run.lam is None:
+def _make_spec(args, labels):
+    if args.lam is None:
         raise ValueError("--lambda is required")
-    if run.objective == "lasso":
+    if args.objective == "lasso":
         fit = DataFit(kind=LEAST_SQUARES, labels=labels)
-        return make_objective(fit, "l1", run.lam)
-    if run.objective == "elastic_net":
+        return make_objective(fit, "l1", args.lam)
+    if args.objective == "elastic_net":
         fit = DataFit(kind=LEAST_SQUARES, labels=labels)
-        return make_objective(fit, "elastic_net", run.lam, eta=run.eta)
+        return make_objective(fit, "elastic_net", args.lam, eta=args.eta)
     fit = DataFit(kind=LOGISTIC, labels=labels)
-    return make_objective(fit, "l1", run.lam)
+    return make_objective(fit, "l1", args.lam)
 
 
-def _run_check(check, run, m, labels, p, cfg):
+def _run_check(check, args, m, labels, p, cfg):
     if check == "sigma":
         worst = engine.check_sigma_safety(m, p, cfg.gamma, probes=64,
                                           seed=cfg.seed)
@@ -155,7 +117,7 @@ def _run_check(check, run, m, labels, p, cfg):
         print(f"sigma check: worst_ratio={worst:.6g} sigma_prime="
               f"{cfg.sigma_prime:.6g} safe={safe}")
         return 0 if safe else 2
-    spec = _make_spec(run, labels)
+    spec = _make_spec(args, labels)
     if check == "lemma3":
         worst = engine.check_lemma3(spec, m, p, cfg, trials=200, seed=cfg.seed)
         ok = worst <= 1e-8
@@ -181,18 +143,28 @@ def cli_main(argv=None):
         return 0 if exc.code in (0, None) else 1
 
     try:
-        run = RunSpec.from_args(args)
+        cfg = EngineConfig(
+            k_count=args.k, h_local=args.h, gamma=args.gamma,
+            sigma_prime=args.sigma_prime, max_rounds=args.rounds,
+            gap_tol=args.gap_tol, seed=args.seed)
+        baseline_cfg = None
+        if args.baseline:
+            baseline_cfg = BaselineConfig(
+                kind=args.baseline, step_size=args.step,
+                batch_size=args.batch, beta_scale=args.beta,
+                max_rounds=args.rounds, gap_tol=args.gap_tol, seed=args.seed)
+        if args.objective == "elastic_net" and args.eta is None:
+            raise ValueError("--eta is required for the elastic net")
         m, labels = _load_instance(args)
-        cfg = run.engine_cfg
         p = partition_columns(m.n_cols, cfg.k_count)
 
         if args.check:
-            return _run_check(args.check, run, m, labels, p, cfg)
+            return _run_check(args.check, args, m, labels, p, cfg)
 
-        spec = _make_spec(run, labels)
-        if run.baseline_cfg is not None:
-            result = solve_baseline(run.baseline_cfg, spec, m)
-            label = run.baseline_cfg.kind
+        spec = _make_spec(args, labels)
+        if baseline_cfg is not None:
+            result = solve_baseline(baseline_cfg, spec, m)
+            label = baseline_cfg.kind
         else:
             result = engine.solve(cfg, spec, m, p)
             label = f"k={cfg.k_count} h={cfg.h_local}"
@@ -200,15 +172,15 @@ def cli_main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if run.output:
+    if args.out:
         try:
-            write_trace(result.traces, run.output, format=run.format)
+            write_trace(result.traces, args.out, format=args.format)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 
     last = result.traces[-1]
-    print(f"{run.objective} [{label}] rounds={result.state.round} "
+    print(f"{args.objective} [{label}] rounds={result.state.round} "
           f"primal={last.primal:.10g} gap={last.gap:.6g} nnz={last.nnz} "
           f"stop={result.stop_reason}")
     return EXIT_CODES[result.stop_reason]

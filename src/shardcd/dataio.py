@@ -130,15 +130,16 @@ def gen_synthetic(sspec, classification=False):
     for classification instances.
     """
     rng = np.random.default_rng(sspec.seed)
-    cols = []
+    rows, vals = [], []
     for _ in range(sspec.n):
         mask = rng.random(sspec.d) < sspec.density
         if not mask.any():
             mask[rng.integers(0, sspec.d)] = True
-        idx = np.nonzero(mask)[0]
-        vals = rng.standard_normal(len(idx))
-        cols.append(list(zip(idx.tolist(), vals.tolist())))
-    m = ColMatrix.from_columns(sspec.d, cols)
+        rows.append(np.flatnonzero(mask))
+        vals.append(rng.standard_normal(len(rows[-1])))
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    m = ColMatrix(sspec.d, sspec.n, indptr, np.concatenate(rows),
+                  np.concatenate(vals))
 
     truth = np.zeros(sspec.n)
     support = rng.choice(sspec.n, size=sspec.true_nnz, replace=False)

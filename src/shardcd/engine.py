@@ -79,12 +79,18 @@ class EngineConfig:
             self.sigma_prime = self.gamma * self.k_count
         if self.sigma_prime < self.gamma:
             raise ValueError("sigma_prime must be at least gamma")
-        if self.max_rounds < 0:
-            raise ValueError("max_rounds must be >= 0")
-        if self.gap_tol < 0 and not math.isinf(self.gap_tol):
-            raise ValueError("gap_tol must be nonnegative")
-        if self.trace_every < 1:
-            raise ValueError("trace_every must be >= 1")
+        _check_drive_settings(self.max_rounds, self.gap_tol, self.trace_every)
+
+
+def _check_drive_settings(max_rounds, gap_tol, trace_every):
+    """Reject the _drive settings under which it could return a result
+    without a certificate, or never stop on the gap (a NaN gap_tol)."""
+    if max_rounds < 0:
+        raise ValueError("max_rounds must be >= 0")
+    if not gap_tol >= 0:
+        raise ValueError("gap_tol must be nonnegative")
+    if trace_every < 1:
+        raise ValueError("trace_every must be >= 1")
 
 
 @dataclass
@@ -184,10 +190,7 @@ def run_round(state, cfg, spec, m, p, shared=None, blocks=None):
     new_alpha = state.alpha.copy()
     dv = np.zeros(m.n_rows)
     for block, res in zip(p.blocks, results):
-        delta = res.delta_alpha
-        idx = block[np.fromiter(delta.keys(), np.int64, len(delta))]
-        new_alpha[idx] += cfg.gamma * np.fromiter(delta.values(), np.float64,
-                                                  len(delta))
+        new_alpha[block[res.changed]] += cfg.gamma * res.delta_alpha
         dv += res.delta_v
     bound = spec.reg.penalty[2]
     np.clip(new_alpha, -bound, bound, out=new_alpha)
@@ -204,6 +207,7 @@ def check_v(m, alpha, v):
     return drift
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _drive(step, spec, m, max_rounds, gap_tol, trace_every, diag,
            round_latency=0.0, update_cost=0.0):
     """The certify, drift-check, trace and stop loop every method runs.
@@ -220,7 +224,8 @@ def _drive(step, spec, m, max_rounds, gap_tol, trace_every, diag,
     or gap stops the run as "diverged", without a trace row, at the state
     certified before it (at the zero start it raises ValueError); a round
     whose v is not finite is certified at once, between trace rounds too,
-    so an overflowed run stops there. Adds
+    so an overflowed run stops there; numpy's overflow and invalid-value
+    warnings are silenced, since the stop reason reports them. Adds
     measured step seconds (`wall_times`) and the simulated elapsed time
     (`sim_elapsed_s`) to `diag`.
     """
@@ -290,7 +295,7 @@ def solve(cfg, spec, m, p):
         diag["max_abs_coef"].append(float(np.max(np.abs(new.alpha), initial=0.0)))
         theta = None
         if traced and cfg.estimate_theta:
-            views = _build_views(state, cfg, spec, m, p, blocks=blocks)
+            views = _build_views(state, cfg, spec, m, p, shared, blocks)
             theta = max(measure_theta(view, res)
                         for view, res in zip(views, results))
         return new, sum(r.updates_done for r in results), theta
@@ -349,8 +354,7 @@ def check_lemma3(spec, m, p, cfg, trials=200, seed=0, sigma_scale=None):
                 matrix=m, block=block, w=w, alpha_block=alpha[block],
                 sigma_prime=sigma_prime, tau=spec.data_fit.tau, reg=reg,
                 f_share=f_share, xw=atw[block], columns=blocks[k])
-            dmap = {j: float(delta[block[j]]) for j in range(len(block))}
-            rhs += gamma * subproblem_value(view, dmap, zk)
+            rhs += gamma * subproblem_value(view, delta[block], zk)
 
         a_new = alpha + gamma * delta
         lhs = primal_value(spec, m, a_new, m.mat_vec(a_new))

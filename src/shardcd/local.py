@@ -102,13 +102,16 @@ class SubproblemView:
 class LocalResult:
     """Outcome of one local solve.
 
-    delta_alpha maps local column position -> coefficient change, for
-    the changed coordinates only; delta_v is the running product
+    `changed` holds the ascending local positions (int64) of the
+    coordinates the solve moved and `delta_alpha` their coefficient
+    changes (float64); under L1 few coordinates move, and
+    `len(delta_alpha)` counts them. delta_v is the running product
     A * delta, maintained incrementally and equal to the fresh product
     up to accumulation rounding.
     """
 
-    delta_alpha: dict
+    changed: np.ndarray
+    delta_alpha: np.ndarray
     delta_v: np.ndarray
     updates_done: int
     clamp_hits: int = 0
@@ -116,16 +119,14 @@ class LocalResult:
 
 
 def subproblem_value(view, delta, z):
-    """Evaluate the local objective at a sparse update.
+    """Evaluate the local objective at a block update.
 
-    `delta` maps local positions to coefficient changes and `z` is the
-    caller-maintained product A * delta.
+    `delta` is a dense float64 update with one entry per block column,
+    and `z` the caller-maintained product A * delta.
     """
-    totals = view.alpha_block.astype(np.float64, copy=True)
-    totals[list(delta)] += list(delta.values())
     quad = 0.5 * (view.sigma_prime / view.tau) * float(np.dot(z, z))
     return (view.f_share + float(np.dot(view.w, z)) + quad
-            + float(np.sum(ell_value(view.reg, totals))))
+            + float(np.sum(ell_value(view.reg, view.alpha_block + delta))))
 
 
 def _shrink(c, g, q, l1, l2, bound):
@@ -247,13 +248,6 @@ def _coordinate_pass(view, order, totals, z):
     return clamp_hits
 
 
-def _delta_map(pool, start, totals):
-    """Local position -> coefficient change, for the changed pool columns."""
-    diff = totals - start
-    changed = np.flatnonzero(diff)
-    return dict(zip(pool[changed].tolist(), diff[changed].tolist()))
-
-
 def solve_local(view, h, seed):
     """Run h epochs of randomized coordinate descent on the subproblem.
 
@@ -270,22 +264,23 @@ def solve_local(view, h, seed):
     z = np.zeros(view.matrix.n_rows)
     frozen = len(view.block) - len(pool)
     if not len(pool):
-        return LocalResult({}, z, 0, 0, frozen)
+        return LocalResult(np.zeros(0, np.int64), np.zeros(0), z, 0, 0, frozen)
 
     n_updates = h * len(view.block)
     draws = np.random.default_rng(seed).integers(0, len(pool), size=n_updates)
     start = view.alpha_block[pool]
     totals = start.astype(np.float64)
     clamp_hits = _coordinate_pass(view, draws, totals, z)
-    return LocalResult(_delta_map(pool, start, totals), z, n_updates,
-                       clamp_hits, frozen)
+    moved = np.flatnonzero(totals != start)
+    return LocalResult(pool[moved], totals[moved] - start[moved], z,
+                       n_updates, clamp_hits, frozen)
 
 
 def _cd_minimize(view, max_sweeps, tol=1e-14):
     """Deterministic cyclic coordinate descent on the subproblem.
 
     Sweeps until the per-sweep objective improvement drops below `tol`
-    or the sweep budget runs out. Returns (delta map, z, value); used as
+    or the sweep budget runs out. Returns (dense delta, z, value); used as
     the reference when grading a budgeted local solve.
     """
     pool = view.columns.pool
@@ -293,11 +288,11 @@ def _cd_minimize(view, max_sweeps, tol=1e-14):
     start = view.alpha_block[pool]
     totals = start.astype(np.float64)
     order = np.arange(len(pool), dtype=np.int64)
-    delta = {}
+    delta = np.zeros(len(view.block))
     value = subproblem_value(view, delta, z)
     for _ in range(max_sweeps):
         _coordinate_pass(view, order, totals, z)
-        delta = _delta_map(pool, start, totals)
+        delta[pool] = totals - start
         before, value = value, subproblem_value(view, delta, z)
         if before - value < tol:
             break
@@ -314,8 +309,10 @@ def measure_theta(view, result, oracle_iters=400):
     update is already optimal (denominator below 1e-14). Single-run
     diagnostic, not a certified bound.
     """
-    g_zero = subproblem_value(view, {}, np.zeros(view.matrix.n_rows))
-    g_res = subproblem_value(view, result.delta_alpha, result.delta_v)
+    delta = np.zeros(len(view.block))
+    g_zero = subproblem_value(view, delta, np.zeros(view.matrix.n_rows))
+    delta[result.changed] = result.delta_alpha
+    g_res = subproblem_value(view, delta, result.delta_v)
     _, _, g_ref = _cd_minimize(view, max_sweeps=oracle_iters)
     denom = g_zero - g_ref
     if denom < 1e-14:

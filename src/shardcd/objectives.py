@@ -34,9 +34,9 @@ __all__ = [
     "LEAST_SQUARES", "LOGISTIC", "L1", "ELASTIC_NET",
     "DataFit", "Regularizer", "ObjectiveSpec", "DualDomainError",
     "f_value", "f_grad", "f_conj",
-    "ell_value", "ell_conj", "soft_threshold",
-    "primal_value", "dual_value", "duality_gap", "GapReport",
-    "default_support_bound", "make_objective", "gap_is_optimal",
+    "ell_value", "ell_conj",
+    "primal_value", "duality_gap", "GapReport",
+    "default_support_bound", "make_objective",
 ]
 
 LEAST_SQUARES = "least_squares"
@@ -227,11 +227,6 @@ def f_conj(fit, w):
 # ----------------------------------------------------------------------
 # separable part (elementwise on scalars or arrays)
 
-def soft_threshold(x, t):
-    """Shrink x towards zero by t: sign(x) * max(|x| - t, 0)."""
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
-
-
 def ell_value(reg, a):
     """Per-coordinate penalty value; +inf outside the L1 box."""
     a = np.asarray(a, dtype=np.float64)
@@ -288,15 +283,6 @@ def primal_value(spec, m, a, v):
     return f_value(spec.data_fit, v) + float(np.sum(ell_value(spec.reg, a)))
 
 
-def dual_value(spec, m, w):
-    """Dual objective f*(w) + sum_i l*(-x_i^T w)."""
-    return _dual_from(spec, w, m.mat_tvec(w))
-
-
-def _dual_from(spec, w, atw):
-    return f_conj(spec.data_fit, w) + float(np.sum(ell_conj(spec.reg, -atw)))
-
-
 def duality_gap(spec, m, a, v):
     """Certificate at the iterate a (with v = A a).
 
@@ -314,11 +300,6 @@ def duality_gap(spec, m, a, v):
     w = f_grad(spec.data_fit, v)
     atw = m.mat_tvec(w)
     primal = fit + pen
-    dual = _dual_from(spec, w, atw)
+    dual = f_conj(spec.data_fit, w) + float(np.sum(ell_conj(spec.reg, -atw)))
     return GapReport(gap=dual + primal, primal=primal, dual=dual, w=w,
                      fit=fit, atw=atw)
-
-
-def gap_is_optimal(gap, primal, rel_tol=1e-6):
-    """Default test for 'converged': gap small relative to max(1, |primal|)."""
-    return gap <= rel_tol * max(1.0, abs(primal))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,12 @@ def test_mb_cd_validation():
         sc.mb_cd_round(state, spec, m, b=4, beta=5.0, seed=0)
     with pytest.raises(ValueError):
         sc.BaselineConfig(kind="sgd")
+    # each would return a result without a certificate or never stop
+    for bad in ({"max_rounds": -3}, {"gap_tol": -1e-6}, {"gap_tol": -math.inf},
+                {"gap_tol": math.nan}, {"trace_every": 0}):
+        for kind in ("prox_gd", "mb_cd"):
+            with pytest.raises(ValueError):
+                sc.BaselineConfig(kind=kind, **bad)
 
 
 def test_mb_cd_deterministic():

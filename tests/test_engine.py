@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,12 @@ def test_config_defaults_and_validation():
         sc.EngineConfig(k_count=2, gamma=1.5)
     with pytest.raises(ValueError):
         sc.EngineConfig(k_count=2, gamma=0.5, sigma_prime=0.4)
+    # each would return a result without a certificate or never stop
+    for bad in ({"max_rounds": -3}, {"gap_tol": -1e-6}, {"gap_tol": -math.inf},
+                {"gap_tol": math.nan}, {"trace_every": 0}):
+        with pytest.raises(ValueError):
+            sc.EngineConfig(k_count=2, **bad)
+    assert sc.EngineConfig(k_count=2, max_rounds=0, gap_tol=math.inf)
 
 
 def test_mismatched_partition_rejected():
@@ -113,12 +120,14 @@ def test_divergent_run_stops_at_its_last_certificate(kind):
 
 
 @pytest.mark.parametrize("rounds", [400, 2000])
-def test_non_finite_run_stops_at_its_last_finite_certificate(rounds):
+def test_non_finite_run_stops_at_its_last_finite_certificate(rounds,
+                                                              pass_kernel):
     # between certificates the elastic-net iterate overflows: at 400
     # rounds alpha is finite but its penalty is not, at 2000 it is NaN
     m, spec, p, cfg = divergent_setup("elastic_net")
     cfg.max_rounds = cfg.trace_every = rounds
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         res = sc.solve(cfg, spec, m, p)
     assert res.stop_reason == "diverged"
     assert res.state.round == res.traces[-1].round == 0
@@ -129,15 +138,18 @@ def test_non_finite_run_stops_at_its_last_finite_certificate(rounds):
     assert np.array_equal(res.state.alpha, np.zeros(m.n_cols))
 
 
-def test_overflowed_v_stops_the_run_between_certificates():
+def test_overflowed_v_stops_the_run_between_certificates(pass_kernel):
     m, spec, p, cfg = divergent_setup("elastic_net")
     cfg.max_rounds = cfg.trace_every = 2000
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         res = sc.solve(cfg, spec, m, p)
-        steps = len(res.diagnostics["wall_times"])
-        assert res.stop_reason == "diverged" and steps < cfg.max_rounds
-        # the run stopped at the first round whose v is not finite
-        state = eng.SolverState.initial(m)
+    steps = len(res.diagnostics["wall_times"])
+    assert res.stop_reason == "diverged" and steps < cfg.max_rounds
+    # the run stopped at the first round whose v is not finite; rounds
+    # stepped by hand run outside the driver, which is what silences numpy
+    state = eng.SolverState.initial(m)
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
             assert np.isfinite(state.v).all()
             state, _ = eng.run_round(state, cfg, spec, m, p)
@@ -256,7 +268,8 @@ def test_check_lemma3_zero_delta_tight():
             matrix=m, block=p.blocks[k], w=w,
             alpha_block=np.zeros(len(p.blocks[k])), sigma_prime=gamma * 4,
             tau=1.0, reg=spec.reg, f_share=f_share)
-        rhs += gamma * sc.subproblem_value(view, {}, np.zeros(m.n_rows))
+        rhs += gamma * sc.subproblem_value(view, np.zeros(len(p.blocks[k])),
+                                           np.zeros(m.n_rows))
     lhs = sc.primal_value(spec, m, np.zeros(m.n_cols), v)
     assert lhs - rhs == pytest.approx(0.0, abs=1e-12)
 
@@ -447,6 +460,22 @@ def test_frozen_columns_surface_in_diagnostics():
     res = sc.solve(sc.EngineConfig(k_count=2, h_local=2, max_rounds=5,
                                    gap_tol=0.0, seed=0), spec, m, p)
     assert res.diagnostics["frozen_cols"] == 2
+
+
+def test_estimate_theta_reuses_the_certificate(monkeypatch):
+    # at trace_every=1 every round starts from a certificate, whose f(v),
+    # w and A^T w the theta views take instead of computing them again
+    m, spec, p = desk_setup(seed=23, n=16, d=10, K=2)
+    cfg = sc.EngineConfig(k_count=2, h_local=2, max_rounds=12, gap_tol=0.0,
+                          seed=3, estimate_theta=True)
+    calls = []
+    real = eng.f_grad
+    monkeypatch.setattr(eng, "f_grad",
+                        lambda *args: calls.append(1) or real(*args))
+    res = sc.solve(cfg, spec, m, p)
+    assert len(res.traces) == 13
+    assert all(t.theta_estimate is not None for t in res.traces[1:])
+    assert calls == []
 
 
 def test_estimate_theta_recorded_in_trace():

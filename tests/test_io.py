@@ -92,6 +92,38 @@ def test_gen_synthetic_deterministic_and_dense():
     assert np.count_nonzero(t1) == 3
 
 
+def test_gen_synthetic_matches_a_from_columns_build():
+    # the same draws in the same order, collected as (row, value) pairs
+    for n, d, density, seed in ((12, 8, 1.0, 11), (40, 30, 0.2, 3),
+                                (25, 6, 0.01, 7)):
+        spec = sc.SyntheticSpec(n=n, d=d, density=density, true_nnz=2,
+                                noise_sd=0.1, seed=seed)
+        m, b, truth = sc.gen_synthetic(spec)
+        rng = np.random.default_rng(seed)
+        cols = []
+        for _ in range(n):
+            mask = rng.random(d) < density
+            if not mask.any():
+                mask[rng.integers(0, d)] = True
+            idx = np.nonzero(mask)[0]
+            cols.append(list(zip(idx.tolist(),
+                                 rng.standard_normal(len(idx)).tolist())))
+        ref = sc.ColMatrix.from_columns(d, cols)
+        assert (m.n_rows, m.n_cols) == (ref.n_rows, ref.n_cols) == (d, n)
+        for got, want in ((m.indptr, ref.indptr), (m.rows, ref.rows),
+                          (m.vals, ref.vals)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        ref_truth = np.zeros(n)
+        support = rng.choice(n, size=2, replace=False)
+        signs = rng.choice([-1.0, 1.0], size=2)
+        ref_truth[support] = signs * rng.uniform(0.5, 2.0, size=2)
+        assert np.array_equal(truth, ref_truth)
+        noise = 0.1 * rng.standard_normal(d)
+        assert np.array_equal(b, ref.mat_vec(ref_truth) + noise)
+        if density < 0.05:  # most columns took the one-entry fallback
+            assert np.sum(np.diff(m.indptr) == 1) > n // 2
+
+
 def test_gen_synthetic_classification_labels():
     spec = sc.SyntheticSpec(n=10, d=30, density=0.5, true_nnz=2, noise_sd=0.0,
                             seed=3)

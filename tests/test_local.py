@@ -27,12 +27,17 @@ def make_view(seed=1, n=12, d=8, kind="l1", sigma_prime=2.0, alpha_scale=0.2):
         f_share=sc.f_value(spec.data_fit, v) / 2.0), spec
 
 
+def changes(res):
+    """A local result's update as a position -> change map."""
+    return dict(zip(res.changed.tolist(), res.delta_alpha.tolist()))
+
+
 def one_dim_objective(view, z_other, j, delta_others):
     """Restriction of the local objective to coordinate j's total value."""
     alpha_j = float(view.alpha_block[j])
 
     def fn(a):
-        delta = dict(delta_others)
+        delta = delta_others.copy()
         delta[j] = a - alpha_j
         z = z_other.copy()
         view.matrix.axpy_column(int(view.block[j]), a - alpha_j, z)
@@ -43,7 +48,8 @@ def one_dim_objective(view, z_other, j, delta_others):
 
 def test_subproblem_value_at_zero():
     view, spec = make_view(seed=2)
-    val = sc.subproblem_value(view, {}, np.zeros(view.matrix.n_rows))
+    val = sc.subproblem_value(view, np.zeros(len(view.block)),
+                              np.zeros(view.matrix.n_rows))
     ref = view.f_share + float(np.sum(sc.ell_value(view.reg, view.alpha_block)))
     assert val == pytest.approx(ref, rel=1e-12)
 
@@ -52,16 +58,17 @@ def test_subproblem_value_matches_dense_recompute():
     rng = np.random.default_rng(3)
     view, spec = make_view(seed=3)
     m = view.matrix
-    delta = {0: 0.3, 4: -0.2, 7: 0.05}
+    delta = np.zeros(len(view.block))
+    delta[[0, 4, 7]] = [0.3, -0.2, 0.05]
     z = np.zeros(m.n_rows)
-    for j, dv in delta.items():
-        m.axpy_column(int(view.block[j]), dv, z)
+    for j in np.flatnonzero(delta):
+        m.axpy_column(int(view.block[j]), delta[j], z)
     # term-by-term recomputation
     lin = float(np.dot(view.w, z))
     quad = 0.5 * view.sigma_prime / view.tau * float(np.dot(z, z))
     pen = 0.0
     for j in range(len(view.block)):
-        pen += sc.ell_value(view.reg, float(view.alpha_block[j] + delta.get(j, 0.0)))
+        pen += sc.ell_value(view.reg, float(view.alpha_block[j] + delta[j]))
     ref = view.f_share + lin + quad + pen
     assert sc.subproblem_value(view, delta, z) == pytest.approx(ref, rel=1e-12)
 
@@ -69,10 +76,11 @@ def test_subproblem_value_matches_dense_recompute():
 def test_subproblem_quadratic_term_linear_in_sigma():
     view, _ = make_view(seed=4, sigma_prime=2.0)
     view2, _ = make_view(seed=4, sigma_prime=4.0)
-    delta = {1: 0.4, 3: -0.1}
+    delta = np.zeros(len(view.block))
+    delta[[1, 3]] = [0.4, -0.1]
     z = np.zeros(view.matrix.n_rows)
-    for j, dv in delta.items():
-        view.matrix.axpy_column(int(view.block[j]), dv, z)
+    for j in np.flatnonzero(delta):
+        view.matrix.axpy_column(int(view.block[j]), delta[j], z)
     g1 = sc.subproblem_value(view, delta, z)
     g2 = sc.subproblem_value(view2, delta, z)
     quad1 = 0.5 * view.sigma_prime * float(np.dot(z, z))
@@ -133,7 +141,7 @@ def test_manual_update_stream_is_monotone():
         rng = np.random.default_rng(8)
         m = view.matrix
         sp_tau = view.sigma_prime / view.tau
-        delta = {}
+        delta = np.zeros(len(view.block))
         z = np.zeros(m.n_rows)
         prev = sc.subproblem_value(view, delta, z)
         for _ in range(200):
@@ -142,13 +150,13 @@ def test_manual_update_stream_is_monotone():
             r, v = m.column(i)
             if len(v) == 0:
                 continue
-            c = float(view.alpha_block[j] + delta.get(j, 0.0))
+            c = float(view.alpha_block[j] + delta[j])
             g_lin = float(np.dot(v, view.w[r])) + sp_tau * float(np.dot(v, z[r]))
             q = sp_tau * float(np.dot(v, v))
             new = sc.coordinate_update(view.reg, c, g_lin, q)
             dlt = new - c
             if dlt != 0.0:
-                delta[j] = delta.get(j, 0.0) + dlt
+                delta[j] += dlt
                 m.axpy_column(i, dlt, z)
             cur = sc.subproblem_value(view, delta, z)
             assert cur <= prev + 1e-12 * max(1.0, abs(prev))
@@ -166,7 +174,7 @@ def test_solve_local_dead_zone_returns_zero_update():
         w=sc.f_grad(fit, v), alpha_block=np.zeros(16),
         sigma_prime=1.0, tau=1.0, reg=spec.reg, f_share=sc.f_value(fit, v))
     res = sc.solve_local(view, h=3, seed=0)
-    assert res.delta_alpha == {}
+    assert len(res.changed) == len(res.delta_alpha) == 0
     assert np.array_equal(res.delta_v, np.zeros(m.n_rows))
     assert res.updates_done == 48
 
@@ -183,9 +191,9 @@ def test_solve_local_single_column_is_exact():
         alpha_block=alpha[block], sigma_prime=2.0, tau=1.0, reg=spec.reg,
         f_share=sc.f_value(spec.data_fit, v) / 3.0)
     res = sc.solve_local(view, h=1, seed=4)
-    fn = one_dim_objective(view, np.zeros(m.n_rows), 0, {})
+    fn = one_dim_objective(view, np.zeros(m.n_rows), 0, np.zeros(1))
     a_ref = golden_min(fn, -spec.reg.support_bound, spec.reg.support_bound)
-    a_got = float(alpha[2] + res.delta_alpha.get(0, 0.0))
+    a_got = float(alpha[2] + changes(res).get(0, 0.0))
     assert a_got == pytest.approx(a_ref, abs=1e-8)
 
 
@@ -193,7 +201,8 @@ def test_solve_local_deterministic():
     view, _ = make_view(seed=11, kind="elastic_net")
     r1 = sc.solve_local(view, h=4, seed=77)
     r2 = sc.solve_local(view, h=4, seed=77)
-    assert r1.delta_alpha == r2.delta_alpha
+    assert np.array_equal(r1.changed, r2.changed)
+    assert np.array_equal(r1.delta_alpha, r2.delta_alpha)
     assert np.array_equal(r1.delta_v, r2.delta_v)
     assert r1.updates_done == r2.updates_done
 
@@ -201,8 +210,14 @@ def test_solve_local_deterministic():
 def test_solve_local_residual_consistency():
     view, _ = make_view(seed=12, n=20, d=12)
     res = sc.solve_local(view, h=5, seed=3)
+    # ascending positions of the moved coordinates, and their changes
+    assert res.changed.dtype == np.int64
+    assert res.delta_alpha.dtype == np.float64
+    assert 0 < len(res.changed) == len(res.delta_alpha) <= len(view.block)
+    assert np.all(np.diff(res.changed) > 0)
+    assert np.all(res.delta_alpha != 0.0)
     acc = np.zeros(view.matrix.n_cols)
-    for j, dv in res.delta_alpha.items():
+    for j, dv in changes(res).items():
         acc[view.block[j]] += dv
     ref = view.matrix.mat_vec(acc)
     assert np.max(np.abs(res.delta_v - ref)) <= 1e-10 * (1 + np.max(np.abs(ref)))
@@ -235,9 +250,9 @@ def test_solve_local_matches_per_column_loop(pass_kernel):
         h = int(rng.integers(1, 4))
         res = sc.solve_local(view, h=h, seed=trial)
         delta, z, updates, clamps, frozen = local_solve_loop(view, h, trial)
-        assert sorted(res.delta_alpha) == sorted(delta)
+        assert res.changed.tolist() == sorted(delta)
         for j, dv in delta.items():
-            got, ref = alpha[block[j]] + res.delta_alpha[j], alpha[block[j]] + dv
+            got, ref = alpha[block[j]] + changes(res)[j], alpha[block[j]] + dv
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
         assert np.max(np.abs(res.delta_v - z), initial=0.0) \
             <= 1e-12 * max(1.0, np.max(np.abs(z), initial=0.0))
@@ -290,9 +305,9 @@ def test_kernel_matches_python_loop(monkeypatch):
         h = int(rng.integers(1, 4))
         got = run(c_pass, sc.solve_local, view, h, trial)
         ref = run(None, sc.solve_local, view, h, trial)
-        assert sorted(got.delta_alpha) == sorted(ref.delta_alpha)
-        for j, dv in ref.delta_alpha.items():
-            a, r = alpha[block[j]] + got.delta_alpha[j], alpha[block[j]] + dv
+        assert np.array_equal(got.changed, ref.changed)
+        for j, dv in changes(ref).items():
+            a, r = alpha[block[j]] + changes(got)[j], alpha[block[j]] + dv
             assert abs(a - r) <= 1e-12 * max(1.0, abs(r))
         scale = max(1.0, np.max(np.abs(ref.delta_v), initial=0.0))
         assert np.max(np.abs(got.delta_v - ref.delta_v), initial=0.0) <= 1e-12 * scale
@@ -314,7 +329,8 @@ def test_kernel_is_bit_identical_across_runs_and_threads():
         again = list(pool.map(lambda _: sc.solve_local(view, h=5, seed=9),
                               range(4)))
     for res in [sc.solve_local(view, h=5, seed=9)] + again:
-        assert res.delta_alpha == first.delta_alpha
+        assert np.array_equal(res.changed, first.changed)
+        assert res.delta_alpha.tobytes() == first.delta_alpha.tobytes()
         assert res.delta_v.tobytes() == first.delta_v.tobytes()
         assert res.clamp_hits == first.clamp_hits
 
@@ -341,12 +357,13 @@ def test_solve_local_skips_zero_columns():
         f_share=sc.f_value(fit, np.zeros(3)))
     res = sc.solve_local(view, h=10, seed=1)
     assert res.frozen_cols == 1
-    assert 1 not in res.delta_alpha
+    assert 1 not in res.changed
 
 
 def test_measure_theta_zero_update_is_one():
     view, _ = make_view(seed=13, kind="elastic_net")
-    res = sc.LocalResult({}, np.zeros(view.matrix.n_rows), 0)
+    res = sc.LocalResult(np.zeros(0, np.int64), np.zeros(0),
+                         np.zeros(view.matrix.n_rows), 0)
     assert sc.measure_theta(view, res) == pytest.approx(1.0)
 
 
