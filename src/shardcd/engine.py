@@ -164,11 +164,12 @@ def _build_views(state, cfg, spec, m, p, shared=None, blocks=None):
     ]
 
 
-def run_round(state, cfg, spec, m, p, shared=None, blocks=None):
+def run_round(state, cfg, spec, m, p, views=None):
     """Execute one synchronous round; returns (new state, worker results).
 
-    The data-fit gradient and A^T w are computed once (or taken from
-    `shared`, see _build_views) and shared read-only. Local solves run
+    `views` are the workers' views at `state` as _build_views makes
+    them; without them they are built here, computing the data-fit
+    gradient and A^T w once for all workers. Local solves run
     on disjoint blocks, then the coefficient and shared-vector updates
     are reduced at a barrier in ascending worker order. Coefficients are
     clipped to the penalty's [-B, B] unconditionally: for the L1 box this
@@ -181,7 +182,8 @@ def run_round(state, cfg, spec, m, p, shared=None, blocks=None):
                          f"partition has {p.k_count}")
     if p.n_cols != m.n_cols:
         raise ValueError("partition does not match matrix columns")
-    views = _build_views(state, cfg, spec, m, p, shared, blocks)
+    if views is None:
+        views = _build_views(state, cfg, spec, m, p)
     t = state.round
     results = [solve_local(views[k], cfg.h_local, _worker_seed(cfg.seed, k, t))
                for k in range(p.k_count)]
@@ -288,14 +290,14 @@ def solve(cfg, spec, m, p):
     blocks = [BlockColumns.of(m, block) for block in p.blocks]
 
     def step(state, shared, traced):
-        new, results = run_round(state, cfg, spec, m, p, shared, blocks)
+        views = _build_views(state, cfg, spec, m, p, shared, blocks)
+        new, results = run_round(state, cfg, spec, m, p, views)
         diag["clamp_hits"] += sum(r.clamp_hits for r in results)
         diag["frozen_cols"] = max(diag["frozen_cols"],
                                   sum(r.frozen_cols for r in results))
         diag["max_abs_coef"].append(float(np.max(np.abs(new.alpha), initial=0.0)))
         theta = None
         if traced and cfg.estimate_theta:
-            views = _build_views(state, cfg, spec, m, p, shared, blocks)
             theta = max(measure_theta(view, res)
                         for view, res in zip(views, results))
         return new, sum(r.updates_done for r in results), theta

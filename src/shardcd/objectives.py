@@ -10,9 +10,11 @@ regularizer (L1 or elastic net). Certificates come from the conjugate
 
     min_w  f*(w) + sum_i l_i*(-x_i^T w)
 
-evaluated at the mapped point w = grad f(A alpha); the sum of the two
-objective values is the duality gap, a computable upper bound on
-suboptimality.
+evaluated at the better of two points: the mapped point w = grad f(A alpha)
+and its rescaling s w with s = min(1, l1 / ||A^T w||_inf), which pays no
+conjugate charge for the penalty (the dual point of Gap Safe screening).
+The sum of the two objective values is the duality gap, a computable
+upper bound on suboptimality.
 
 The pure-L1 term is treated as the absolute value restricted to the box
 [-B, B]. The restriction makes the conjugate finite everywhere (so the
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, xlogy
 
 __all__ = [
     "LEAST_SQUARES", "LOGISTIC", "L1", "ELASTIC_NET",
@@ -176,52 +177,85 @@ def make_objective(fit, reg_kind, lam, eta=None, support_bound=None):
 # ----------------------------------------------------------------------
 # smooth part
 
-def f_value(fit, v):
-    """Evaluate the data-fit term at a length-d prediction vector."""
-    v = np.asarray(v, dtype=np.float64)
-    if len(v) != fit.dim:
-        raise ValueError(f"vector length {len(v)} != label length {fit.dim}")
+def _check_len(fit, x):
+    x = np.asarray(x, dtype=np.float64)
+    if len(x) != fit.dim:
+        raise ValueError(f"vector length {len(x)} != label length {fit.dim}")
+    return x
+
+
+def _entropy(t, log_t, log_1mt, s=1.0):
+    """Logistic conjugate at s w, for w = -b t and 0 <= s <= 1: the sum of
+    (s t) log(s t) + (1 - s t) log(1 - s t), given log t and log(1 - t)
+    (0 log 0 = 0)."""
+    if s == 0.0:
+        return 0.0
+    tlt = float(np.dot(t, log_t))
+    if s == 1.0:
+        return tlt + float(np.dot(1.0 - t, log_1mt))
+    st = s * t
+    return s * (tlt + math.log(s) * float(np.sum(t))) \
+        + float(np.dot(1.0 - st, np.log1p(-st)))
+
+
+def _fit_pass(fit, v):
+    """f(v), w = grad f(v) and conj(s) = f*(s w) for 0 <= s <= 1, all
+    from one pass over v; f_value and f_grad return its bits.
+
+    Logistic, with z = b v, e = exp(-|z|) and sp = log1p(e): the sigmoid
+    t = 1 / (1 + exp(z)) is where(z > 0, e, 1) / (1 + e), log t is
+    -(z_+ + sp) and log(1 - t) is -((-z)_+ + sp), so f(v) = -sum log(1 - t)
+    and w = -b t. One exp and one log1p, and all finite for finite v.
+    """
+    v = _check_len(fit, v)
     b = fit.labels
     if fit.kind == LEAST_SQUARES:
-        r = v - b
-        return 0.5 * float(np.dot(r, r))
-    return float(np.sum(np.logaddexp(0.0, -b * v)))
+        w = v - b
+        ww, wb = float(np.dot(w, w)), float(np.dot(w, b))
+        return 0.5 * ww, w, lambda s: s * (0.5 * s * ww + wb)
+    z = b * v
+    e = np.exp(-np.abs(z))
+    sp = np.log1p(e)
+    t = np.where(z > 0, e, 1.0) / (1.0 + e)
+    log_t, log_1mt = -(np.maximum(z, 0.0) + sp), -(np.maximum(-z, 0.0) + sp)
+    return (-float(np.sum(log_1mt)), -b * t,
+            lambda s: _entropy(t, log_t, log_1mt, s))
+
+
+def f_value(fit, v):
+    """Evaluate the data-fit term at a length-d prediction vector."""
+    return _fit_pass(fit, v)[0]
 
 
 def f_grad(fit, v):
     """Gradient of the data-fit term; also the dual candidate map.
 
     Least squares: v - b (the residual). Logistic: entrywise
-    -b_j / (1 + exp(b_j v_j)), always strictly inside the conjugate box.
+    -b_j / (1 + exp(b_j v_j)), always inside the conjugate box.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if len(v) != fit.dim:
-        raise ValueError(f"vector length {len(v)} != label length {fit.dim}")
-    b = fit.labels
-    if fit.kind == LEAST_SQUARES:
-        return v - b
-    return -b * expit(-b * v)
+    return _fit_pass(fit, v)[1]
 
 
 def f_conj(fit, w):
     """Convex conjugate f*(w).
 
     Least squares: ||w||^2 / 2 + w^T b. Logistic: the binary entropy
-    form sum_j [(1 + w_j b_j) log(1 + w_j b_j) - w_j b_j log(-w_j b_j)]
-    with the box constraint -w_j b_j in [0, 1] and 0 log 0 = 0 at the
-    endpoints. Points outside the box (beyond a 1e-12 slack) raise
-    DualDomainError, signalling an invalid dual candidate.
+    form sum_j [t_j log t_j + (1 - t_j) log(1 - t_j)] with t = -w b in
+    the box [0, 1] and 0 log 0 = 0 at the endpoints, evaluated by
+    _entropy, which the certificate's one pass (_fit_pass) also uses.
+    Points outside the box (beyond a 1e-12 slack) raise DualDomainError,
+    signalling an invalid dual candidate.
     """
-    w = np.asarray(w, dtype=np.float64)
-    if len(w) != fit.dim:
-        raise ValueError(f"vector length {len(w)} != label length {fit.dim}")
+    w = _check_len(fit, w)
     if fit.kind == LEAST_SQUARES:
         return 0.5 * float(np.dot(w, w)) + float(np.dot(w, fit.labels))
     t = -w * fit.labels
     if np.any(t < -_BOX_SLACK) or np.any(t > 1.0 + _BOX_SLACK):
         raise DualDomainError("logistic conjugate argument outside [0, 1] box")
     t = np.clip(t, 0.0, 1.0)
-    return float(np.sum(xlogy(t, t) + xlogy(1.0 - t, 1.0 - t)))
+    log_t = np.log(t, out=np.zeros_like(t), where=t > 0.0)
+    log_1mt = np.log1p(-t, out=np.zeros_like(t), where=t < 1.0)
+    return _entropy(t, log_t, log_1mt)
 
 
 # ----------------------------------------------------------------------
@@ -262,9 +296,11 @@ def ell_conj(reg, x):
 class GapReport(NamedTuple):
     """Certificate at one iterate, plus the quantities it computed there.
 
-    `fit` is the data-fit value f(v), `w` = grad f(v) the dual candidate
-    and `atw` = A^T w; the next round's local views start from exactly
-    these three.
+    `dual` is the smaller of the dual objectives at w = grad f(v) and at
+    its rescaling s w (see duality_gap), and `gap` = dual + primal. `fit`
+    is the data-fit value f(v), `w` = grad f(v) and `atw` = A^T w; the
+    next round's local views start from exactly these three, so the
+    rescaling never feeds back into the iterates.
     """
 
     gap: float
@@ -286,20 +322,25 @@ def primal_value(spec, m, a, v):
 def duality_gap(spec, m, a, v):
     """Certificate at the iterate a (with v = A a).
 
-    Maps a to the dual candidate w = grad f(v) and returns a GapReport
-    with gap = dual + primal >= -1e-9 up to rounding; gap bounds the
-    primal suboptimality from above. A coefficient outside the support
-    bound [-B, B] is an error: the iterate left the level set the
+    Evaluates the dual objective f*(w) + sum_i l*(-x_i^T w) at w = grad
+    f(v) and at s w, s = min(1, l1 / ||A^T w||_inf) with l1 the penalty's
+    linear weight, where the penalty's conjugate charge vanishes, and
+    reports the smaller; gap = dual + primal >= -1e-9 up to rounding
+    bounds the primal suboptimality from above. A coefficient outside the
+    support bound [-B, B] is an error: the iterate left the level set the
     certificate is defined on. A non-finite iterate (a diverged run)
     yields a non-finite gap.
     """
     pen = float(np.sum(ell_value(spec.reg, a)))
     if pen == math.inf and np.any(np.abs(a) > spec.reg.support_bound):
         raise ValueError("coefficient outside the support bound [-B, B]")
-    fit = f_value(spec.data_fit, v)
-    w = f_grad(spec.data_fit, v)
+    fit, w, conj = _fit_pass(spec.data_fit, v)
     atw = m.mat_tvec(w)
     primal = fit + pen
-    dual = f_conj(spec.data_fit, w) + float(np.sum(ell_conj(spec.reg, -atw)))
+    dual = conj(1.0) + float(np.sum(ell_conj(spec.reg, -atw)))
+    l1 = spec.reg.penalty[0]
+    top = float(np.max(np.abs(atw), initial=0.0))
+    if top > l1:
+        dual = min(dual, conj(l1 / top))
     return GapReport(gap=dual + primal, primal=primal, dual=dual, w=w,
                      fit=fit, atw=atw)

@@ -464,18 +464,23 @@ def test_frozen_columns_surface_in_diagnostics():
 
 def test_estimate_theta_reuses_the_certificate(monkeypatch):
     # at trace_every=1 every round starts from a certificate, whose f(v),
-    # w and A^T w the theta views take instead of computing them again
+    # w and A^T w the theta views take instead of computing them again;
+    # at 3 the 8 rounds without one build their views once, for the
+    # round and for theta alike
     m, spec, p = desk_setup(seed=23, n=16, d=10, K=2)
-    cfg = sc.EngineConfig(k_count=2, h_local=2, max_rounds=12, gap_tol=0.0,
-                          seed=3, estimate_theta=True)
     calls = []
     real = eng.f_grad
     monkeypatch.setattr(eng, "f_grad",
                         lambda *args: calls.append(1) or real(*args))
-    res = sc.solve(cfg, spec, m, p)
-    assert len(res.traces) == 13
-    assert all(t.theta_estimate is not None for t in res.traces[1:])
-    assert calls == []
+    for trace_every, grads in ((1, 0), (3, 8)):
+        cfg = sc.EngineConfig(k_count=2, h_local=2, max_rounds=12,
+                              gap_tol=0.0, seed=3, estimate_theta=True,
+                              trace_every=trace_every)
+        calls.clear()
+        res = sc.solve(cfg, spec, m, p)
+        assert len(res.traces) == 12 // trace_every + 1
+        assert all(t.theta_estimate is not None for t in res.traces[1:])
+        assert len(calls) == grads
 
 
 def test_estimate_theta_recorded_in_trace():

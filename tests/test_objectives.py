@@ -1,9 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from scipy.special import expit, xlogy
 
 import shardcd as sc
+from shardcd import engine as eng
+from shardcd import objectives as obj
 from conftest import enet_objective, lasso_objective, random_matrix, regression_instance
 from oracles import (cyclic_cd_lasso_like, finite_diff_grad, numeric_conjugate,
                      numeric_sup)
@@ -233,15 +238,20 @@ def test_dual_value_terms_match_numeric_sup():
     v = m.mat_vec(rng.standard_normal(10) * 0.05)
     w = sc.f_grad(spec.data_fit, v)
     B = spec.reg.support_bound
-    total = 0.0
+    total, top = 0.0, 0.0
     for i in range(m.n_cols):
         x = -m.col_dot(i, w)
         ref = numeric_conjugate(lambda a: sc.ell_value(spec.reg, a), x, -B, B)
         term = sc.ell_conj(spec.reg, x)
         assert term == pytest.approx(ref, abs=1e-6 * max(1.0, abs(ref)))
         total += term
+        top = max(top, abs(x))
+    # the better of the box dual at w and the charge-free dual at s w
+    box = sc.f_conj(spec.data_fit, w) + total
+    rescaled = sc.f_conj(spec.data_fit, min(1.0, spec.reg.lam / top) * w)
+    assert total > 0.0 and rescaled < box
     rep = sc.duality_gap(spec, m, np.zeros(m.n_cols), v)
-    assert rep.dual == pytest.approx(sc.f_conj(spec.data_fit, w) + total)
+    assert rep.dual == pytest.approx(min(box, rescaled))
 
 
 def test_gap_zero_at_kkt_zero_point():
@@ -305,6 +315,101 @@ def test_logistic_fenchel_young_equality_identity():
         w = sc.f_grad(fit, v)
         lhs = sc.f_value(fit, v) + sc.f_conj(fit, w)
         assert lhs == pytest.approx(float(v @ w), abs=1e-8)
+
+
+def test_logistic_one_pass_matches_scipy():
+    # f, w, f*(w) and f*(s w) from one exp and one log1p pass, against
+    # logaddexp, scipy's expit and xlogy, out to |b v| = 1e3 where
+    # exp(-|b v|) underflows
+    rng = np.random.default_rng(32)
+    b = rng.choice([-1.0, 1.0], size=3000)
+    fit = logistic_fit(b)
+    for scale in (1.0, 10.0, 100.0, 1e3):
+        v = rng.uniform(-scale, scale, size=len(b))
+        v[:2] = (scale, -scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f, w, conj = obj._fit_pass(fit, v)
+            pieces = (sc.f_value(fit, v), sc.f_grad(fit, v),
+                      sc.f_conj(fit, w), conj(1.0), conj(0.7), conj(1e-3))
+        z = b * v
+        t = expit(-z)
+        assert f == pieces[0]
+        assert np.array_equal(w, pieces[1])
+        assert f == pytest.approx(float(np.sum(np.logaddexp(0.0, -z))),
+                                  rel=1e-13)
+        normal = t >= np.finfo(np.float64).tiny
+        assert not normal.all() or scale < 1e3
+        assert np.allclose(w[normal], -b[normal] * t[normal], rtol=1e-13,
+                           atol=0.0)
+        assert np.all(np.abs(w[~normal] + b[~normal] * t[~normal]) <= 1e-300)
+        for s, got in zip((1.0, 1.0, 0.7, 1e-3), pieces[2:]):
+            st_ = s * t
+            ref = float(np.sum(xlogy(st_, st_) + xlogy(1.0 - st_, 1.0 - st_)))
+            assert got == pytest.approx(ref, rel=1e-13)
+        assert all(np.all(np.isfinite(x)) for x in (f, w) + pieces)
+
+
+def _box_gap(spec, m, a, v):
+    """The gap with the dual at w = grad f(v) alone, charge included."""
+    w = sc.f_grad(spec.data_fit, v)
+    return (sc.f_conj(spec.data_fit, w)
+            + float(np.sum(sc.ell_conj(spec.reg, -m.mat_tvec(w))))
+            + sc.primal_value(spec, m, a, v))
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**16),
+       kind=st.sampled_from(["l1", "elastic_net", "logistic"]))
+def test_certificate_between_suboptimality_and_box_gap(seed, kind):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 12)), int(rng.integers(3, 14))
+    m, _ = random_matrix(rng, n=n, d=d, density=0.6)
+    if kind == "logistic":
+        fit = logistic_fit(rng.choice([-1.0, 1.0], size=d))
+    else:
+        fit = ls_fit(rng.standard_normal(d))
+    lam_max = float(np.max(np.abs(m.mat_tvec(sc.f_grad(fit, np.zeros(d))))))
+    lam = float(rng.uniform(0.1, 0.9)) * lam_max
+    spec = sc.make_objective(fit, "elastic_net" if kind == "elastic_net"
+                             else "l1", lam, eta=0.5)
+    tight = sc.solve(sc.EngineConfig(k_count=1, h_local=20, max_rounds=5000,
+                                     gap_tol=1e-10, seed=1),
+                     spec, m, sc.partition_columns(n, 1))
+    assert tight.stop_reason == "gap_tol"
+    p_star = tight.traces[-1].primal  # within 1e-10 above the optimum
+    bound = spec.reg.penalty[2]
+    for _ in range(10):
+        scale = float(rng.choice([1e-3, 0.1, 0.5])) * min(bound, 4.0)
+        a = rng.uniform(-1.0, 1.0, size=n) * scale
+        v = m.mat_vec(a)
+        rep = sc.duality_gap(spec, m, a, v)
+        # f_conj takes log t from t, the certificate from b v: rounding
+        slack = 1e-12 * (abs(rep.primal) + abs(rep.dual))
+        assert rep.gap <= _box_gap(spec, m, a, v) + slack
+        assert rep.gap >= rep.primal - p_star - 1e-9
+
+    # the run stops no later than the box gap alone would let it
+    box_gaps = []
+    real = eng.duality_gap
+
+    def recording(spec_, m_, a, v):
+        box_gaps.append(_box_gap(spec_, m_, a, v))
+        return real(spec_, m_, a, v)
+
+    gap_tol = 1e-4 * tight.traces[0].primal
+    p = sc.partition_columns(n, 2 if n > 2 else 1)
+    cfg = sc.EngineConfig(k_count=p.k_count, h_local=1, max_rounds=400,
+                          gap_tol=gap_tol, seed=2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eng, "duality_gap", recording)
+        res = sc.solve(cfg, spec, m, p)
+    first_box = next((t for t, g in enumerate(box_gaps) if g <= gap_tol),
+                     math.inf)
+    assert res.traces[-1].round <= first_box
+    assert all(tr.gap <= g + 1e-12 * (abs(tr.primal) + abs(tr.dual))
+               for tr, g in zip(res.traces, box_gaps))
 
 
 # ----------------------------------------------------------------------
