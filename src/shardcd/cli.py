@@ -125,7 +125,8 @@ def _run_check(check, args, m, labels, p, cfg):
         return 0 if ok else 2
     # theta: grade one round of local solves from the zero start
     state = engine.SolverState.initial(m)
-    views = engine._build_views(state, cfg, spec, m, p)
+    views = engine._build_views(state, cfg, spec, m, p, engine.duality_gap(
+        spec, m, state.alpha, state.v))
     thetas = []
     for k in range(p.k_count):
         res = solve_local(views[k], cfg.h_local, engine._worker_seed(cfg.seed, k, 0))

@@ -142,13 +142,6 @@ class ColMatrix:
     # ------------------------------------------------------------------
     # products
 
-    def col_dot(self, i, u):
-        """Inner product of column `i` with a length-d vector."""
-        r, v = self.column(i)
-        if len(u) != self.n_rows:
-            raise ValueError(f"vector length {len(u)} != n_rows {self.n_rows}")
-        return float(np.dot(v, u[r]))
-
     def mat_vec(self, a):
         """Return the matrix-vector product A a (length d)."""
         a = np.asarray(a, dtype=np.float64)

@@ -9,15 +9,15 @@ so runs are bit-reproducible. Workers run one after another in this
 process. Rounds are transactional: a worker failure leaves the state
 untouched.
 
-Each piece of whole-data work is done once per round. The certificate
-computes f(v), w = grad f(v) and A^T w, and the next round's views reuse
-them; a round without a certificate before it computes them once itself.
-Each block's column ids and squared norms are built once per solve.
+Each piece of whole-data work is done once per round. Every state is
+certified, and the certificate's f(v), w = grad f(v) and A^T w feed the
+views of the round that starts there; each block's column ids and
+squared norms are built once per solve.
 
-One driver loop (_drive) certifies, checks v = A alpha, records traces
-and decides the stop for the solver and for both baselines alike, so
-their traces and stop reasons ("gap_tol", "diverged", "max_rounds")
-mean the same thing.
+One driver loop (_drive) certifies, checks v = A alpha, records a trace
+row and decides the stop after every round, for the solver and for both
+baselines alike, so their traces and stop reasons ("gap_tol",
+"diverged", "max_rounds") mean the same thing.
 
 Timing in traces is simulated (configured per-round latency plus a
 per-update cost model) so traces are deterministic; measured wall times
@@ -34,6 +34,7 @@ import numpy as np
 
 from .local import (BlockColumns, SubproblemView, kernel_name, measure_theta,
                     solve_local, subproblem_value)
+# benchmarks/tracing.py wraps duality_gap, f_grad and f_value here by name
 from .objectives import (ELASTIC_NET, duality_gap, f_grad, f_value,
                          primal_value)
 
@@ -49,11 +50,11 @@ class EngineConfig:
     """Driver knobs.
 
     sigma_prime defaults to gamma * k_count, the always-safe scaling of
-    the local quadratic term; it must never drop below gamma. h_local is
-    the number of local coordinate-descent epochs per round, the single
-    communication/computation trade-off knob. round_latency and
-    update_cost (seconds) feed the simulated per-round timing recorded
-    in traces.
+    the local quadratic term; it must be finite and never drop below
+    gamma. h_local is the number of local coordinate-descent epochs per
+    round, the single communication/computation trade-off knob.
+    round_latency and update_cost (nonnegative, finite seconds) feed the
+    simulated per-round timing recorded in traces.
     """
 
     k_count: int
@@ -63,7 +64,6 @@ class EngineConfig:
     max_rounds: int = 100
     gap_tol: float = 1e-6
     seed: int = 0
-    trace_every: int = 1
     estimate_theta: bool = False
     round_latency: float = 0.0
     update_cost: float = 0.0
@@ -77,20 +77,21 @@ class EngineConfig:
             raise ValueError("gamma must lie in (0, 1]")
         if self.sigma_prime is None:
             self.sigma_prime = self.gamma * self.k_count
-        if self.sigma_prime < self.gamma:
-            raise ValueError("sigma_prime must be at least gamma")
-        _check_drive_settings(self.max_rounds, self.gap_tol, self.trace_every)
+        if not self.gamma <= self.sigma_prime < math.inf:
+            raise ValueError("sigma_prime must be finite and at least gamma")
+        for name in ("round_latency", "update_cost"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
+        _check_drive_settings(self.max_rounds, self.gap_tol)
 
 
-def _check_drive_settings(max_rounds, gap_tol, trace_every):
+def _check_drive_settings(max_rounds, gap_tol):
     """Reject the _drive settings under which it could return a result
     without a certificate, or never stop on the gap (a NaN gap_tol)."""
     if max_rounds < 0:
         raise ValueError("max_rounds must be >= 0")
     if not gap_tol >= 0:
         raise ValueError("gap_tol must be nonnegative")
-    if trace_every < 1:
-        raise ValueError("trace_every must be >= 1")
 
 
 @dataclass
@@ -132,32 +133,25 @@ def _worker_seed(global_seed, k, t):
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _build_views(state, cfg, spec, m, p, shared=None, blocks=None):
+def _build_views(state, cfg, spec, m, p, shared, blocks=None):
     """One view per worker at `state`.
 
-    `shared` is a GapReport taken at state.v, whose f(v), w and A^T w
-    are reused; without it they are computed here, once for all
-    workers. `blocks` holds each block's BlockColumns when the caller
-    built them already.
+    `shared` is the certificate (GapReport) taken at `state`; every view
+    reads its f(v), w and A^T w. `blocks` holds each block's
+    BlockColumns when the caller built them already.
     """
-    if shared is None:
-        w = f_grad(spec.data_fit, state.v)
-        fit = f_value(spec.data_fit, state.v)
-        atw = m.mat_tvec(w)
-    else:
-        fit, w, atw = shared.fit, shared.w, shared.atw
-    f_share = fit / p.k_count
+    f_share = shared.fit / p.k_count
     return [
         SubproblemView(
             matrix=m,
             block=block,
-            w=w,
+            w=shared.w,
             alpha_block=state.alpha[block],
             sigma_prime=cfg.sigma_prime,
             tau=spec.data_fit.tau,
             reg=spec.reg,
             f_share=f_share,
-            xw=atw[block],
+            xw=shared.atw[block],
             columns=None if blocks is None else blocks[k],
         )
         for k, block in enumerate(p.blocks)
@@ -168,8 +162,9 @@ def run_round(state, cfg, spec, m, p, views=None):
     """Execute one synchronous round; returns (new state, worker results).
 
     `views` are the workers' views at `state` as _build_views makes
-    them; without them they are built here, computing the data-fit
-    gradient and A^T w once for all workers. Local solves run
+    them; without them they are built here from the certificate at
+    `state` (duality_gap), which supplies the data-fit value, its
+    gradient and A^T w for all workers. Local solves run
     on disjoint blocks, then the coefficient and shared-vector updates
     are reduced at a barrier in ascending worker order. Coefficients are
     clipped to the penalty's [-B, B] unconditionally: for the L1 box this
@@ -183,7 +178,8 @@ def run_round(state, cfg, spec, m, p, views=None):
     if p.n_cols != m.n_cols:
         raise ValueError("partition does not match matrix columns")
     if views is None:
-        views = _build_views(state, cfg, spec, m, p)
+        views = _build_views(state, cfg, spec, m, p,
+                             duality_gap(spec, m, state.alpha, state.v))
     t = state.round
     results = [solve_local(views[k], cfg.h_local, _worker_seed(cfg.seed, k, t))
                for k in range(p.k_count)]
@@ -210,25 +206,22 @@ def check_v(m, alpha, v):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _drive(step, spec, m, max_rounds, gap_tol, trace_every, diag,
+def _drive(step, spec, m, max_rounds, gap_tol, diag,
            round_latency=0.0, update_cost=0.0):
     """The certify, drift-check, trace and stop loop every method runs.
 
-    `step(state, shared, traced)` advances one round and returns (new
-    state, coordinate updates, theta estimate or None); `shared` is the
-    certificate taken at `state` or None, and `traced` says whether the
-    new state will be certified. Certificates are taken at the zero
-    start, every `trace_every` rounds and at the final round, each after
-    check_v. Stops with "gap_tol" at a certified gap within gap_tol and
-    with "diverged" at a certified primal not at most the zero start's (a
-    monotone method never climbs above it), else "max_rounds"; the
-    returned state is the one in the last trace row. A non-finite drift
-    or gap stops the run as "diverged", without a trace row, at the state
-    certified before it (at the zero start it raises ValueError); a round
-    whose v is not finite is certified at once, between trace rounds too,
-    so an overflowed run stops there; numpy's overflow and invalid-value
-    warnings are silenced, since the stop reason reports them. Adds
-    measured step seconds (`wall_times`) and the simulated elapsed time
+    `step(state, shared)` advances one round from `state`, whose
+    certificate is `shared`, and returns (new state, coordinate updates,
+    theta estimate or None). Every state, the zero start included, is
+    certified after check_v and recorded as one trace row. Stops with
+    "gap_tol" at a gap within gap_tol and with "diverged" at a primal not
+    at most the zero start's (a monotone method never climbs above it),
+    else "max_rounds"; the returned state is the one in the last trace
+    row. A non-finite drift or gap stops the run as "diverged", without a
+    trace row, at the state certified before it (at the zero start it
+    raises ValueError); numpy's overflow and invalid-value warnings are
+    silenced, since the stop reason reports them. Adds measured step
+    seconds (`wall_times`) and the simulated elapsed time
     (`sim_elapsed_s`) to `diag`.
     """
     spec.check_dims(m)
@@ -236,19 +229,14 @@ def _drive(step, spec, m, max_rounds, gap_tol, trace_every, diag,
     traces = []
     diag["wall_times"] = []
     diag["sim_elapsed_s"] = 0.0
-    # the last certificate, while it was taken at the current state
-    shared, updates, theta, seconds = None, 0, None, 0.0
+    updates, theta, seconds = 0, None, 0.0
     for t in range(max_rounds + 1):
         if t:  # round 0 certifies the zero start
-            traced = t % trace_every == 0 or t == max_rounds
             t0 = time.perf_counter()
-            state, updates, theta = step(state, shared, traced)
+            state, updates, theta = step(state, shared)
             diag["wall_times"].append(time.perf_counter() - t0)
             seconds = round_latency + update_cost * updates
             diag["sim_elapsed_s"] += seconds
-            shared = None
-            if not traced and np.isfinite(state.v).all():
-                continue
         drift = check_v(m, state.alpha, state.v)
         shared = duality_gap(spec, m, state.alpha, state.v)
         if not math.isfinite(drift + shared.gap):
@@ -270,10 +258,10 @@ def _drive(step, spec, m, max_rounds, gap_tol, trace_every, diag,
 def solve(cfg, spec, m, p):
     """Run rounds until the duality gap reaches gap_tol or rounds run out.
 
-    Rounds run through _drive, which certifies the zero start and then
-    every `trace_every` rounds (and the final round), so gap computation
-    is amortized when tracing sparsely. Returns the final state, the
-    recorded traces, the stop reason ("gap_tol", "diverged" or
+    Rounds run through _drive, which certifies the zero start and every
+    round after it; each round's views take f(v), w and A^T w from the
+    certificate of the state it starts from. Returns the final state, one
+    trace row per round, the stop reason ("gap_tol", "diverged" or
     "max_rounds"), and a diagnostics dict with measured wall times,
     per-round coefficient extremes, clamp/frozen-column counters and the
     coordinate-pass kernel that ran ("c" or "python").
@@ -289,7 +277,7 @@ def solve(cfg, spec, m, p):
     }
     blocks = [BlockColumns.of(m, block) for block in p.blocks]
 
-    def step(state, shared, traced):
+    def step(state, shared):
         views = _build_views(state, cfg, spec, m, p, shared, blocks)
         new, results = run_round(state, cfg, spec, m, p, views)
         diag["clamp_hits"] += sum(r.clamp_hits for r in results)
@@ -297,13 +285,13 @@ def solve(cfg, spec, m, p):
                                   sum(r.frozen_cols for r in results))
         diag["max_abs_coef"].append(float(np.max(np.abs(new.alpha), initial=0.0)))
         theta = None
-        if traced and cfg.estimate_theta:
+        if cfg.estimate_theta:
             theta = max(measure_theta(view, res)
                         for view, res in zip(views, results))
         return new, sum(r.updates_done for r in results), theta
 
-    return _drive(step, spec, m, cfg.max_rounds, cfg.gap_tol, cfg.trace_every,
-                  diag, cfg.round_latency, cfg.update_cost)
+    return _drive(step, spec, m, cfg.max_rounds, cfg.gap_tol, diag,
+                  cfg.round_latency, cfg.update_cost)
 
 
 # ----------------------------------------------------------------------

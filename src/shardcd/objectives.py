@@ -103,8 +103,8 @@ class Regularizer:
     def __post_init__(self):
         if self.kind not in (L1, ELASTIC_NET):
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
-        if not self.lam > 0:
-            raise ValueError("lambda must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lambda must be positive and finite")
         if self.kind == ELASTIC_NET and not 0 < self.eta <= 1:
             raise ValueError("eta must lie in (0, 1]")
         if self.kind == L1 and not (math.isfinite(self.support_bound)

@@ -44,7 +44,9 @@ def c5_run():
     elapsed = time.perf_counter() - t0
     tight = sc.solve(sc.EngineConfig(k_count=4, h_local=5, max_rounds=3000,
                                      gap_tol=1e-12, seed=3), spec, m, p)
-    views = _build_views(sc.SolverState.initial(m), cfg, spec, m, p)
+    zero = sc.SolverState.initial(m)
+    views = _build_views(zero, cfg, spec, m, p,
+                         sc.duality_gap(spec, m, zero.alpha, zero.v))
     theta = max(sc.measure_theta(views[k],
                                  sc.solve_local(views[k], cfg.h_local,
                                                 _worker_seed(cfg.seed, k, 0)))
@@ -356,11 +358,10 @@ def test_criterion_12_baseline_consistency():
     ref_primal = ref.traces[-1].primal
 
     pg = sc.solve_baseline(sc.BaselineConfig(
-        kind="prox_gd", max_rounds=100000, gap_tol=1e-7, seed=2,
-        trace_every=100), spec, m)
+        kind="prox_gd", max_rounds=100000, gap_tol=1e-7, seed=2), spec, m)
     mb_tight = sc.solve_baseline(sc.BaselineConfig(
         kind="mb_cd", batch_size=64 // K, beta_scale=1.0, max_rounds=400000,
-        gap_tol=1e-7, seed=2, trace_every=200), spec, m)
+        gap_tol=1e-7, seed=2), spec, m)
     pg_rel = abs(pg.traces[-1].primal - ref_primal) / abs(ref_primal)
     mb_rel = abs(mb_tight.traces[-1].primal - ref_primal) / abs(ref_primal)
 
@@ -368,7 +369,7 @@ def test_criterion_12_baseline_consistency():
                                    gap_tol=1e-4, seed=2), spec, m, p)
     mb = sc.solve_baseline(sc.BaselineConfig(
         kind="mb_cd", batch_size=64 // K, beta_scale=1.0, max_rounds=400000,
-        gap_tol=1e-4, seed=2, trace_every=50), spec, m)
+        gap_tol=1e-4, seed=2), spec, m)
     ok = pg_rel <= 1e-5 and mb_rel <= 1e-5 \
         and eng.state.round <= mb.state.round / 2
     report(12, ok, f"prox_gd rel {pg_rel:.2g}, mb_cd rel {mb_rel:.2g}, "

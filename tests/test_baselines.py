@@ -7,6 +7,11 @@ import shardcd as sc
 from conftest import lasso_objective, regression_instance
 
 
+def certified(spec, m, state):
+    """The certificate at `state` that `_drive` hands each step."""
+    return sc.duality_gap(spec, m, state.alpha, state.v)
+
+
 def test_prox_gd_fixed_point_at_solution():
     # lambda above the max correlation: zero is optimal and a fixed point
     m, b, _ = regression_instance(seed=1)
@@ -14,7 +19,7 @@ def test_prox_gd_fixed_point_at_solution():
     lam = 1.1 * float(np.max(np.abs(m.mat_tvec(b))))
     spec = sc.make_objective(fit, "l1", lam)
     state = sc.SolverState.initial(m)
-    nxt = sc.prox_gd_step(state, spec, m, step=0.3)
+    nxt = sc.prox_gd_step(state, spec, m, 0.3, certified(spec, m, state))
     assert np.array_equal(nxt.alpha, state.alpha)
 
 
@@ -27,7 +32,8 @@ def test_prox_gd_monotone_descent_default_step():
         state = sc.SolverState.initial(m)
         prev = sc.primal_value(spec, m, state.alpha, state.v)
         for _ in range(4):
-            state = sc.prox_gd_step(state, spec, m, step)
+            state = sc.prox_gd_step(state, spec, m, step,
+                                    certified(spec, m, state))
             cur = sc.primal_value(spec, m, state.alpha, state.v)
             assert cur <= prev + 1e-10
             prev = cur
@@ -54,7 +60,8 @@ def check_mb_cd_against_oracle(m, dense, b_vec, spec):
     state = sc.SolverState.initial(m)
     alpha_ref = np.zeros(10)
     for seed in (42, 7, 9, 1, 30):
-        state = sc.mb_cd_round(state, spec, m, b=1, beta=1.0, seed=seed)
+        state = sc.mb_cd_round(state, spec, m, 1, 1.0, seed,
+                               certified(spec, m, state))
         # oracle: same sampled coordinate, dense solo shrinkage step
         i = int(np.random.default_rng(seed).choice(10, size=1, replace=False)[0])
         q = float(dense[:, i] @ dense[:, i])
@@ -80,26 +87,34 @@ def test_mb_cd_validation():
     m, b, _ = regression_instance(seed=4, n=8, d=6)
     spec = lasso_objective(m, b)
     state = sc.SolverState.initial(m)
+    shared = certified(spec, m, state)
     with pytest.raises(ValueError):
-        sc.mb_cd_round(state, spec, m, b=0, beta=1.0, seed=0)
+        sc.mb_cd_round(state, spec, m, 0, 1.0, 0, shared)
     with pytest.raises(ValueError):
-        sc.mb_cd_round(state, spec, m, b=4, beta=5.0, seed=0)
+        sc.mb_cd_round(state, spec, m, 4, 5.0, 0, shared)
     with pytest.raises(ValueError):
         sc.BaselineConfig(kind="sgd")
-    # each would return a result without a certificate or never stop
+    # each would return a result without a certificate, never stop, or
+    # stop as diverged for a step that was never a number
     for bad in ({"max_rounds": -3}, {"gap_tol": -1e-6}, {"gap_tol": -math.inf},
-                {"gap_tol": math.nan}, {"trace_every": 0}):
+                {"gap_tol": math.nan}, {"step_size": math.nan},
+                {"step_size": math.inf}, {"step_size": -1.0}):
+        (name,) = bad
         for kind in ("prox_gd", "mb_cd"):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=name):
                 sc.BaselineConfig(kind=kind, **bad)
+    for step in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            sc.prox_gd_step(state, spec, m, step, shared)
 
 
 def test_mb_cd_deterministic():
     m, b, _ = regression_instance(seed=5, n=12, d=8)
     spec = lasso_objective(m, b)
     state = sc.SolverState.initial(m)
-    r1 = sc.mb_cd_round(state, spec, m, b=4, beta=2.0, seed=9)
-    r2 = sc.mb_cd_round(state, spec, m, b=4, beta=2.0, seed=9)
+    shared = certified(spec, m, state)
+    r1 = sc.mb_cd_round(state, spec, m, 4, 2.0, 9, shared)
+    r2 = sc.mb_cd_round(state, spec, m, 4, 2.0, 9, shared)
     assert np.array_equal(r1.alpha, r2.alpha)
     assert np.array_equal(r1.v, r2.v)
 
@@ -114,16 +129,18 @@ def test_baselines_reach_engine_primal():
     ref = res.traces[-1].primal
 
     pg = sc.solve_baseline(sc.BaselineConfig(
-        kind="prox_gd", max_rounds=50000, gap_tol=1e-8, seed=1,
-        trace_every=25), spec, m)
+        kind="prox_gd", max_rounds=50000, gap_tol=1e-8, seed=1), spec, m)
     assert pg.stop_reason == "gap_tol"
     assert abs(pg.traces[-1].primal - ref) <= 1e-5 * abs(ref)
 
     mb = sc.solve_baseline(sc.BaselineConfig(
         kind="mb_cd", batch_size=8, beta_scale=1.0, max_rounds=300000,
-        gap_tol=1e-8, seed=1, trace_every=100), spec, m)
+        gap_tol=1e-8, seed=1), spec, m)
     assert mb.stop_reason == "gap_tol"
     assert abs(mb.traces[-1].primal - ref) <= 1e-5 * abs(ref)
+    for run in (pg, mb):
+        assert [t.round for t in run.traces] == \
+            list(range(run.state.round + 1))
 
 
 def test_full_batch_jacobi_runs():
@@ -133,7 +150,8 @@ def test_full_batch_jacobi_runs():
     m, b, _ = regression_instance(seed=7, n=16, d=10)
     spec = lasso_objective(m, b)
     state = sc.SolverState.initial(m)
-    nxt = sc.mb_cd_round(state, spec, m, b=16, beta=1.0, seed=3)
+    nxt = sc.mb_cd_round(state, spec, m, 16, 1.0, 3,
+                         certified(spec, m, state))
     assert np.max(np.abs(nxt.v - m.mat_vec(nxt.alpha))) <= 1e-10
 
 

@@ -46,6 +46,13 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+def test_non_finite_sigma_prime_exits_one(capsys):
+    # a NaN sigma' moves no coordinate, so the run would spend its budget
+    assert run(f"{SMALL} --objective lasso --lambda 0.1 --k 2 "
+               f"--sigma-prime nan") == 1
+    assert "sigma_prime" in capsys.readouterr().err
+
+
 def test_eta_out_of_range_exits_one(capsys):
     assert run(f"{SMALL} --objective elastic_net --lambda 0.1 --eta 1.5") == 1
     assert run(f"{SMALL} --objective elastic_net --lambda 0.1 --eta 0.0") == 1

@@ -6,29 +6,6 @@ from conftest import random_matrix
 from oracles import dense_from_columns, normalized_dense
 
 
-def test_col_dot_single_entry():
-    m = sc.ColMatrix.from_columns(2, [[(0, 1.0)]])
-    assert m.col_dot(0, np.array([2.0, 5.0])) == 2.0
-
-
-def test_col_dot_empty_column():
-    m = sc.ColMatrix.from_columns(2, [[]])
-    assert m.col_dot(0, np.array([3.0, 4.0])) == 0.0
-
-
-def test_col_dot_hand_expansion():
-    m = sc.ColMatrix.from_columns(3, [[(0, 0.5), (2, -1.0)]])
-    assert m.col_dot(0, np.array([2.0, 9.0, 3.0])) == pytest.approx(-2.0, abs=1e-15)
-
-
-def test_col_dot_errors():
-    m = sc.ColMatrix.from_columns(2, [[(0, 1.0)]])
-    with pytest.raises(IndexError):
-        m.col_dot(1, np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        m.col_dot(0, np.array([1.0, 2.0, 3.0]))
-
-
 def test_mat_vec_zero_coefficients():
     rng = np.random.default_rng(0)
     m, _ = random_matrix(rng, n=6, d=4)

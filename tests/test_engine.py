@@ -26,10 +26,16 @@ def test_config_defaults_and_validation():
         sc.EngineConfig(k_count=2, gamma=1.5)
     with pytest.raises(ValueError):
         sc.EngineConfig(k_count=2, gamma=0.5, sigma_prime=0.4)
-    # each would return a result without a certificate or never stop
+    # each would return a result without a certificate, never stop, never
+    # move a coordinate, or write a negative or NaN elapsed_ms
     for bad in ({"max_rounds": -3}, {"gap_tol": -1e-6}, {"gap_tol": -math.inf},
-                {"gap_tol": math.nan}, {"trace_every": 0}):
-        with pytest.raises(ValueError):
+                {"gap_tol": math.nan}, {"sigma_prime": math.nan},
+                {"sigma_prime": math.inf}, {"round_latency": -1.0},
+                {"round_latency": math.nan}, {"round_latency": math.inf},
+                {"update_cost": -1.0}, {"update_cost": math.nan},
+                {"update_cost": math.inf}):
+        (name,) = bad
+        with pytest.raises(ValueError, match=name):
             sc.EngineConfig(k_count=2, **bad)
     assert sc.EngineConfig(k_count=2, max_rounds=0, gap_tol=math.inf)
 
@@ -112,6 +118,7 @@ def test_divergent_run_stops_at_its_last_certificate(kind):
     m, spec, p, cfg = divergent_setup(kind)
     res = sc.solve(cfg, spec, m, p)
     assert res.stop_reason == "diverged"
+    assert [t.round for t in res.traces] == list(range(res.state.round + 1))
     last = res.traces[-1]
     assert last.round == res.state.round < cfg.max_rounds
     assert last.primal > res.traces[0].primal
@@ -119,13 +126,67 @@ def test_divergent_run_stops_at_its_last_certificate(kind):
                                           res.state.v)
 
 
+@pytest.mark.parametrize("poison", ["inf", "nan", "overflow"])
+def test_non_finite_round_stops_the_run_at_its_last_certificate(
+        poison, monkeypatch):
+    # a round whose v or certificate is not finite gets no trace row: the
+    # run stops as diverged at the state certified before it, without a
+    # numpy warning
+    m, spec, p = desk_setup(seed=28, kind="enet")
+    cfg = sc.EngineConfig(k_count=4, h_local=2, max_rounds=10, gap_tol=0.0,
+                          seed=2)
+    real = eng.run_round
+
+    def poisoned(*args, **kwargs):
+        new, results = real(*args, **kwargs)
+        if new.round == 3:
+            if poison == "overflow":  # finite, but f(v) and l(alpha) are not
+                new.alpha[0] = 1e200
+                new.v = m.mat_vec(new.alpha)
+            else:
+                new.v[0] = float(poison)
+        return new, results
+
+    monkeypatch.setattr(eng, "run_round", poisoned)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = sc.solve(cfg, spec, m, p)
+    assert res.stop_reason == "diverged"
+    assert res.state.round == 2
+    assert [t.round for t in res.traces] == [0, 1, 2]
+    for tr in res.traces:
+        assert all(math.isfinite(x) for x in (tr.primal, tr.dual, tr.gap,
+                                              tr.nnz, tr.local_updates,
+                                              tr.elapsed_ms))
+    monkeypatch.setattr(eng, "run_round", real)
+    cfg.max_rounds = 2
+    ref = sc.solve(cfg, spec, m, p)
+    assert np.array_equal(res.state.alpha, ref.state.alpha)
+    assert np.array_equal(res.state.v, ref.state.v)
+
+
 @pytest.mark.parametrize("rounds", [400, 2000])
 def test_non_finite_run_stops_at_its_last_finite_certificate(rounds,
-                                                              pass_kernel):
-    # between certificates the elastic-net iterate overflows: at 400
-    # rounds alpha is finite but its penalty is not, at 2000 it is NaN
+                                                              pass_kernel,
+                                                              monkeypatch):
+    # left alone, the elastic-net iterate overflows within `rounds` rounds:
+    # at 400 alpha is finite but its penalty is not, at 2000 it is NaN.
+    # Every round is certified, so the primal rule stops the run long
+    # before that; the first round is poisoned the same way instead
     m, spec, p, cfg = divergent_setup("elastic_net")
-    cfg.max_rounds = cfg.trace_every = rounds
+    cfg.max_rounds = rounds
+    real = eng.run_round
+
+    def poisoned(*args, **kwargs):
+        new, results = real(*args, **kwargs)
+        if rounds == 400:
+            new.alpha[0] = 1e200
+            new.v = m.mat_vec(new.alpha)
+        else:
+            new.alpha[0] = new.v[0] = math.nan
+        return new, results
+
+    monkeypatch.setattr(eng, "run_round", poisoned)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = sc.solve(cfg, spec, m, p)
@@ -136,24 +197,6 @@ def test_non_finite_run_stops_at_its_last_finite_certificate(rounds,
                                               tr.nnz, tr.local_updates,
                                               tr.elapsed_ms))
     assert np.array_equal(res.state.alpha, np.zeros(m.n_cols))
-
-
-def test_overflowed_v_stops_the_run_between_certificates(pass_kernel):
-    m, spec, p, cfg = divergent_setup("elastic_net")
-    cfg.max_rounds = cfg.trace_every = 2000
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        res = sc.solve(cfg, spec, m, p)
-    steps = len(res.diagnostics["wall_times"])
-    assert res.stop_reason == "diverged" and steps < cfg.max_rounds
-    # the run stopped at the first round whose v is not finite; rounds
-    # stepped by hand run outside the driver, which is what silences numpy
-    state = eng.SolverState.initial(m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
-            assert np.isfinite(state.v).all()
-            state, _ = eng.run_round(state, cfg, spec, m, p)
-    assert not np.isfinite(state.v).all()
 
 
 def test_non_finite_zero_start_is_an_input_error():
@@ -225,14 +268,6 @@ def test_v_consistency_along_run():
     assert np.max(np.abs(res.state.v - ref)) <= 1e-8 * (1 + np.max(np.abs(res.state.v)))
 
 
-def test_trace_cadence_amortizes_gap():
-    m, spec, p = desk_setup(seed=12)
-    cfg = sc.EngineConfig(k_count=4, h_local=2, max_rounds=20, gap_tol=0.0,
-                          seed=5, trace_every=7)
-    res = sc.solve(cfg, spec, m, p)
-    assert [t.round for t in res.traces] == [0, 7, 14, 20]
-
-
 def test_gap_decay_shape_elastic_net():
     m, spec, p = desk_setup(seed=13, kind="enet")
     cfg = sc.EngineConfig(k_count=4, h_local=4, max_rounds=200, gap_tol=1e-9, seed=6)
@@ -250,6 +285,7 @@ def test_solve_deterministic_traces():
     cfg = sc.EngineConfig(k_count=3, h_local=2, max_rounds=25, gap_tol=0.0, seed=7)
     r1 = sc.solve(cfg, spec, m, p)
     r2 = sc.solve(cfg, spec, m, p)
+    assert [t.round for t in r1.traces] == list(range(r1.state.round + 1))
     assert [(t.round, t.primal, t.dual, t.gap, t.nnz, t.local_updates,
              t.elapsed_ms) for t in r1.traces] == \
            [(t.round, t.primal, t.dual, t.gap, t.nnz, t.local_updates,
@@ -441,15 +477,6 @@ def test_round_robin_partition_reaches_same_optimum():
     assert abs(finals[0] - finals[1]) <= 1e-6 * max(1.0, abs(finals[0]))
 
 
-def test_trace_every_beyond_budget_still_certifies_final():
-    m, spec, p = desk_setup(seed=27, K=2)
-    cfg = sc.EngineConfig(k_count=2, h_local=1, max_rounds=5, gap_tol=0.0,
-                          seed=1, trace_every=100)
-    res = sc.solve(cfg, spec, m, p)
-    assert [t.round for t in res.traces] == [0, 5]
-    assert res.stop_reason == "max_rounds"
-
-
 def test_frozen_columns_surface_in_diagnostics():
     cols = [[(0, 1.0)], [], [(1, -2.0)], []]
     m = sc.ColMatrix.from_columns(3, cols)
@@ -463,24 +490,19 @@ def test_frozen_columns_surface_in_diagnostics():
 
 
 def test_estimate_theta_reuses_the_certificate(monkeypatch):
-    # at trace_every=1 every round starts from a certificate, whose f(v),
-    # w and A^T w the theta views take instead of computing them again;
-    # at 3 the 8 rounds without one build their views once, for the
-    # round and for theta alike
+    # every round starts from a certificate, whose f(v), w and A^T w the
+    # round's views and the theta estimate take instead of computing them
     m, spec, p = desk_setup(seed=23, n=16, d=10, K=2)
     calls = []
     real = eng.f_grad
     monkeypatch.setattr(eng, "f_grad",
                         lambda *args: calls.append(1) or real(*args))
-    for trace_every, grads in ((1, 0), (3, 8)):
-        cfg = sc.EngineConfig(k_count=2, h_local=2, max_rounds=12,
-                              gap_tol=0.0, seed=3, estimate_theta=True,
-                              trace_every=trace_every)
-        calls.clear()
-        res = sc.solve(cfg, spec, m, p)
-        assert len(res.traces) == 12 // trace_every + 1
-        assert all(t.theta_estimate is not None for t in res.traces[1:])
-        assert len(calls) == grads
+    cfg = sc.EngineConfig(k_count=2, h_local=2, max_rounds=12, gap_tol=0.0,
+                          seed=3, estimate_theta=True)
+    res = sc.solve(cfg, spec, m, p)
+    assert len(res.traces) == 13
+    assert all(t.theta_estimate is not None for t in res.traces[1:])
+    assert calls == []
 
 
 def test_estimate_theta_recorded_in_trace():

@@ -409,6 +409,7 @@ def test_shotgun_configuration_matches_minibatch_cd():
     state0 = sc.SolverState.initial(m)
     state1, _ = sc.run_round(state0, cfg, spec, m, p)
 
-    ref = sc.mb_cd_round(state0, spec, m, b=n, beta=gamma * n, seed=123)
+    ref = sc.mb_cd_round(state0, spec, m, n, gamma * n, 123, sc.duality_gap(
+        spec, m, state0.alpha, state0.v))
     assert np.allclose(state1.alpha, ref.alpha, atol=1e-12)
     assert np.allclose(state1.v, ref.v, atol=1e-12)

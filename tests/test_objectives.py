@@ -240,7 +240,8 @@ def test_dual_value_terms_match_numeric_sup():
     B = spec.reg.support_bound
     total, top = 0.0, 0.0
     for i in range(m.n_cols):
-        x = -m.col_dot(i, w)
+        rows, vals = m.column(i)
+        x = -float(vals @ w[rows])
         ref = numeric_conjugate(lambda a: sc.ell_value(spec.reg, a), x, -B, B)
         term = sc.ell_conj(spec.reg, x)
         assert term == pytest.approx(ref, abs=1e-6 * max(1.0, abs(ref)))
@@ -454,3 +455,7 @@ def test_regularizer_validation():
         sc.Regularizer(kind=sc.ELASTIC_NET, lam=-1.0, eta=0.5)
     with pytest.raises(ValueError, match="no support bound"):
         sc.Regularizer(kind=sc.ELASTIC_NET, lam=1.0, eta=0.5, support_bound=2.0)
+    fit = sc.DataFit(kind=sc.LEAST_SQUARES, labels=np.ones(3))
+    for kind in (sc.L1, sc.ELASTIC_NET):
+        with pytest.raises(ValueError, match="lambda must be positive and finite"):
+            sc.make_objective(fit, kind, math.inf, eta=0.5)
