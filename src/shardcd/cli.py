@@ -47,7 +47,9 @@ def build_parser():
     p.add_argument("--gamma", type=float, default=1.0,
                    help="aggregation weight in (0, 1]")
     p.add_argument("--sigma-prime", type=float, default=None,
-                   help="local quadratic scaling (default gamma * k)")
+                   help="fixed local quadratic scaling, at least gamma "
+                        "(default: adapted each round within [gamma, "
+                        "gamma * k]; the rate theory assumes a fixed one)")
     p.add_argument("--h", type=int, default=1,
                    help="local coordinate-descent epochs per round")
     p.add_argument("--rounds", type=int, default=5000, help="round budget")
@@ -113,9 +115,9 @@ def _run_check(check, args, m, labels, p, cfg):
     if check == "sigma":
         worst = engine.check_sigma_safety(m, p, cfg.gamma, probes=64,
                                           seed=cfg.seed)
-        safe = worst <= cfg.sigma_prime + 1e-9
+        safe = worst <= cfg.fixed_sigma_prime + 1e-9
         print(f"sigma check: worst_ratio={worst:.6g} sigma_prime="
-              f"{cfg.sigma_prime:.6g} safe={safe}")
+              f"{cfg.fixed_sigma_prime:.6g} safe={safe}")
         return 0 if safe else 2
     spec = _make_spec(args, labels)
     if check == "lemma3":
@@ -125,8 +127,9 @@ def _run_check(check, args, m, labels, p, cfg):
         return 0 if ok else 2
     # theta: grade one round of local solves from the zero start
     state = engine.SolverState.initial(m)
-    views = engine._build_views(state, cfg, spec, m, p, engine.duality_gap(
-        spec, m, state.alpha, state.v))
+    views = engine._build_views(state, cfg.fixed_sigma_prime, spec, m, p,
+                                engine.duality_gap(spec, m, state.alpha,
+                                                   state.v))
     thetas = []
     for k in range(p.k_count):
         res = solve_local(views[k], cfg.h_local, engine._worker_seed(cfg.seed, k, 0))
@@ -181,9 +184,12 @@ def cli_main(argv=None):
             return 1
 
     last = result.traces[-1]
+    rejected = ""
+    if baseline_cfg is None and cfg.sigma_prime is None:
+        rejected = f" rejected={result.diagnostics['rejected_rounds']}"
     print(f"{args.objective} [{label}] rounds={result.state.round} "
           f"primal={last.primal:.10g} gap={last.gap:.6g} nnz={last.nnz} "
-          f"stop={result.stop_reason}")
+          f"stop={result.stop_reason}{rejected}")
     return EXIT_CODES[result.stop_reason]
 
 

@@ -19,6 +19,11 @@ row and decides the stop after every round, for the solver and for both
 baselines alike, so their traces and stop reasons ("gap_tol",
 "diverged", "max_rounds") mean the same thing.
 
+Unless a sigma_prime is given, solve adapts the local quadratic scaling
+sigma' each round to the measured alignment of the workers' updates, and
+rejects (keeps the state of) a round whose updates break the data-fit
+half of the paper's Lemma 3 at the sigma' it used.
+
 Timing in traces is simulated (configured per-round latency plus a
 per-update cost model) so traces are deterministic; measured wall times
 are kept separately in the solve diagnostics.
@@ -49,10 +54,14 @@ __all__ = [
 class EngineConfig:
     """Driver knobs.
 
-    sigma_prime defaults to gamma * k_count, the always-safe scaling of
-    the local quadratic term; it must be finite and never drop below
-    gamma. h_local is the number of local coordinate-descent epochs per
-    round, the single communication/computation trade-off knob.
+    sigma_prime is the scaling of the local quadratic term. Unset (None),
+    solve adapts it every round within [gamma, gamma * k_count] to the
+    measured alignment of the workers' updates (see solve); a given
+    number is used in every round, and must be finite and at least gamma.
+    The rate theory (theory_round_bound, check_lemma3) assumes a fixed
+    sigma_prime; gamma * k_count is always safe. h_local is the number
+    of local coordinate-descent epochs per round, the single
+    communication/computation trade-off knob.
     round_latency and update_cost (nonnegative, finite seconds) feed the
     simulated per-round timing recorded in traces.
     """
@@ -75,14 +84,21 @@ class EngineConfig:
             raise ValueError("h_local must be >= 1")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
-        if self.sigma_prime is None:
-            self.sigma_prime = self.gamma * self.k_count
-        if not self.gamma <= self.sigma_prime < math.inf:
+        if self.sigma_prime is not None \
+                and not self.gamma <= self.sigma_prime < math.inf:
             raise ValueError("sigma_prime must be finite and at least gamma")
         for name in ("round_latency", "update_cost"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be nonnegative and finite")
         _check_drive_settings(self.max_rounds, self.gap_tol)
+
+    @property
+    def fixed_sigma_prime(self):
+        """The given sigma_prime, or the always-safe gamma * k_count when
+        unset: the value of every check and hand-stepped round."""
+        if self.sigma_prime is None:
+            return self.gamma * self.k_count
+        return self.sigma_prime
 
 
 def _check_drive_settings(max_rounds, gap_tol):
@@ -133,8 +149,8 @@ def _worker_seed(global_seed, k, t):
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _build_views(state, cfg, spec, m, p, shared, blocks=None):
-    """One view per worker at `state`.
+def _build_views(state, sigma_prime, spec, m, p, shared, blocks=None):
+    """One view per worker at `state`, with the round's sigma_prime.
 
     `shared` is the certificate (GapReport) taken at `state`; every view
     reads its f(v), w and A^T w. `blocks` holds each block's
@@ -147,7 +163,7 @@ def _build_views(state, cfg, spec, m, p, shared, blocks=None):
             block=block,
             w=shared.w,
             alpha_block=state.alpha[block],
-            sigma_prime=cfg.sigma_prime,
+            sigma_prime=sigma_prime,
             tau=spec.data_fit.tau,
             reg=spec.reg,
             f_share=f_share,
@@ -162,9 +178,9 @@ def run_round(state, cfg, spec, m, p, views=None):
     """Execute one synchronous round; returns (new state, worker results).
 
     `views` are the workers' views at `state` as _build_views makes
-    them; without them they are built here from the certificate at
-    `state` (duality_gap), which supplies the data-fit value, its
-    gradient and A^T w for all workers. Local solves run
+    them; without them they are built here, with cfg.fixed_sigma_prime,
+    from the certificate at `state` (duality_gap), which supplies the
+    data-fit value, its gradient and A^T w for all workers. Local solves run
     on disjoint blocks, then the coefficient and shared-vector updates
     are reduced at a barrier in ascending worker order. Coefficients are
     clipped to the penalty's [-B, B] unconditionally: for the L1 box this
@@ -178,7 +194,7 @@ def run_round(state, cfg, spec, m, p, views=None):
     if p.n_cols != m.n_cols:
         raise ValueError("partition does not match matrix columns")
     if views is None:
-        views = _build_views(state, cfg, spec, m, p,
+        views = _build_views(state, cfg.fixed_sigma_prime, spec, m, p,
                              duality_gap(spec, m, state.alpha, state.v))
     t = state.round
     results = [solve_local(views[k], cfg.h_local, _worker_seed(cfg.seed, k, t))
@@ -255,31 +271,78 @@ def _drive(step, spec, m, max_rounds, gap_tol, diag,
     return SolveResult(state, traces, "max_rounds", diag)
 
 
+def _aligned(results, curvature, sigma_over_tau):
+    """Whether a round's updates z_k = delta_v satisfy
+
+        curvature * ||sum_k z_k||^2 <= sigma_over_tau * sum_k ||z_k||^2,
+
+    which for curvature = c gamma, with c the data-fit's curvature bound,
+    gives the data-fit half of the paper's Lemma 3,
+    f(v + gamma sum z) <= f(v) + gamma w^T sum z
+    + (gamma sigma' / 2 tau) sum ||z||^2. Both sides are sums of squares,
+    free of cancellation, so the test needs no rounding slack. A NaN or
+    infinite side passes, so that a non-finite round reaches _drive's
+    "diverged" stop.
+    """
+    total = sum(r.delta_v for r in results)
+    lhs = curvature * float(np.dot(total, total))
+    rhs = sigma_over_tau * sum(float(np.dot(r.delta_v, r.delta_v))
+                               for r in results)
+    return not lhs > rhs
+
+
 def solve(cfg, spec, m, p):
     """Run rounds until the duality gap reaches gap_tol or rounds run out.
 
     Rounds run through _drive, which certifies the zero start and every
     round after it; each round's views take f(v), w and A^T w from the
-    certificate of the state it starts from. Returns the final state, one
-    trace row per round, the stop reason ("gap_tol", "diverged" or
-    "max_rounds"), and a diagnostics dict with measured wall times,
-    per-round coefficient extremes, clamp/frozen-column counters and the
-    coordinate-pass kernel that ran ("c" or "python").
+    certificate of the state it starts from.
+
+    With cfg.sigma_prime unset, sigma' starts at gamma and moves within
+    [gamma, gamma K]. A round below the cap is accepted when its updates
+    pass _aligned; otherwise it is rejected: the state stays as it was
+    (the round still counts, with its updates and a trace row) and
+    sigma' doubles, up to gamma K. After an accepted round sigma' shrinks
+    by a factor 0.9, down to gamma. At gamma K the inequality holds by
+    Cauchy-Schwarz, so no test runs there, nor ever at K = 1.
+
+    Returns the final state, one trace row per round, the stop reason
+    ("gap_tol", "diverged" or "max_rounds"), and a diagnostics dict with
+    measured wall times, per-round coefficient extremes, each round's
+    sigma' (`sigma_prime`), the count of `rejected_rounds`,
+    clamp/frozen-column counters and the coordinate-pass kernel that ran
+    ("c" or "python").
     """
     if m.n_cols != p.n_cols:
         raise ValueError("partition does not match matrix columns")
     diag = {
         "max_abs_coef": [],
+        "sigma_prime": [],
+        "rejected_rounds": 0,
         "clamp_hits": 0,
         "frozen_cols": 0,
         "columns_normalized": bool(getattr(m, "normalized", False)),
         "kernel": kernel_name(),
     }
     blocks = [BlockColumns.of(m, block) for block in p.blocks]
+    cap = cfg.fixed_sigma_prime
+    adaptive = cfg.sigma_prime is None
+    sigma = cfg.gamma if adaptive else cap
+    curvature = spec.data_fit.curvature * cfg.gamma
 
     def step(state, shared):
-        views = _build_views(state, cfg, spec, m, p, shared, blocks)
+        nonlocal sigma
+        views = _build_views(state, sigma, spec, m, p, shared, blocks)
         new, results = run_round(state, cfg, spec, m, p, views)
+        diag["sigma_prime"].append(sigma)
+        if adaptive:
+            if sigma < cap and not _aligned(results, curvature,
+                                            sigma / spec.data_fit.tau):
+                new = SolverState(alpha=state.alpha, v=state.v, round=new.round)
+                diag["rejected_rounds"] += 1
+                sigma = min(cap, 2.0 * sigma)
+            else:
+                sigma = max(cfg.gamma, 0.9 * sigma)
         diag["clamp_hits"] += sum(r.clamp_hits for r in results)
         diag["frozen_cols"] = max(diag["frozen_cols"],
                                   sum(r.frozen_cols for r in results))
@@ -309,14 +372,16 @@ def check_lemma3(spec, m, p, cfg, trials=200, seed=0, sigma_scale=None):
     and returns the worst left-minus-right value over all trials (<= 0
     up to rounding when the local quadratic scaling is safe). Each
     trial draws its own gamma and uses sigma_prime = scale * gamma * K,
-    where `scale` defaults to the configured sigma_prime / (gamma K)
-    ratio; passing sigma_scale < 1 probes deliberately unsafe scalings
-    the solver config itself would reject.
+    where `scale` defaults to cfg.fixed_sigma_prime / (gamma K), 1 when
+    sigma_prime is unset; passing sigma_scale < 1 probes deliberately
+    unsafe scalings the solver config itself would reject.
     """
     spec.check_dims(m)
     rng = np.random.default_rng(seed)
-    ratio = cfg.sigma_prime / (cfg.gamma * p.k_count) if sigma_scale is None \
-        else float(sigma_scale)
+    if sigma_scale is None:
+        ratio = cfg.fixed_sigma_prime / (cfg.gamma * p.k_count)
+    else:
+        ratio = float(sigma_scale)
     reg = spec.reg
     if reg.kind == "l1":
         scale = 0.45 * reg.support_bound

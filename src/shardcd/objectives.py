@@ -82,6 +82,13 @@ class DataFit:
     def dim(self):
         return len(self.labels)
 
+    @property
+    def curvature(self):
+        """Bound c on the curvature of f, f(v + d) <= f(v) + grad f(v)^T d
+        + c ||d||^2 / 2: 1 for least squares and 1/4 for logistic, whose
+        labels are +-1. It never exceeds 1 / tau."""
+        return 1.0 if self.kind == LEAST_SQUARES else 0.25
+
 
 @dataclass(frozen=True)
 class Regularizer:

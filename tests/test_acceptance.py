@@ -45,7 +45,7 @@ def c5_run():
     tight = sc.solve(sc.EngineConfig(k_count=4, h_local=5, max_rounds=3000,
                                      gap_tol=1e-12, seed=3), spec, m, p)
     zero = sc.SolverState.initial(m)
-    views = _build_views(zero, cfg, spec, m, p,
+    views = _build_views(zero, cfg.fixed_sigma_prime, spec, m, p,
                          sc.duality_gap(spec, m, zero.alpha, zero.v))
     theta = max(sc.measure_theta(views[k],
                                  sc.solve_local(views[k], cfg.h_local,

@@ -36,6 +36,16 @@ def test_diverged_run_exits_three(capsys):
     assert "stop=diverged" in capsys.readouterr().out
 
 
+def test_rejected_rounds_printed_beside_adaptive_stop(capsys):
+    args = f"{SMALL} --objective lasso --lambda 0.5 --k 4 --h 3 --rounds 2000"
+    assert run(args) == 0
+    line = capsys.readouterr().out.strip()
+    assert line.split()[-2] == "stop=gap_tol"
+    assert line.split()[-1].startswith("rejected=")
+    assert run(f"{args} --sigma-prime 4") == 0
+    assert capsys.readouterr().out.strip().endswith("stop=gap_tol")
+
+
 def test_usage_errors_exit_one(capsys):
     assert run("--bogus") == 1
     assert run(f"{SMALL} --objective lasso --lambda 0.1 --k 0") == 1

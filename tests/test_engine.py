@@ -19,7 +19,9 @@ def desk_setup(seed=5, n=40, d=24, kind="l1", K=4):
 
 def test_config_defaults_and_validation():
     cfg = sc.EngineConfig(k_count=4, gamma=0.5)
-    assert cfg.sigma_prime == pytest.approx(2.0)
+    assert cfg.sigma_prime is None  # adapted by solve within [gamma, gamma K]
+    assert cfg.fixed_sigma_prime == 2.0
+    assert sc.EngineConfig(k_count=4, sigma_prime=3.0).fixed_sigma_prime == 3.0
     with pytest.raises(ValueError):
         sc.EngineConfig(k_count=0)
     with pytest.raises(ValueError):
@@ -131,10 +133,11 @@ def test_non_finite_round_stops_the_run_at_its_last_certificate(
         poison, monkeypatch):
     # a round whose v or certificate is not finite gets no trace row: the
     # run stops as diverged at the state certified before it, without a
-    # numpy warning
+    # numpy warning. sigma' is fixed at gamma K so that round 3 is
+    # applied; the adaptive default rejects it and discards the poison
     m, spec, p = desk_setup(seed=28, kind="enet")
-    cfg = sc.EngineConfig(k_count=4, h_local=2, max_rounds=10, gap_tol=0.0,
-                          seed=2)
+    cfg = sc.EngineConfig(k_count=4, h_local=2, sigma_prime=4.0,
+                          max_rounds=10, gap_tol=0.0, seed=2)
     real = eng.run_round
 
     def poisoned(*args, **kwargs):
@@ -197,6 +200,30 @@ def test_non_finite_run_stops_at_its_last_finite_certificate(rounds,
                                               tr.nnz, tr.local_updates,
                                               tr.elapsed_ms))
     assert np.array_equal(res.state.alpha, np.zeros(m.n_cols))
+
+
+def test_nan_update_is_accepted_and_stops_as_diverged(monkeypatch):
+    # the alignment test passes a NaN update instead of rejecting it round
+    # after round (doubling sigma') until the budget runs out
+    m, spec, p = desk_setup(seed=28, kind="enet")
+    cfg = sc.EngineConfig(k_count=4, h_local=2, max_rounds=10, gap_tol=0.0,
+                          seed=2)
+    real = eng.solve_local
+
+    def poisoned(view, h, seed):
+        res = real(view, h, seed)
+        if view.block[0] == p.blocks[1][0]:
+            res.delta_v[0] = math.nan
+        return res
+
+    monkeypatch.setattr(eng, "solve_local", poisoned)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = sc.solve(cfg, spec, m, p)
+    assert res.stop_reason == "diverged"
+    assert res.state.round == 0 and len(res.traces) == 1
+    assert res.diagnostics["rejected_rounds"] == 0
+    assert res.diagnostics["sigma_prime"] == [cfg.gamma]
 
 
 def test_non_finite_zero_start_is_an_input_error():
@@ -514,6 +541,15 @@ def test_estimate_theta_recorded_in_trace():
     assert all(0.0 <= t.theta_estimate <= 1.0 for t in res.traces[1:])
 
 
+def random_partition(rng, n, k):
+    """k blocks of a random permutation of n columns, each sorted."""
+    blocks = tuple(np.sort(c) for c in np.array_split(rng.permutation(n), k))
+    owner = np.empty(n, dtype=np.int64)
+    for kk, blk in enumerate(blocks):
+        owner[blk] = kk
+    return sc.Partition(k_count=k, blocks=blocks, owner=owner)
+
+
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**16), k=st.integers(1, 6),
@@ -526,12 +562,7 @@ def test_round_invariants_over_random_partitions(seed, k, kind, unsafe_sigma, h)
     if rng.random() < 0.5:
         m.normalize_columns()
     spec = lasso_objective(m, b, frac=0.1) if kind == "l1" else enet_objective(b)
-    perm = rng.permutation(n)
-    blocks = tuple(np.sort(c) for c in np.array_split(perm, k))
-    owner = np.empty(n, dtype=np.int64)
-    for kk, blk in enumerate(blocks):
-        owner[blk] = kk
-    p = sc.Partition(k_count=k, blocks=blocks, owner=owner)
+    p = random_partition(rng, n, k)
     # sigma' below gamma K is unsafe; only the box keeps L1 runs bounded
     sigma = 1.0 if unsafe_sigma and kind == "l1" else None
     cfg = sc.EngineConfig(k_count=k, h_local=h, sigma_prime=sigma,
@@ -545,3 +576,137 @@ def test_round_invariants_over_random_partitions(seed, k, kind, unsafe_sigma, h)
         if kind == "l1":
             assert np.max(np.abs(state.alpha)) <= spec.reg.support_bound
         assert sc.duality_gap(spec, m, state.alpha, state.v).gap >= -1e-9
+
+
+# ----------------------------------------------------------------------
+# adaptive sigma' (the default)
+
+
+def _solve_recording_rounds(cfg, spec, m, p):
+    """solve, plus (input state, views, new state, results) of every
+    run_round call; solve passes the input state on when it rejects a
+    round."""
+    calls = []
+    real = eng.run_round
+
+    def recording(state, cfg, spec, m, p, views=None):
+        new, results = real(state, cfg, spec, m, p, views)
+        calls.append((state, views, new, results))
+        return new, results
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eng, "run_round", recording)
+        return sc.solve(cfg, spec, m, p), calls
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**16), k=st.integers(2, 6),
+       kind=st.sampled_from(["lasso", "enet", "logistic"]),
+       h=st.integers(1, 4))
+def test_accepted_rounds_satisfy_lemma3_and_never_raise_the_primal(
+        seed, k, kind, h):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(k, 30)), int(rng.integers(3, 20))
+    m, b, _ = sc.gen_synthetic(sc.SyntheticSpec(
+        n=n, d=d, density=float(rng.uniform(0.2, 0.8)), true_nnz=2,
+        noise_sd=0.1, seed=seed), classification=kind == "logistic")
+    if rng.random() < 0.5:
+        m.normalize_columns()
+    fit = sc.DataFit(kind=sc.LOGISTIC if kind == "logistic"
+                     else sc.LEAST_SQUARES, labels=b)
+    lam = 0.1 * float(np.max(np.abs(m.mat_tvec(sc.f_grad(fit, np.zeros(d))))))
+    spec = sc.make_objective(fit, "elastic_net" if kind == "enet" else "l1",
+                             max(lam, 1e-3), eta=0.5)
+    p = random_partition(rng, n, k)
+    gamma = float(rng.choice([1.0, 0.5]))
+    cfg = sc.EngineConfig(k_count=k, h_local=h, gamma=gamma, max_rounds=25,
+                          gap_tol=0.0, seed=seed)
+    res, calls = _solve_recording_rounds(cfg, spec, m, p)
+    assert res.stop_reason != "diverged"
+    assert [t.round for t in res.traces] == list(range(res.state.round + 1))
+    assert len(calls) == res.state.round
+    assert res.diagnostics["sigma_prime"] == [views[0].sigma_prime
+                                              for _, views, _, _ in calls]
+    assert all(gamma <= s <= gamma * k for s in res.diagnostics["sigma_prime"])
+    successors = [state for state, _, _, _ in calls[1:]] + [res.state]
+    rejected = 0
+    for (state, views, new, results), nxt in zip(calls, successors):
+        if nxt.alpha is not new.alpha:  # rejected: the input state went on
+            assert nxt.alpha is state.alpha and nxt.v is state.v
+            rejected += 1
+            continue
+        # the data-fit half of Lemma 3, with f evaluated directly
+        fv = sc.f_value(fit, state.v)
+        total = sum(r.delta_v for r in results)
+        sq = sum(float(np.dot(r.delta_v, r.delta_v)) for r in results)
+        sigma = views[0].sigma_prime
+        rhs = fv + gamma * float(np.dot(views[0].w, total)) \
+            + gamma * sigma / (2.0 * fit.tau) * sq
+        assert sc.f_value(fit, new.v) <= rhs + 1e-9 * abs(fv)
+    assert rejected == res.diagnostics["rejected_rounds"]
+    primals = [t.primal for t in res.traces]
+    for before, after in zip(primals, primals[1:]):
+        assert after <= before + 1e-9 * abs(before)
+
+
+@pytest.mark.parametrize("kind", ["l1", "elastic_net"])
+def test_adaptive_sigma_converges_where_a_fixed_unsafe_one_diverges(kind):
+    m, spec, p, fixed_cfg = divergent_setup(kind)
+    assert sc.solve(fixed_cfg, spec, m, p).stop_reason == "diverged"
+    cfg = sc.EngineConfig(k_count=16, h_local=20, max_rounds=3000,
+                          gap_tol=1e-8, seed=0)
+    res = sc.solve(cfg, spec, m, p)
+    assert res.stop_reason == "gap_tol"
+    assert res.diagnostics["rejected_rounds"] > 0
+    ref = sc.solve(sc.EngineConfig(k_count=16, h_local=20, sigma_prime=16.0,
+                                   max_rounds=3000, gap_tol=1e-8, seed=0),
+                   spec, m, p)
+    assert ref.stop_reason == "gap_tol"
+    assert res.state.round < ref.state.round
+    gap = max(res.traces[-1].gap, ref.traces[-1].gap)
+    assert abs(res.traces[-1].primal - ref.traces[-1].primal) <= gap
+
+
+def desk_grid_instance(kind):
+    m, b, _ = sc.gen_synthetic(sc.SyntheticSpec(
+        n=400, d=200, density=0.05, true_nnz=20, noise_sd=0.1, seed=1),
+        classification=kind == "logistic")
+    m.normalize_columns()
+    fit = sc.DataFit(kind=sc.LOGISTIC if kind == "logistic"
+                     else sc.LEAST_SQUARES, labels=b)
+    zero = np.zeros(m.n_rows)
+    lam = 0.1 * float(np.max(np.abs(m.mat_tvec(sc.f_grad(fit, zero)))))
+    spec = sc.make_objective(fit, "elastic_net" if kind == "enet" else "l1",
+                             lam, eta=0.5)
+    return m, spec, 1e-6 * sc.f_value(fit, zero)
+
+
+@pytest.mark.parametrize("kind", ["lasso", "enet"])
+def test_adaptive_sigma_needs_no_more_rounds_than_gamma_k(kind):
+    # round counts only: they are deterministic, timings are not
+    m, spec, tol = desk_grid_instance(kind)
+    for k in (4, 16):
+        p = sc.partition_columns(m.n_cols, k)
+        runs = [sc.solve(sc.EngineConfig(k_count=k, h_local=5,
+                                         sigma_prime=sp, max_rounds=5000,
+                                         gap_tol=tol), spec, m, p)
+                for sp in (None, float(k))]
+        assert [r.stop_reason for r in runs] == ["gap_tol", "gap_tol"]
+        assert runs[0].state.round <= runs[1].state.round
+
+
+@pytest.mark.parametrize("kind", ["lasso", "logistic"])
+def test_adaptive_sigma_is_inert_on_one_worker(kind, tmp_path):
+    m, spec, tol = desk_grid_instance(kind)
+    p = sc.partition_columns(m.n_cols, 1)
+    files = []
+    for sp in (None, 0.5):
+        res = sc.solve(sc.EngineConfig(k_count=1, h_local=2, gamma=0.5,
+                                       sigma_prime=sp, max_rounds=200,
+                                       gap_tol=tol), spec, m, p)
+        assert res.diagnostics["rejected_rounds"] == 0
+        assert set(res.diagnostics["sigma_prime"]) == {0.5}
+        files.append(tmp_path / f"{sp}.csv")
+        sc.write_trace(res.traces, files[-1])
+    assert files[0].read_bytes() == files[1].read_bytes()
