@@ -10,11 +10,11 @@ with a computable duality-gap certificate bounding suboptimality.
 
 from .baselines import BaselineConfig, mb_cd_round, prox_gd_step, solve_baseline
 from .data import ColMatrix, Partition, partition_columns, sq_spectral_norm
-from .dataio import (DataFormatError, SyntheticSpec, gen_synthetic,
-                     read_libsvm, write_libsvm, write_trace)
+from .dataio import (DataFormatError, SyntheticSpec, TRACE_FIELDS,
+                     gen_synthetic, read_libsvm, write_libsvm, write_trace)
 from .engine import (EngineConfig, RoundTrace, SolveResult, SolverState,
-                     block_sigma_k, check_lemma3, check_sigma_safety,
-                     run_round, solve, theory_round_bound)
+                     check_lemma3, check_sigma_safety, check_v, run_round,
+                     solve, theory_round_bound)
 from .local import (BlockColumns, LocalResult, SubproblemView,
                     coordinate_update, measure_theta, solve_local,
                     subproblem_value)

@@ -1,11 +1,11 @@
 """Single-process reference optimizers for benchmark comparisons.
 
 Two baselines: full proximal gradient descent, and mini-batch parallel
-coordinate descent (one shrinkage step per sampled coordinate, all
-applied together with a damping factor beta / batch). The single-update,
-one-coordinate-per-worker extreme of the mini-batch scheme is the
-classic high-communication configuration the round-based solver is
-meant to improve on. Both run through the solver's own driver loop, so
+coordinate descent (one shrinkage step per sampled coordinate, all taken
+by prox-GD's vector prox and applied together with a damping factor
+beta / batch). The single-update, one-coordinate-per-worker extreme of
+the mini-batch scheme is the classic high-communication configuration
+the round-based solver is meant to improve on. Both run through the solver's own driver loop, so
 they are certified, drift-checked, traced and stopped exactly like it,
 and each step takes its gradient from the certificate of the state it
 starts from.
@@ -20,7 +20,6 @@ import numpy as np
 
 from .data import sq_spectral_norm
 from .engine import SolverState, _check_drive_settings, _drive, _worker_seed
-from .local import coordinate_update
 
 __all__ = ["BaselineConfig", "prox_gd_step", "mb_cd_round", "solve_baseline"]
 
@@ -56,7 +55,7 @@ class BaselineConfig:
             raise ValueError("batch_size must be >= 1")
         if not 1.0 <= self.beta_scale <= self.batch_size:
             raise ValueError("beta_scale must lie in [1, batch_size]")
-        _check_drive_settings(self.max_rounds, self.gap_tol)
+        _check_drive_settings(self.max_rounds, self.gap_tol, self.seed)
 
 
 def _check_step(step, name):
@@ -65,8 +64,9 @@ def _check_step(step, name):
 
 
 def _prox(reg, u, step):
-    """Vector prox of step * l: the shrinkage of `coordinate_update` at
-    curvature 1/step and zero slope, elementwise."""
+    """Vector prox of step * l, for a scalar or per-entry step: the
+    shrinkage of `coordinate_update` at curvature 1/step and zero slope,
+    elementwise."""
     l1, l2, bound = reg.penalty
     shrunk = np.sign(u) * np.maximum(np.abs(u) - step * l1, 0.0)
     return np.clip(shrunk / (1.0 + step * l2), -bound, bound)
@@ -86,10 +86,11 @@ def prox_gd_step(state, spec, m, step, shared):
 def mb_cd_round(state, spec, m, b, beta, seed, shared):
     """One mini-batch coordinate-descent round.
 
-    Samples b distinct coordinates, computes each one's solo shrinkage
-    update against the current gradient (curvature ||x_i||^2 / tau, no
-    cross terms), and applies all of them scaled by beta / b, updating
-    the shared vector incrementally. Zero-norm coordinates stay frozen.
+    Samples b distinct coordinates; those of zero norm stay frozen. The
+    others each take a solo shrinkage step against the current gradient
+    (curvature ||x_i||^2 / tau, no cross terms), which is a prox step of
+    length tau / ||x_i||^2, all in one _prox call, scaled by beta / b;
+    the shared vector is updated column by column for those that moved.
     `shared` is the certificate (GapReport) taken at `state`; its A^T w
     holds each coordinate's gradient x_i^T w.
     """
@@ -100,22 +101,17 @@ def mb_cd_round(state, spec, m, b, beta, seed, shared):
         raise ValueError("beta must lie in [1, batch]")
     rng = np.random.default_rng(seed)
     coords = rng.choice(n, size=b, replace=False)
-    tau = spec.data_fit.tau
-    sq = m.col_sq_norms
-    scale = beta / b
+    coords = coords[m.col_sq_norms[coords] > 0.0]
+    step = spec.data_fit.tau / m.col_sq_norms[coords]
+    c = state.alpha[coords]
+    dlt = beta / b * (_prox(spec.reg, c - step * shared.atw[coords], step) - c)
+    moved = dlt != 0.0
 
     alpha = state.alpha.copy()
     v = state.v.copy()
-    for i in coords:
-        i = int(i)
-        if sq[i] <= 0.0:
-            continue
-        c = alpha[i]
-        new = coordinate_update(spec.reg, c, shared.atw[i], sq[i] / tau)
-        dlt = scale * (new - c)
-        if dlt != 0.0:
-            alpha[i] = c + dlt
-            m.axpy_column(i, dlt, v)
+    alpha[coords[moved]] += dlt[moved]
+    for i, d in zip(coords[moved].tolist(), dlt[moved].tolist()):
+        m.axpy_column(i, d, v)
     return SolverState(alpha=alpha, v=v, round=state.round + 1)
 
 

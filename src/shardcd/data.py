@@ -198,42 +198,31 @@ class Partition:
     def n_cols(self):
         return len(self.owner)
 
-    def block_sizes(self):
-        return [len(b) for b in self.blocks]
 
-
-def partition_columns(n, k, strategy="contiguous"):
-    """Split columns {0..n-1} into k balanced, deterministic blocks.
-
-    Balanced means block sizes differ by at most one.
+def partition_columns(n, k):
+    """Split columns {0..n-1} into k contiguous blocks whose sizes differ
+    by at most one, the larger first. Any other disjoint cover can be
+    built as a Partition directly.
     """
     if k <= 0:
         raise ValueError("k must be positive")
     if k > n:
         raise ValueError(f"cannot split {n} columns over {k} workers")
-    if strategy == "contiguous":
-        blocks = [np.asarray(b, dtype=np.int64) for b in np.array_split(np.arange(n), k)]
-    elif strategy == "round_robin":
-        blocks = [np.arange(k0, n, k, dtype=np.int64) for k0 in range(k)]
-    else:
-        raise ValueError(f"unknown partition strategy {strategy!r}")
+    blocks = np.array_split(np.arange(n, dtype=np.int64), k)
     owner = np.empty(n, dtype=np.int64)
     for kk, b in enumerate(blocks):
         owner[b] = kk
     return Partition(k_count=k, blocks=tuple(blocks), owner=owner)
 
 
-def sq_spectral_norm(m, cols=None, iters=50, seed=0):
-    """Power-iteration estimate of ||A_S||^2 for a column subset S.
+def sq_spectral_norm(m, iters=50, seed=0):
+    """Power-iteration estimate of ||A||^2.
 
-    Iterates u <- normalize(A_S^T A_S u) from a seeded Gaussian start and
-    returns the final Rayleigh quotient ||A_S u||^2 / ||u||^2. With
-    `cols=None` the whole matrix is used. Returns 0.0 for an empty or
-    all-zero subset.
+    Iterates u <- normalize(A^T A u) from a seeded Gaussian start and
+    returns the final Rayleigh quotient ||A u||^2 / ||u||^2. Returns 0.0
+    for a matrix without columns or with all-zero ones.
     """
-    a = m._csc if cols is None else m._csc[:, np.asarray(cols, dtype=np.int64)]
-    if a.shape[1] == 0:
-        return 0.0
+    a = m._csc
     u = np.random.default_rng(seed).standard_normal(a.shape[1])
     est = 0.0
     for _ in range(max(int(iters), 1)):

@@ -40,13 +40,13 @@ import numpy as np
 from .local import (BlockColumns, SubproblemView, kernel_name, measure_theta,
                     solve_local, subproblem_value)
 # benchmarks/tracing.py wraps duality_gap, f_grad and f_value here by name
-from .objectives import (ELASTIC_NET, duality_gap, f_grad, f_value,
-                         primal_value)
+from .objectives import (ELASTIC_NET, duality_gap, f_grad,  # noqa: F401
+                         f_value, primal_value)
 
 __all__ = [
     "EngineConfig", "SolverState", "RoundTrace", "SolveResult",
     "run_round", "solve", "check_v",
-    "check_lemma3", "check_sigma_safety", "theory_round_bound", "block_sigma_k",
+    "check_lemma3", "check_sigma_safety", "theory_round_bound",
 ]
 
 
@@ -57,11 +57,12 @@ class EngineConfig:
     sigma_prime is the scaling of the local quadratic term. Unset (None),
     solve adapts it every round within [gamma, gamma * k_count] to the
     measured alignment of the workers' updates (see solve); a given
-    number is used in every round, and must be finite and at least gamma.
-    The rate theory (theory_round_bound, check_lemma3) assumes a fixed
-    sigma_prime; gamma * k_count is always safe. h_local is the number
-    of local coordinate-descent epochs per round, the single
-    communication/computation trade-off knob.
+    number, finite and at least gamma, is both ends of that range, so it
+    is used in every round. The rate theory (theory_round_bound,
+    check_lemma3) assumes a fixed sigma_prime; gamma * k_count is always
+    safe. h_local is the number of local coordinate-descent epochs per
+    round, the single communication/computation trade-off knob. seed
+    (nonnegative) derives every worker's sampling stream.
     round_latency and update_cost (nonnegative, finite seconds) feed the
     simulated per-round timing recorded in traces.
     """
@@ -90,7 +91,7 @@ class EngineConfig:
         for name in ("round_latency", "update_cost"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be nonnegative and finite")
-        _check_drive_settings(self.max_rounds, self.gap_tol)
+        _check_drive_settings(self.max_rounds, self.gap_tol, self.seed)
 
     @property
     def fixed_sigma_prime(self):
@@ -101,13 +102,16 @@ class EngineConfig:
         return self.sigma_prime
 
 
-def _check_drive_settings(max_rounds, gap_tol):
+def _check_drive_settings(max_rounds, gap_tol, seed):
     """Reject the _drive settings under which it could return a result
-    without a certificate, or never stop on the gap (a NaN gap_tol)."""
+    without a certificate, never stop on the gap (a NaN gap_tol), or fail
+    after round 0 deriving a worker stream (a negative seed)."""
     if max_rounds < 0:
         raise ValueError("max_rounds must be >= 0")
     if not gap_tol >= 0:
         raise ValueError("gap_tol must be nonnegative")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
 
 
 @dataclass
@@ -228,8 +232,11 @@ def _drive(step, spec, m, max_rounds, gap_tol, diag,
 
     `step(state, shared)` advances one round from `state`, whose
     certificate is `shared`, and returns (new state, coordinate updates,
-    theta estimate or None). Every state, the zero start included, is
-    certified after check_v and recorded as one trace row. Stops with
+    theta estimate or None); it must not modify the arrays it is handed.
+    Every state, the zero start included, is certified after check_v and
+    recorded as one trace row; a step that hands back the alpha and v
+    arrays certified last (a rejected round) reuses that drift and
+    certificate. Stops with
     "gap_tol" at a gap within gap_tol and with "diverged" at a primal not
     at most the zero start's (a monotone method never climbs above it),
     else "max_rounds"; the returned state is the one in the last trace
@@ -242,6 +249,7 @@ def _drive(step, spec, m, max_rounds, gap_tol, diag,
     """
     spec.check_dims(m)
     state = certified = SolverState.initial(m)
+    shared = None
     traces = []
     diag["wall_times"] = []
     diag["sim_elapsed_s"] = 0.0
@@ -253,8 +261,10 @@ def _drive(step, spec, m, max_rounds, gap_tol, diag,
             diag["wall_times"].append(time.perf_counter() - t0)
             seconds = round_latency + update_cost * updates
             diag["sim_elapsed_s"] += seconds
-        drift = check_v(m, state.alpha, state.v)
-        shared = duality_gap(spec, m, state.alpha, state.v)
+        if shared is None or state.alpha is not certified.alpha \
+                or state.v is not certified.v:
+            drift = check_v(m, state.alpha, state.v)
+            shared = duality_gap(spec, m, state.alpha, state.v)
         if not math.isfinite(drift + shared.gap):
             if not t:
                 raise ValueError("objective is not finite at the zero start")
@@ -271,6 +281,12 @@ def _drive(step, spec, m, max_rounds, gap_tol, diag,
     return SolveResult(state, traces, "max_rounds", diag)
 
 
+def _alignment(zs):
+    """||sum_k z_k||^2 and sum_k ||z_k||^2 of per-block products z_k."""
+    total = sum(zs)
+    return float(np.dot(total, total)), sum(float(np.dot(z, z)) for z in zs)
+
+
 def _aligned(results, curvature, sigma_over_tau):
     """Whether a round's updates z_k = delta_v satisfy
 
@@ -284,11 +300,8 @@ def _aligned(results, curvature, sigma_over_tau):
     infinite side passes, so that a non-finite round reaches _drive's
     "diverged" stop.
     """
-    total = sum(r.delta_v for r in results)
-    lhs = curvature * float(np.dot(total, total))
-    rhs = sigma_over_tau * sum(float(np.dot(r.delta_v, r.delta_v))
-                               for r in results)
-    return not lhs > rhs
+    aligned, spread = _alignment([r.delta_v for r in results])
+    return not curvature * aligned > sigma_over_tau * spread
 
 
 def solve(cfg, spec, m, p):
@@ -298,13 +311,14 @@ def solve(cfg, spec, m, p):
     round after it; each round's views take f(v), w and A^T w from the
     certificate of the state it starts from.
 
-    With cfg.sigma_prime unset, sigma' starts at gamma and moves within
-    [gamma, gamma K]. A round below the cap is accepted when its updates
-    pass _aligned; otherwise it is rejected: the state stays as it was
-    (the round still counts, with its updates and a trace row) and
-    sigma' doubles, up to gamma K. After an accepted round sigma' shrinks
-    by a factor 0.9, down to gamma. At gamma K the inequality holds by
-    Cauchy-Schwarz, so no test runs there, nor ever at K = 1.
+    sigma' starts at the floor and moves within [floor, cap]: [gamma,
+    gamma K] with cfg.sigma_prime unset, else floor = cap = sigma_prime.
+    A round below the cap is accepted when its updates pass _aligned;
+    otherwise it is rejected: the state stays as it was (the round still
+    counts, with its updates and a trace row, and keeps its certificate)
+    and sigma' doubles, up to the cap. After an accepted round sigma'
+    shrinks by a factor 0.9, down to the floor. At gamma K the inequality
+    holds by Cauchy-Schwarz, so no test runs there, nor ever at K = 1.
 
     Returns the final state, one trace row per round, the stop reason
     ("gap_tol", "diverged" or "max_rounds"), and a diagnostics dict with
@@ -326,8 +340,7 @@ def solve(cfg, spec, m, p):
     }
     blocks = [BlockColumns.of(m, block) for block in p.blocks]
     cap = cfg.fixed_sigma_prime
-    adaptive = cfg.sigma_prime is None
-    sigma = cfg.gamma if adaptive else cap
+    floor = sigma = cfg.gamma if cfg.sigma_prime is None else cap
     curvature = spec.data_fit.curvature * cfg.gamma
 
     def step(state, shared):
@@ -335,14 +348,13 @@ def solve(cfg, spec, m, p):
         views = _build_views(state, sigma, spec, m, p, shared, blocks)
         new, results = run_round(state, cfg, spec, m, p, views)
         diag["sigma_prime"].append(sigma)
-        if adaptive:
-            if sigma < cap and not _aligned(results, curvature,
-                                            sigma / spec.data_fit.tau):
-                new = SolverState(alpha=state.alpha, v=state.v, round=new.round)
-                diag["rejected_rounds"] += 1
-                sigma = min(cap, 2.0 * sigma)
-            else:
-                sigma = max(cfg.gamma, 0.9 * sigma)
+        if sigma < cap and not _aligned(results, curvature,
+                                        sigma / spec.data_fit.tau):
+            new = SolverState(alpha=state.alpha, v=state.v, round=new.round)
+            diag["rejected_rounds"] += 1
+            sigma = min(cap, 2.0 * sigma)
+        else:
+            sigma = max(floor, 0.9 * sigma)
         diag["clamp_hits"] += sum(r.clamp_hits for r in results)
         diag["frozen_cols"] = max(diag["frozen_cols"],
                                   sum(r.frozen_cols for r in results))
@@ -374,19 +386,14 @@ def check_lemma3(spec, m, p, cfg, trials=200, seed=0, sigma_scale=None):
     trial draws its own gamma and uses sigma_prime = scale * gamma * K,
     where `scale` defaults to cfg.fixed_sigma_prime / (gamma K), 1 when
     sigma_prime is unset; passing sigma_scale < 1 probes deliberately
-    unsafe scalings the solver config itself would reject.
+    unsafe scalings the solver config itself would reject. D(alpha) and
+    each G_k come from the certificate at alpha and its _build_views.
     """
     spec.check_dims(m)
     rng = np.random.default_rng(seed)
-    if sigma_scale is None:
-        ratio = cfg.fixed_sigma_prime / (cfg.gamma * p.k_count)
-    else:
-        ratio = float(sigma_scale)
-    reg = spec.reg
-    if reg.kind == "l1":
-        scale = 0.45 * reg.support_bound
-    else:
-        scale = 1.0
+    ratio = cfg.fixed_sigma_prime / (cfg.gamma * p.k_count) \
+        if sigma_scale is None else float(sigma_scale)
+    scale = 0.45 * spec.reg.support_bound if spec.reg.kind == "l1" else 1.0
     blocks = [BlockColumns.of(m, block) for block in p.blocks]
     worst = -math.inf
     for _ in range(trials):
@@ -394,22 +401,15 @@ def check_lemma3(spec, m, p, cfg, trials=200, seed=0, sigma_scale=None):
         sigma_prime = ratio * gamma * p.k_count
         alpha = scale * rng.uniform(-1.0, 1.0, size=m.n_cols)
         delta = scale * rng.uniform(-1.0, 1.0, size=m.n_cols)
-        v = m.mat_vec(alpha)
-        f_share = f_value(spec.data_fit, v) / p.k_count
-        w = f_grad(spec.data_fit, v)
-        atw = m.mat_tvec(w)
-
-        rhs = (1.0 - gamma) * primal_value(spec, m, alpha, v)
-        for k in range(p.k_count):
-            block = p.blocks[k]
+        state = SolverState(alpha=alpha, v=m.mat_vec(alpha))
+        shared = duality_gap(spec, m, alpha, state.v)
+        views = _build_views(state, sigma_prime, spec, m, p, shared, blocks)
+        rhs = (1.0 - gamma) * shared.primal
+        for view in views:
             dk = np.zeros(m.n_cols)
-            dk[block] = delta[block]
-            zk = m.mat_vec(dk)
-            view = SubproblemView(
-                matrix=m, block=block, w=w, alpha_block=alpha[block],
-                sigma_prime=sigma_prime, tau=spec.data_fit.tau, reg=reg,
-                f_share=f_share, xw=atw[block], columns=blocks[k])
-            rhs += gamma * subproblem_value(view, delta[block], zk)
+            dk[view.block] = delta[view.block]
+            rhs += gamma * subproblem_value(view, delta[view.block],
+                                            m.mat_vec(dk))
 
         a_new = alpha + gamma * delta
         lhs = primal_value(spec, m, a_new, m.mat_vec(a_new))
@@ -428,28 +428,21 @@ def check_sigma_safety(m, p, gamma, probes=64, seed=0):
     (iterates of A^T A, whose limit concentrates mass on the most
     cross-block-aligned direction). A configured sigma_prime is safe on
     this data only if it is at least the returned ratio; the ratio
-    never exceeds gamma * K. All-zero probes are skipped.
+    never exceeds gamma * K. All-zero probes count as 0.
     """
     rng = np.random.default_rng(seed)
 
     def ratio(alpha):
-        denom = 0.0
-        for k in range(p.k_count):
-            block = p.blocks[k]
+        zs = []
+        for block in p.blocks:
             ak = np.zeros(m.n_cols)
             ak[block] = alpha[block]
-            zk = m.mat_vec(ak)
-            denom += float(np.dot(zk, zk))
-        if denom == 0.0:
-            return None
-        z = m.mat_vec(alpha)
-        return gamma * float(np.dot(z, z)) / denom
+            zs.append(m.mat_vec(ak))
+        aligned, spread = _alignment(zs)
+        return gamma * aligned / spread if spread else 0.0
 
-    worst = 0.0
-    for _ in range(max(int(probes), 1)):
-        r = ratio(rng.standard_normal(m.n_cols))
-        if r is not None:
-            worst = max(worst, r)
+    worst = max(ratio(rng.standard_normal(m.n_cols))
+                for _ in range(max(int(probes), 1)))
     # refine: power iteration drives probes toward the top singular vector
     u = rng.standard_normal(m.n_cols)
     for _ in range(30):
@@ -459,9 +452,7 @@ def check_sigma_safety(m, p, gamma, probes=64, seed=0):
         if nrm == 0.0:
             break
         u = u_next / nrm
-        r = ratio(u)
-        if r is not None:
-            worst = max(worst, r)
+        worst = max(worst, ratio(u))
     return worst
 
 
@@ -491,14 +482,3 @@ def theory_round_bound(spec, m, cfg, theta):
     return (1.0 / (cfg.gamma * (1.0 - theta))) * ((mu_tau + n) / mu_tau) \
         * math.log(n / eps)
 
-
-def block_sigma_k(m, p, k, power_iters=30):
-    """Squared spectral norm of one worker's column block (power iteration).
-
-    For unit-norm columns this never exceeds the block size, which is
-    what makes the default quadratic scaling safe. Diagnostic only.
-    """
-    if power_iters < 10:
-        raise ValueError("power_iters must be >= 10")
-    from .data import sq_spectral_norm
-    return sq_spectral_norm(m, cols=p.blocks[k], iters=power_iters, seed=12345 + k)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -56,15 +56,16 @@ class DualDomainError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class DataFit:
-    """Smooth data-fit term: kind, labels, and smoothness constant.
+    """Smooth data-fit term: kind and labels.
 
-    Both built-in kinds are 1-smooth, so `tau` is fixed at 1. Logistic
-    labels must be exactly +-1.
+    Both built-in kinds are 1-smooth, so the smoothness constant `tau`
+    is a class constant, 1, not a field. Logistic labels must be exactly
+    +-1.
     """
 
     kind: str
     labels: np.ndarray
-    tau: float = 1.0
+    tau: ClassVar[float] = 1.0
 
     def __post_init__(self):
         if self.kind not in (LEAST_SQUARES, LOGISTIC):
@@ -74,8 +75,6 @@ class DataFit:
             raise ValueError("labels must be finite")
         if self.kind == LOGISTIC and not np.all(np.abs(labels) == 1.0):
             raise ValueError("logistic labels must be exactly +1 or -1")
-        if self.tau != 1.0:
-            raise ValueError("built-in data-fit kinds are 1-smooth (tau = 1)")
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -155,23 +154,15 @@ def default_support_bound(fit, lam):
     return f_value(fit, np.zeros(fit.dim)) / lam
 
 
-def make_objective(fit, reg_kind, lam, eta=None, support_bound=None):
-    """Assemble an ObjectiveSpec, filling in the default L1 box.
+def make_objective(fit, reg_kind, lam, eta=None):
+    """Assemble an ObjectiveSpec; the L1 box is default_support_bound.
 
-    A caller-supplied `support_bound` may only enlarge the default;
-    shrinking it would change the solution set.
+    A Regularizer built directly may take any finite box, but one below
+    the default may change the solution set.
     """
     if reg_kind == L1:
-        b_default = default_support_bound(fit, lam)
-        if support_bound is None:
-            bound = b_default
-        elif support_bound < b_default:
-            raise ValueError(
-                f"support bound {support_bound} below default {b_default}; "
-                "override may only increase it")
-        else:
-            bound = float(support_bound)
-        reg = Regularizer(kind=L1, lam=lam, support_bound=bound)
+        reg = Regularizer(kind=L1, lam=lam,
+                          support_bound=default_support_bound(fit, lam))
     elif reg_kind == ELASTIC_NET:
         if eta is None:
             raise ValueError("elastic net requires eta")

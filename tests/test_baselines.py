@@ -39,47 +39,79 @@ def test_prox_gd_monotone_descent_default_step():
             prev = cur
 
 
-def test_mb_cd_single_coordinate_matches_scalar_oracle():
-    # b=1, beta=1 must follow a plain sequential-CD trajectory exactly:
-    # replicate five rounds with an independent dense implementation
+def oracle_instance(zero_col=None):
+    """A random 8 x 10 matrix, optionally with one all-zero column, its
+    dense copy, labels, and lasso and elastic-net specs on them."""
     from oracles import dense_from_columns
     from conftest import random_matrix
     rng = np.random.default_rng(3)
-    m, cols = random_matrix(rng, n=10, d=8, density=0.5)
+    _, cols = random_matrix(rng, n=10, d=8, density=0.5)
+    if zero_col is not None:
+        cols[zero_col] = []
+    m = sc.ColMatrix.from_columns(8, cols)
     dense = dense_from_columns(8, cols)
     b_vec = rng.standard_normal(8)
     fit = sc.DataFit(kind=sc.LEAST_SQUARES, labels=b_vec)
     lam = 0.1 * float(np.max(np.abs(dense.T @ b_vec)))
-    for kind in ("l1", "elastic_net"):
-        check_mb_cd_against_oracle(m, dense, b_vec, sc.make_objective(
-            fit, kind, lam, eta=0.4 if kind == "elastic_net" else None))
+    specs = [sc.make_objective(fit, kind, lam, eta=0.4)
+             for kind in ("l1", "elastic_net")]
+    return m, dense, b_vec, specs
 
 
-def check_mb_cd_against_oracle(m, dense, b_vec, spec):
+def test_mb_cd_single_coordinate_matches_scalar_oracle():
+    # b=1, beta=1 must follow a plain sequential-CD trajectory exactly:
+    # replicate five rounds with an independent dense implementation
+    m, dense, b_vec, specs = oracle_instance()
+    for spec in specs:
+        check_mb_cd_against_oracle(m, dense, b_vec, spec)
+
+
+def test_mb_cd_batch_matches_jacobi_oracle():
+    # b > 1: every sampled coordinate steps from the round's one gradient
+    # (a Jacobi step), scaled by beta / b; a zero-norm column never moves
+    m, dense, b_vec, specs = oracle_instance(zero_col=3)
+    for spec in specs:
+        check_mb_cd_against_oracle(m, dense, b_vec, spec, batch=4, beta=2.5,
+                                   zero_col=3)
+
+
+def check_mb_cd_against_oracle(m, dense, b_vec, spec, batch=1, beta=1.0,
+                               zero_col=None):
     lam, bound = spec.reg.lam, spec.reg.support_bound
+    n = m.n_cols
     state = sc.SolverState.initial(m)
-    alpha_ref = np.zeros(10)
+    alpha_ref = np.zeros(n)
+    zero_sampled = False
     for seed in (42, 7, 9, 1, 30):
-        state = sc.mb_cd_round(state, spec, m, 1, 1.0, seed,
+        state = sc.mb_cd_round(state, spec, m, batch, beta, seed,
                                certified(spec, m, state))
-        # oracle: same sampled coordinate, dense solo shrinkage step
-        i = int(np.random.default_rng(seed).choice(10, size=1, replace=False)[0])
-        q = float(dense[:, i] @ dense[:, i])
-        if q > 0:
-            resid = dense @ alpha_ref - b_vec
+        # oracle: same sampled coordinates, dense solo shrinkage steps,
+        # all from the gradient at the round's start
+        coords = np.random.default_rng(seed).choice(n, size=batch,
+                                                    replace=False)
+        zero_sampled |= zero_col in coords.tolist()
+        resid = dense @ alpha_ref - b_vec
+        start = alpha_ref.copy()
+        for i in coords.tolist():
+            q = float(dense[:, i] @ dense[:, i])
+            if q == 0:
+                continue
             g = float(dense[:, i] @ resid)
             if spec.reg.kind == sc.L1:
-                target = alpha_ref[i] - g / q
+                target = start[i] - g / q
                 new = np.sign(target) * max(abs(target) - lam / q, 0.0)
-                alpha_ref[i] = min(max(new, -bound), bound)
+                new = min(max(new, -bound), bound)
             else:
                 # argmin_a q/2 (a - c)^2 + g (a - c) + lam (eta a^2/2 + (1-eta)|a|)
                 eta = spec.reg.eta
-                num = q * alpha_ref[i] - g
-                alpha_ref[i] = np.sign(num) * max(abs(num) - lam * (1 - eta),
-                                                  0.0) / (q + lam * eta)
+                num = q * start[i] - g
+                new = np.sign(num) * max(abs(num) - lam * (1 - eta),
+                                         0.0) / (q + lam * eta)
+            alpha_ref[i] = start[i] + beta / batch * (new - start[i])
         assert np.allclose(state.alpha, alpha_ref, atol=1e-12)
     assert np.count_nonzero(alpha_ref) >= 2
+    if zero_col is not None:
+        assert zero_sampled and state.alpha[zero_col] == 0.0
     assert np.max(np.abs(state.v - m.mat_vec(state.alpha))) <= 1e-12
 
 
@@ -94,11 +126,12 @@ def test_mb_cd_validation():
         sc.mb_cd_round(state, spec, m, 4, 5.0, 0, shared)
     with pytest.raises(ValueError):
         sc.BaselineConfig(kind="sgd")
-    # each would return a result without a certificate, never stop, or
-    # stop as diverged for a step that was never a number
+    # each would return a result without a certificate, never stop, stop
+    # as diverged for a step that was never a number, or fail after round
+    # 0 deriving a sampling stream
     for bad in ({"max_rounds": -3}, {"gap_tol": -1e-6}, {"gap_tol": -math.inf},
                 {"gap_tol": math.nan}, {"step_size": math.nan},
-                {"step_size": math.inf}, {"step_size": -1.0}):
+                {"step_size": math.inf}, {"step_size": -1.0}, {"seed": -1}):
         (name,) = bad
         for kind in ("prox_gd", "mb_cd"):
             with pytest.raises(ValueError, match=name):

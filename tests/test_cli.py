@@ -63,6 +63,14 @@ def test_non_finite_sigma_prime_exits_one(capsys):
     assert "sigma_prime" in capsys.readouterr().err
 
 
+def test_negative_seed_exits_one(capsys):
+    # it would fail after round 0, deriving a worker stream
+    for extra in ("--k 2", "--baseline mb_cd"):
+        assert run(f"{SMALL} --objective lasso --lambda 0.1 --seed -1 "
+                   f"{extra}") == 1
+        assert "seed must be nonnegative" in capsys.readouterr().err
+
+
 def test_eta_out_of_range_exits_one(capsys):
     assert run(f"{SMALL} --objective elastic_net --lambda 0.1 --eta 1.5") == 1
     assert run(f"{SMALL} --objective elastic_net --lambda 0.1 --eta 0.0") == 1

@@ -35,7 +35,7 @@ def test_config_defaults_and_validation():
                 {"sigma_prime": math.inf}, {"round_latency": -1.0},
                 {"round_latency": math.nan}, {"round_latency": math.inf},
                 {"update_cost": -1.0}, {"update_cost": math.nan},
-                {"update_cost": math.inf}):
+                {"update_cost": math.inf}, {"seed": -1}):
         (name,) = bad
         with pytest.raises(ValueError, match=name):
             sc.EngineConfig(k_count=2, **bad)
@@ -405,25 +405,6 @@ def test_theory_round_bound_monotone_in_theta():
     assert t2 > t1
 
 
-def test_block_sigma_k_examples():
-    single = sc.ColMatrix.from_columns(3, [[(1, 1.0)]])
-    p1 = sc.partition_columns(1, 1)
-    assert sc.block_sigma_k(single, p1, 0) == pytest.approx(1.0, abs=1e-9)
-
-    dup = sc.ColMatrix.from_columns(3, [[(0, 1.0)], [(0, 1.0)]])
-    p2 = sc.partition_columns(2, 1)
-    assert sc.block_sigma_k(dup, p2, 0) == pytest.approx(2.0, abs=1e-9)
-
-
-def test_block_sigma_k_bounded_by_block_size_when_normalized():
-    m, _, _ = desk_setup(seed=20, n=32, d=16)
-    m.normalize_columns()
-    p = sc.partition_columns(32, 4)
-    for k in range(4):
-        sig = sc.block_sigma_k(m, p, k, power_iters=40)
-        assert sig <= len(p.blocks[k]) + 1e-6
-
-
 def test_partition_independence_of_optimum_small():
     m, b, _ = regression_instance(seed=21, n=24, d=16)
     m.normalize_columns()
@@ -490,13 +471,13 @@ def test_solve_falls_back_to_python_without_a_compiler(monkeypatch):
         assert abs(a.primal - b.primal) <= 1e-12 * abs(b.primal)
 
 
-def test_round_robin_partition_reaches_same_optimum():
+def test_random_partition_reaches_same_optimum():
     m, b, _ = regression_instance(seed=26, n=30, d=20)
     m.normalize_columns()
     spec = lasso_objective(m, b, frac=0.2)
     finals = []
-    for strategy in ("contiguous", "round_robin"):
-        p = sc.partition_columns(30, 3, strategy=strategy)
+    for p in (sc.partition_columns(30, 3),
+              random_partition(np.random.default_rng(26), 30, 3)):
         res = sc.solve(sc.EngineConfig(k_count=3, h_local=8, max_rounds=3000,
                                        gap_tol=1e-9, seed=4), spec, m, p)
         assert res.stop_reason == "gap_tol"
@@ -648,6 +629,26 @@ def test_accepted_rounds_satisfy_lemma3_and_never_raise_the_primal(
     primals = [t.primal for t in res.traces]
     for before, after in zip(primals, primals[1:]):
         assert after <= before + 1e-9 * abs(before)
+
+
+def test_rejected_round_reuses_its_certificate(monkeypatch):
+    # a rejected round hands back the state it started from, which _drive
+    # certified already: no second drift check or certificate for it
+    m, spec, p = desk_setup(seed=5, K=4)
+    calls = {"check_v": 0, "duality_gap": 0}
+    for name in calls:
+        def counting(*args, real=getattr(eng, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(eng, name, counting)
+    res = sc.solve(sc.EngineConfig(k_count=4, h_local=3, max_rounds=40,
+                                   gap_tol=0.0, seed=1), spec, m, p)
+    rejected = res.diagnostics["rejected_rounds"]
+    assert rejected > 0
+    assert len(res.traces) == res.state.round + 1 == 41
+    assert calls == {"check_v": 41 - rejected, "duality_gap": 41 - rejected}
+    rows = [(t.primal, t.dual, t.gap, t.nnz) for t in res.traces]
+    assert sum(a == b for a, b in zip(rows, rows[1:])) >= rejected
 
 
 @pytest.mark.parametrize("kind", ["l1", "elastic_net"])

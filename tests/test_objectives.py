@@ -392,20 +392,25 @@ def test_certificate_between_suboptimality_and_box_gap(seed, kind):
         assert rep.gap >= rep.primal - p_star - 1e-9
 
     # the run stops no later than the box gap alone would let it
-    box_gaps = []
-    real = eng.duality_gap
+    starts = []  # each round's input state: the state of the row before
+    real = eng.run_round
 
-    def recording(spec_, m_, a, v):
-        box_gaps.append(_box_gap(spec_, m_, a, v))
-        return real(spec_, m_, a, v)
+    def recording(state, *args):
+        starts.append(state)
+        return real(state, *args)
 
     gap_tol = 1e-4 * tight.traces[0].primal
     p = sc.partition_columns(n, 2 if n > 2 else 1)
     cfg = sc.EngineConfig(k_count=p.k_count, h_local=1, max_rounds=400,
                           gap_tol=gap_tol, seed=2)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eng, "duality_gap", recording)
+        mp.setattr(eng, "run_round", recording)
         res = sc.solve(cfg, spec, m, p)
+    # one box gap per trace row; a rejected round's row repeats the state,
+    # and so the box gap, of the row before it
+    box_gaps = [_box_gap(spec, m, st.alpha, st.v)
+                for st in starts + [res.state]]
+    assert len(box_gaps) == len(res.traces)
     first_box = next((t for t, g in enumerate(box_gaps) if g <= gap_tol),
                      math.inf)
     assert res.traces[-1].round <= first_box
@@ -429,14 +434,6 @@ def test_default_support_bound_monotone_in_lambda():
     fit = ls_fit(b)
     bounds = [sc.default_support_bound(fit, lam) for lam in (0.5, 1.0, 2.0, 8.0)]
     assert all(bounds[i] > bounds[i + 1] for i in range(len(bounds) - 1))
-
-
-def test_make_objective_rejects_downward_override():
-    b = np.array([2.0, 2.0])
-    with pytest.raises(ValueError):
-        sc.make_objective(ls_fit(b), "l1", 1.0, support_bound=0.5)
-    spec = sc.make_objective(ls_fit(b), "l1", 1.0, support_bound=100.0)
-    assert spec.reg.support_bound == 100.0
 
 
 def test_datafit_validation():
