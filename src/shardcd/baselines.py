@@ -31,11 +31,11 @@ MB_CD = "mb_cd"
 class BaselineConfig:
     """Settings for one baseline run.
 
-    For prox_gd, a None step_size resolves to tau / ||A||^2 (power
-    iteration estimate), the largest step with guaranteed descent; a
-    given step must be positive and finite. For
-    mb_cd, batch_size coordinates are sampled per round and updates are
-    scaled by beta_scale / batch_size with beta_scale in [1, batch].
+    For prox_gd, a None step_size resolves to tau / ||A||^2 (power iteration
+    estimate; tau is 1 for least squares and 4 for logistic), the largest
+    step with guaranteed descent; a given step must be positive and finite.
+    For mb_cd, batch_size coordinates are sampled per round and updates
+    are scaled by beta_scale / batch_size with beta_scale in [1, batch].
     """
 
     kind: str

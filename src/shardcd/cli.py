@@ -59,7 +59,8 @@ def build_parser():
                    help="rescale columns to unit norm before solving")
     p.add_argument("--baseline", choices=("prox_gd", "mb_cd"), default=None)
     p.add_argument("--step", type=float, default=None,
-                   help="prox_gd step size (default tau / ||A||^2)")
+                   help="prox_gd step size (default tau / ||A||^2, "
+                        "tau = 1 for least squares, 4 for logistic)")
     p.add_argument("--batch", type=int, default=1, help="mb_cd batch size")
     p.add_argument("--beta", type=float, default=1.0,
                    help="mb_cd update scale numerator, in [1, batch]")
@@ -101,14 +102,10 @@ def _load_instance(args):
 def _make_spec(args, labels):
     if args.lam is None:
         raise ValueError("--lambda is required")
-    if args.objective == "lasso":
-        fit = DataFit(kind=LEAST_SQUARES, labels=labels)
-        return make_objective(fit, "l1", args.lam)
-    if args.objective == "elastic_net":
-        fit = DataFit(kind=LEAST_SQUARES, labels=labels)
-        return make_objective(fit, "elastic_net", args.lam, eta=args.eta)
-    fit = DataFit(kind=LOGISTIC, labels=labels)
-    return make_objective(fit, "l1", args.lam)
+    kind = LOGISTIC if args.objective == "sparse_logistic" else LEAST_SQUARES
+    reg = "elastic_net" if args.objective == "elastic_net" else "l1"
+    return make_objective(DataFit(kind=kind, labels=labels), reg, args.lam,
+                          eta=args.eta)
 
 
 def _run_check(check, args, m, labels, p, cfg):

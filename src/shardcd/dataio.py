@@ -33,7 +33,7 @@ def read_libsvm(path):
     example.
 
     Returns (matrix, labels); labels has one entry per example. An empty
-    file is an error.
+    file and a non-finite label or value are errors.
     """
     labels = []
     ex_rows, ex_cols, ex_vals = [], [], []
@@ -72,7 +72,15 @@ def read_libsvm(path):
     if example == 0:
         raise DataFormatError(f"{path}: empty dataset")
     labels = np.asarray(labels, dtype=np.float64)
-    return ColMatrix.from_coo(example, n_features, ex_rows, ex_cols, ex_vals), labels
+    vals = np.asarray(ex_vals, dtype=np.float64)
+    if not (np.isfinite(labels).all() and np.isfinite(vals).all()):
+        with open(path, "r") as fh:  # error path only: find the line again
+            for lineno, line in enumerate(fh, start=1):
+                for tok in line.split():
+                    if not np.isfinite(float(tok.rpartition(":")[2])):
+                        raise DataFormatError(
+                            f"{path}:{lineno}: non-finite number {tok!r}")
+    return ColMatrix.from_coo(example, n_features, ex_rows, ex_cols, vals), labels
 
 
 def write_libsvm(path, m, labels):

@@ -287,21 +287,20 @@ def _alignment(zs):
     return float(np.dot(total, total)), sum(float(np.dot(z, z)) for z in zs)
 
 
-def _aligned(results, curvature, sigma_over_tau):
+def _aligned(results, gamma, sigma_prime):
     """Whether a round's updates z_k = delta_v satisfy
 
-        curvature * ||sum_k z_k||^2 <= sigma_over_tau * sum_k ||z_k||^2,
+        gamma * ||sum_k z_k||^2 <= sigma_prime * sum_k ||z_k||^2,
 
-    which for curvature = c gamma, with c the data-fit's curvature bound,
-    gives the data-fit half of the paper's Lemma 3,
-    f(v + gamma sum z) <= f(v) + gamma w^T sum z
-    + (gamma sigma' / 2 tau) sum ||z||^2. Both sides are sums of squares,
-    free of cancellation, so the test needs no rounding slack. A NaN or
-    infinite side passes, so that a non-finite round reaches _drive's
-    "diverged" stop.
+    which, for a (1/tau)-smooth data fit, gives the data-fit half of the
+    paper's Lemma 3, f(v + gamma sum z) <= f(v) + gamma w^T sum z
+    + (gamma sigma' / 2 tau) sum ||z||^2; tau scales both sides alike.
+    Both sides are sums of squares, free of cancellation, so the test
+    needs no rounding slack. A NaN or infinite side passes, so that a
+    non-finite round reaches _drive's "diverged" stop.
     """
     aligned, spread = _alignment([r.delta_v for r in results])
-    return not curvature * aligned > sigma_over_tau * spread
+    return not gamma * aligned > sigma_prime * spread
 
 
 def solve(cfg, spec, m, p):
@@ -313,12 +312,12 @@ def solve(cfg, spec, m, p):
 
     sigma' starts at the floor and moves within [floor, cap]: [gamma,
     gamma K] with cfg.sigma_prime unset, else floor = cap = sigma_prime.
-    A round below the cap is accepted when its updates pass _aligned;
-    otherwise it is rejected: the state stays as it was (the round still
-    counts, with its updates and a trace row, and keeps its certificate)
-    and sigma' doubles, up to the cap. After an accepted round sigma'
-    shrinks by a factor 0.9, down to the floor. At gamma K the inequality
-    holds by Cauchy-Schwarz, so no test runs there, nor ever at K = 1.
+    A round below the cap is accepted when its updates pass _aligned (one
+    test for both data fits), else rejected: the state stays as it was
+    (the round still counts, with its updates and a trace row, and keeps
+    its certificate) and sigma' doubles, up to the cap. After an accepted
+    round sigma' shrinks by a factor 0.9, down to the floor. At gamma K
+    the inequality holds by Cauchy-Schwarz: no test runs there or at K=1.
 
     Returns the final state, one trace row per round, the stop reason
     ("gap_tol", "diverged" or "max_rounds"), and a diagnostics dict with
@@ -335,21 +334,19 @@ def solve(cfg, spec, m, p):
         "rejected_rounds": 0,
         "clamp_hits": 0,
         "frozen_cols": 0,
-        "columns_normalized": bool(getattr(m, "normalized", False)),
+        "columns_normalized": m.normalized,
         "kernel": kernel_name(),
     }
     blocks = [BlockColumns.of(m, block) for block in p.blocks]
     cap = cfg.fixed_sigma_prime
     floor = sigma = cfg.gamma if cfg.sigma_prime is None else cap
-    curvature = spec.data_fit.curvature * cfg.gamma
 
     def step(state, shared):
         nonlocal sigma
         views = _build_views(state, sigma, spec, m, p, shared, blocks)
         new, results = run_round(state, cfg, spec, m, p, views)
         diag["sigma_prime"].append(sigma)
-        if sigma < cap and not _aligned(results, curvature,
-                                        sigma / spec.data_fit.tau):
+        if sigma < cap and not _aligned(results, cfg.gamma, sigma):
             new = SolverState(alpha=state.alpha, v=state.v, round=new.round)
             diag["rejected_rounds"] += 1
             sigma = min(cap, 2.0 * sigma)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,14 +58,12 @@ class DualDomainError(ValueError):
 class DataFit:
     """Smooth data-fit term: kind and labels.
 
-    Both built-in kinds are 1-smooth, so the smoothness constant `tau`
-    is a class constant, 1, not a field. Logistic labels must be exactly
-    +-1.
+    f is (1/tau)-smooth, f(v + d) <= f(v) + grad f(v)^T d + ||d||^2 / (2 tau),
+    with `tau` fixed by the kind. Logistic labels must be exactly +-1.
     """
 
     kind: str
     labels: np.ndarray
-    tau: ClassVar[float] = 1.0
 
     def __post_init__(self):
         if self.kind not in (LEAST_SQUARES, LOGISTIC):
@@ -82,11 +80,10 @@ class DataFit:
         return len(self.labels)
 
     @property
-    def curvature(self):
-        """Bound c on the curvature of f, f(v + d) <= f(v) + grad f(v)^T d
-        + c ||d||^2 / 2: 1 for least squares and 1/4 for logistic, whose
-        labels are +-1. It never exceeds 1 / tau."""
-        return 1.0 if self.kind == LEAST_SQUARES else 0.25
+    def tau(self):
+        """1 for least squares (f'' = 1) and 4 for logistic, whose second
+        derivative b^2 t (1 - t) is at most 1/4 for labels b = +-1."""
+        return 1.0 if self.kind == LEAST_SQUARES else 4.0
 
 
 @dataclass(frozen=True)

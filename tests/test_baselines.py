@@ -23,20 +23,33 @@ def test_prox_gd_fixed_point_at_solution():
     assert np.array_equal(nxt.alpha, state.alpha)
 
 
+def logistic_objective(m, b, frac):
+    """L1 logistic regression on the signs of the regression labels b,
+    at lambda = frac * lambda_max."""
+    fit = sc.DataFit(kind=sc.LOGISTIC, labels=np.where(b >= 0.0, 1.0, -1.0))
+    lam_max = float(np.max(np.abs(m.mat_tvec(sc.f_grad(fit, np.zeros(len(b)))))))
+    return sc.make_objective(fit, "l1", frac * lam_max)
+
+
 def test_prox_gd_monotone_descent_default_step():
+    # tau / ||A||^2 is the descent limit: 1 / ||A||^2 for least squares,
+    # 4 / ||A||^2 for logistic, whose curvature is at most 1/4
     rng = np.random.default_rng(2)
     for trial in range(100):
         m, b, _ = regression_instance(seed=100 + trial, n=16, d=12)
-        spec = lasso_objective(m, b, frac=float(rng.uniform(0.05, 0.4)))
-        step = spec.data_fit.tau / sc.sq_spectral_norm(m, iters=60, seed=trial)
-        state = sc.SolverState.initial(m)
-        prev = sc.primal_value(spec, m, state.alpha, state.v)
-        for _ in range(4):
-            state = sc.prox_gd_step(state, spec, m, step,
-                                    certified(spec, m, state))
-            cur = sc.primal_value(spec, m, state.alpha, state.v)
-            assert cur <= prev + 1e-10
-            prev = cur
+        frac = float(rng.uniform(0.05, 0.4))
+        for spec in (lasso_objective(m, b, frac=frac),
+                     logistic_objective(m, b, frac)):
+            step = spec.data_fit.tau / sc.sq_spectral_norm(m, iters=60,
+                                                           seed=trial)
+            state = sc.SolverState.initial(m)
+            prev = sc.primal_value(spec, m, state.alpha, state.v)
+            for _ in range(4):
+                state = sc.prox_gd_step(state, spec, m, step,
+                                        certified(spec, m, state))
+                cur = sc.primal_value(spec, m, state.alpha, state.v)
+                assert cur <= prev + 1e-10
+                prev = cur
 
 
 def oracle_instance(zero_col=None):
@@ -155,25 +168,27 @@ def test_mb_cd_deterministic():
 def test_baselines_reach_engine_primal():
     m, b, _ = regression_instance(seed=6, n=32, d=20)
     m.normalize_columns()
-    spec = lasso_objective(m, b, frac=0.2)
     p = sc.partition_columns(32, 4)
-    res = sc.solve(sc.EngineConfig(k_count=4, h_local=8, max_rounds=3000,
-                                   gap_tol=1e-9, seed=1), spec, m, p)
-    ref = res.traces[-1].primal
+    for spec in (lasso_objective(m, b, frac=0.2),
+                 logistic_objective(m, b, 0.2)):
+        res = sc.solve(sc.EngineConfig(k_count=4, h_local=8, max_rounds=3000,
+                                       gap_tol=1e-9, seed=1), spec, m, p)
+        assert res.stop_reason == "gap_tol"
+        ref = res.traces[-1].primal
 
-    pg = sc.solve_baseline(sc.BaselineConfig(
-        kind="prox_gd", max_rounds=50000, gap_tol=1e-8, seed=1), spec, m)
-    assert pg.stop_reason == "gap_tol"
-    assert abs(pg.traces[-1].primal - ref) <= 1e-5 * abs(ref)
+        pg = sc.solve_baseline(sc.BaselineConfig(
+            kind="prox_gd", max_rounds=50000, gap_tol=1e-8, seed=1), spec, m)
+        assert pg.stop_reason == "gap_tol"
+        assert abs(pg.traces[-1].primal - ref) <= 1e-5 * abs(ref)
 
-    mb = sc.solve_baseline(sc.BaselineConfig(
-        kind="mb_cd", batch_size=8, beta_scale=1.0, max_rounds=300000,
-        gap_tol=1e-8, seed=1), spec, m)
-    assert mb.stop_reason == "gap_tol"
-    assert abs(mb.traces[-1].primal - ref) <= 1e-5 * abs(ref)
-    for run in (pg, mb):
-        assert [t.round for t in run.traces] == \
-            list(range(run.state.round + 1))
+        mb = sc.solve_baseline(sc.BaselineConfig(
+            kind="mb_cd", batch_size=8, beta_scale=1.0, max_rounds=300000,
+            gap_tol=1e-8, seed=1), spec, m)
+        assert mb.stop_reason == "gap_tol"
+        assert abs(mb.traces[-1].primal - ref) <= 1e-5 * abs(ref)
+        for run in (pg, mb):
+            assert [t.round for t in run.traces] == \
+                list(range(run.state.round + 1))
 
 
 def test_full_batch_jacobi_runs():

@@ -63,6 +63,15 @@ def test_read_libsvm_rejects_nonascending(tmp_path):
         sc.read_libsvm(path)
 
 
+@pytest.mark.parametrize("line", ["nan 1:0.5", "1 1:nan", "1 1:0.5 2:inf",
+                                  "-1 2:-inf"])
+def test_read_libsvm_rejects_non_finite(tmp_path, line):
+    path = tmp_path / "nonfinite.txt"
+    path.write_text(f"1 1:0.5\n\n{line}\n-1 2:1.0\n")
+    with pytest.raises(DataFormatError, match=r"nonfinite\.txt:3: non-finite"):
+        sc.read_libsvm(path)
+
+
 def test_libsvm_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     m, _ = random_matrix(rng, n=9, d=6, density=0.5)

@@ -59,6 +59,29 @@ def test_f_grad_matches_finite_differences():
             assert np.max(np.abs(g - g_ref)) <= 1e-6
 
 
+def test_tau_is_the_tight_smoothness_constant():
+    # 0 <= f(v + d) - f(v) - grad f(v)^T d <= ||d||^2 / (2 tau), and the
+    # bound is met to first order at v = 0, where f'' is largest
+    rng = np.random.default_rng(12)
+    fits = (ls_fit(rng.standard_normal(20)),
+            logistic_fit(rng.choice([-1.0, 1.0], size=20)))
+    assert [fit.tau for fit in fits] == [1.0, 4.0]
+
+    def ratio(fit, v, d):
+        excess = sc.f_value(fit, v + d) - sc.f_value(fit, v) \
+            - float(np.dot(sc.f_grad(fit, v), d))
+        assert excess >= 0.0
+        return 2.0 * fit.tau * excess / float(np.dot(d, d))
+
+    for fit in fits:
+        for _ in range(200):
+            v = 2.0 * rng.standard_normal(20)
+            d = float(rng.uniform(0.1, 3.0)) * rng.standard_normal(20)
+            assert ratio(fit, v, d) <= 1.0 + 1e-9
+        d = 1e-3 * rng.standard_normal(20) / math.sqrt(20)
+        assert 0.99 < ratio(fit, np.zeros(20), d) <= 1.0 + 1e-9
+
+
 def test_f_conj_least_squares_at_minus_labels():
     b = np.array([1.0, 2.0, -1.0])
     assert sc.f_conj(ls_fit(b), -b) == pytest.approx(-0.5 * float(b @ b))
