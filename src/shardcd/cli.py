@@ -156,6 +156,8 @@ def cli_main(argv=None):
                 max_rounds=args.rounds, gap_tol=args.gap_tol, seed=args.seed)
         if args.objective == "elastic_net" and args.eta is None:
             raise ValueError("--eta is required for the elastic net")
+        if args.objective != "elastic_net" and args.eta is not None:
+            raise ValueError("--eta applies only to --objective elastic_net")
         m, labels = _load_instance(args)
         p = partition_columns(m.n_cols, cfg.k_count)
 

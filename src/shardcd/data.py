@@ -2,14 +2,15 @@
 
 The solver only ever touches the data one column at a time (single
 coordinate updates) or as whole-matrix products when computing
-certificates, so the matrix is stored compressed by column. The
-whole-matrix products run in scipy's sparse kernels over the same
-buffers.
+certificates, so the matrix is stored compressed by column. scipy
+carries the storage layer: its sparse kernels run the whole-matrix
+products over the same three buffers, and its format conversions build
+them from triplets and turn them row-major for export.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -21,11 +22,12 @@ class ColMatrix:
     """Sparse d x n matrix stored as compressed columns.
 
     Columns are the optimization variables, rows index the shared
-    prediction vector. Row indices within a column are strictly
-    ascending; all stored values are finite. Squared column norms are
-    cached at construction and refreshed by :meth:`normalize_columns`.
-    The products run on a scipy CSC array (and its CSR transpose) that
-    share the three buffers, so in-place rescaling is seen by them.
+    prediction vector. The matrix holds three buffers, `indptr`, `rows`
+    and `vals`, and scipy's two views of them: a CSC array and its CSR
+    transpose, which run the products and see in-place rescaling. Row
+    indices within a column are strictly ascending; all stored values
+    are finite. Squared column norms are cached at construction and
+    refreshed by :meth:`normalize_columns`.
 
     Parameters
     ----------
@@ -44,15 +46,12 @@ class ColMatrix:
         self.rows = np.ascontiguousarray(rows, dtype=np.int64)
         self.vals = np.ascontiguousarray(vals, dtype=np.float64)
         self.normalized = False
-        self._col_ids = self._validate()
-        self._csc = scipy.sparse.csc_array(
-            (self.vals, self.rows, self.indptr),
-            shape=(self.n_rows, self.n_cols), copy=False)
+        self._csc = self._validate()
         self._csr_t = self._csc.T
         self._refresh_norms()
 
     def _validate(self):
-        """Check the invariants; returns the column id of every stored entry."""
+        """Check the invariants; returns the CSC view of the buffers."""
         if self.n_rows < 0 or self.n_cols < 0:
             raise ValueError("matrix shape must be nonnegative")
         if self.indptr.shape != (self.n_cols + 1,):
@@ -67,22 +66,23 @@ class ColMatrix:
             raise ValueError("row index out of range")
         if not np.all(np.isfinite(self.vals)):
             raise ValueError("matrix values must be finite")
-        col_ids = np.repeat(np.arange(self.n_cols, dtype=np.int64),
-                            np.diff(self.indptr))
-        bad = np.flatnonzero((np.diff(self.rows) <= 0)
-                             & (col_ids[1:] == col_ids[:-1]))
-        if len(bad):
-            r, c = self.rows[bad[0]], col_ids[bad[0]]
-            if r == self.rows[bad[0] + 1]:
+        csc = scipy.sparse.csc_array((self.vals, self.rows, self.indptr),
+                                     shape=(self.n_rows, self.n_cols), copy=False)
+        if not csc.has_canonical_format:  # error path only: find the column
+            col_ids = np.repeat(np.arange(self.n_cols), np.diff(self.indptr))
+            i = np.flatnonzero((np.diff(self.rows) <= 0)
+                               & (col_ids[1:] == col_ids[:-1]))[0]
+            r, c = self.rows[i], col_ids[i]
+            if r == self.rows[i + 1]:
                 raise ValueError(f"duplicate entry at (row {r}, column {c})")
             raise ValueError(f"column {c}: row indices not strictly ascending")
-        return col_ids
+        return csc
 
     def _refresh_norms(self):
-        sq = self.vals * self.vals
-        self._col_sq_norms = np.bincount(
-            self._col_ids, weights=sq, minlength=self.n_cols
-        ) if len(sq) else np.zeros(self.n_cols)
+        # a CSR of A^T with squared values sums each column in storage order
+        sq = scipy.sparse.csr_array((self.vals * self.vals, self.rows, self.indptr),
+                                    shape=(self.n_cols, self.n_rows), copy=False)
+        self._col_sq_norms = sq @ np.ones(self.n_rows)
 
     # ------------------------------------------------------------------
     # constructors
@@ -90,19 +90,17 @@ class ColMatrix:
     @classmethod
     def from_columns(cls, n_rows, columns):
         """Build from a list of per-column (row_index, value) pair lists."""
-        indptr = [0]
-        rows, vals = [], []
-        for col in columns:
-            col = sorted(col)
-            rows.extend(r for r, _ in col)
-            vals.extend(v for _, v in col)
-            indptr.append(len(rows))
-        return cls(n_rows, len(columns), np.array(indptr), np.array(rows, dtype=np.int64),
-                   np.array(vals, dtype=np.float64))
+        entries = [(r, c, v) for c, col in enumerate(columns) for r, v in col]
+        return cls.from_coo(n_rows, len(columns), *np.reshape(entries, (-1, 3)).T)
 
     @classmethod
     def from_coo(cls, n_rows, n_cols, coo_rows, coo_cols, coo_vals):
-        """Build from unsorted triplets. Duplicate (row, col) pairs are invalid."""
+        """Build from unsorted triplets. Duplicate (row, col) pairs are invalid.
+
+        scipy sorts the triplets by (column, row) and sums duplicates, so
+        a shrunken count names the first duplicate in that order, after
+        any non-finite value (which a sum keeps non-finite).
+        """
         coo_rows = np.asarray(coo_rows, dtype=np.int64)
         coo_cols = np.asarray(coo_cols, dtype=np.int64)
         coo_vals = np.asarray(coo_vals, dtype=np.float64)
@@ -110,12 +108,20 @@ class ColMatrix:
         if len(bad):
             raise ValueError(f"column index {coo_cols[bad[0]]} out of range "
                              f"[0, {n_cols})")
-        order = np.lexsort((coo_rows, coo_cols))
-        rows = coo_rows[order]
-        vals = coo_vals[order]
-        counts = np.bincount(coo_cols, minlength=n_cols)
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        return cls(n_rows, n_cols, indptr, rows, vals)
+        if n_rows < 0 or n_cols < 0:
+            raise ValueError("matrix shape must be nonnegative")
+        if len(coo_rows) and (coo_rows.min() < 0 or coo_rows.max() >= n_rows):
+            raise ValueError("row index out of range")
+        coo = scipy.sparse.coo_array((coo_vals, (coo_rows, coo_cols)),
+                                     shape=(n_rows, n_cols))
+        csc = coo.tocsc()
+        if csc.nnz < coo.nnz and np.isfinite(coo_vals).all():  # error path only
+            coo.data = np.ones(coo.nnz)
+            counts = coo.tocsc().tocoo()  # in (column, row) order
+            i = np.flatnonzero(counts.data > 1)[0]
+            raise ValueError(f"duplicate entry at (row {counts.row[i]}, "
+                             f"column {counts.col[i]})")
+        return cls(n_rows, n_cols, csc.indptr, csc.indices, csc.data)
 
     # ------------------------------------------------------------------
     # accessors
@@ -171,12 +177,9 @@ class ColMatrix:
         Zero columns are left untouched. Returns the original column
         norms so callers can undo the scaling on coefficients.
         """
-        norms = np.sqrt(self._col_sq_norms.copy())
-        scale = np.ones(self.n_cols)
-        nz = norms > 0
-        scale[nz] = 1.0 / norms[nz]
-        if self.nnz:
-            self.vals *= scale[self._col_ids]
+        norms = np.sqrt(self._col_sq_norms)
+        scale = 1.0 / np.where(norms > 0, norms, 1.0)
+        self.vals *= np.repeat(scale, np.diff(self.indptr))
         self._refresh_norms()
         self.normalized = True
         return norms
@@ -184,19 +187,29 @@ class ColMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """Disjoint assignment of column indices to `k_count` workers.
+    """Disjoint assignment of column indices to workers.
 
-    blocks[k] is the sorted index list owned by worker k; owner maps a
-    column index back to its worker. Blocks cover {0, ..., n-1} exactly.
+    blocks[k] is the sorted index array owned by worker k. The blocks
+    must cover {0, ..., n-1} exactly, n being their total size.
     """
 
-    k_count: int
     blocks: tuple
-    owner: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        ids = np.concatenate([np.zeros(0, np.int64), *self.blocks])
+        seen = np.bincount(ids[(ids >= 0) & (ids < len(ids))], minlength=len(ids))
+        bad = np.flatnonzero(seen != 1)
+        if len(bad):
+            what = "repeat" if seen[bad[0]] else "miss"
+            raise ValueError(f"partition blocks {what} column {bad[0]}")
+
+    @property
+    def k_count(self):
+        return len(self.blocks)
 
     @property
     def n_cols(self):
-        return len(self.owner)
+        return sum(len(b) for b in self.blocks)
 
 
 def partition_columns(n, k):
@@ -208,11 +221,7 @@ def partition_columns(n, k):
         raise ValueError("k must be positive")
     if k > n:
         raise ValueError(f"cannot split {n} columns over {k} workers")
-    blocks = np.array_split(np.arange(n, dtype=np.int64), k)
-    owner = np.empty(n, dtype=np.int64)
-    for kk, b in enumerate(blocks):
-        owner[b] = kk
-    return Partition(k_count=k, blocks=tuple(blocks), owner=owner)
+    return Partition(tuple(np.array_split(np.arange(n, dtype=np.int64), k)))
 
 
 def sq_spectral_norm(m, iters=50, seed=0):

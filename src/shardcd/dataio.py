@@ -35,11 +35,8 @@ def read_libsvm(path):
     Returns (matrix, labels); labels has one entry per example. An empty
     file and a non-finite label or value are errors.
     """
-    labels = []
-    ex_rows, ex_cols, ex_vals = [], [], []
-    n_features = 0
+    labels, counts, ex_cols, ex_vals = [], [], [], []
     with open(path, "r") as fh:
-        example = 0
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
@@ -64,12 +61,10 @@ def read_libsvm(path):
                     raise DataFormatError(
                         f"{path}:{lineno}: indices not strictly ascending")
                 prev = idx
-                n_features = max(n_features, idx)
-                ex_rows.append(example)
                 ex_cols.append(idx - 1)
                 ex_vals.append(val)
-            example += 1
-    if example == 0:
+            counts.append(len(parts) - 1)
+    if not counts:
         raise DataFormatError(f"{path}: empty dataset")
     labels = np.asarray(labels, dtype=np.float64)
     vals = np.asarray(ex_vals, dtype=np.float64)
@@ -80,28 +75,29 @@ def read_libsvm(path):
                     if not np.isfinite(float(tok.rpartition(":")[2])):
                         raise DataFormatError(
                             f"{path}:{lineno}: non-finite number {tok!r}")
-    return ColMatrix.from_coo(example, n_features, ex_rows, ex_cols, vals), labels
+    rows = np.repeat(np.arange(len(counts)), counts)
+    cols = np.asarray(ex_cols, dtype=np.int64)
+    return ColMatrix.from_coo(len(counts), int(cols.max(initial=-1)) + 1, rows,
+                              cols, vals), labels
 
 
 def write_libsvm(path, m, labels):
     """Inverse of :func:`read_libsvm`; values are written round-trip exact.
 
-    Entries are sorted by (example, feature) once and written one example
-    at a time, so only one line's numbers are held as Python objects.
+    scipy turns the columns row-major (features ascending within each
+    example), and examples are written one at a time, so only one line's
+    numbers are held as Python objects.
     """
     if len(labels) != m.n_rows:
         raise ValueError("labels must have one entry per matrix row")
-    order = np.lexsort((m._col_ids, m.rows))
-    examples = m.rows[order]
-    features = m._col_ids[order] + 1
-    vals = m.vals[order]
-    bounds = np.searchsorted(examples, np.arange(m.n_rows + 1)).tolist()
+    by_row = m._csc.tocsr()
+    bounds = by_row.indptr.tolist()
+    features = by_row.indices + 1
     with open(path, "w") as fh:
-        for e in range(m.n_rows):
-            lo, hi = bounds[e], bounds[e + 1]
+        for e, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             parts = [repr(float(labels[e]))]
             parts += [f"{f}:{v!r}" for f, v in zip(features[lo:hi].tolist(),
-                                                   vals[lo:hi].tolist())]
+                                                   by_row.data[lo:hi].tolist())]
             fh.write(" ".join(parts) + "\n")
     return m.n_rows
 
@@ -164,11 +160,11 @@ def gen_synthetic(sspec, classification=False):
     return m, labels, truth
 
 
-def _trace_row(tr):
-    theta = "" if tr.theta_estimate is None else repr(float(tr.theta_estimate))
-    return (f"{tr.round},{float(tr.elapsed_ms)!r},{float(tr.primal)!r},"
-            f"{float(tr.dual)!r},{float(tr.gap)!r},{tr.nnz},"
-            f"{tr.local_updates},{theta}")
+def _trace_values(tr):
+    """One record's values in TRACE_FIELDS order (theta None when absent)."""
+    theta = None if tr.theta_estimate is None else float(tr.theta_estimate)
+    return (tr.round, float(tr.elapsed_ms), float(tr.primal), float(tr.dual),
+            float(tr.gap), tr.nnz, tr.local_updates, theta)
 
 
 def write_trace(traces, path, format="csv"):
@@ -182,22 +178,10 @@ def write_trace(traces, path, format="csv"):
         with open(path, "w") as fh:
             fh.write(",".join(TRACE_FIELDS) + "\n")
             for tr in traces:
-                fh.write(_trace_row(tr) + "\n")
+                fh.write(",".join("" if x is None else str(x)
+                                  for x in _trace_values(tr)) + "\n")
     elif format == "json":
-        records = [
-            {
-                "round": tr.round,
-                "elapsed_ms": float(tr.elapsed_ms),
-                "primal": float(tr.primal),
-                "dual": float(tr.dual),
-                "gap": float(tr.gap),
-                "nnz": tr.nnz,
-                "local_updates": tr.local_updates,
-                "theta": None if tr.theta_estimate is None
-                         else float(tr.theta_estimate),
-            }
-            for tr in traces
-        ]
+        records = [dict(zip(TRACE_FIELDS, _trace_values(tr))) for tr in traces]
         with open(path, "w") as fh:
             json.dump(records, fh, indent=1)
             fh.write("\n")

@@ -383,8 +383,10 @@ def check_lemma3(spec, m, p, cfg, trials=200, seed=0, sigma_scale=None):
     trial draws its own gamma and uses sigma_prime = scale * gamma * K,
     where `scale` defaults to cfg.fixed_sigma_prime / (gamma K), 1 when
     sigma_prime is unset; passing sigma_scale < 1 probes deliberately
-    unsafe scalings the solver config itself would reject. D(alpha) and
-    each G_k come from the certificate at alpha and its _build_views.
+    unsafe scalings the solver config itself would reject. Each trial
+    also probes alpha = 0 with delta / max |A delta|, where the logistic
+    curvature peaks. D(alpha) and each G_k come from the certificate at
+    alpha and its _build_views.
     """
     spec.check_dims(m)
     rng = np.random.default_rng(seed)
@@ -398,19 +400,21 @@ def check_lemma3(spec, m, p, cfg, trials=200, seed=0, sigma_scale=None):
         sigma_prime = ratio * gamma * p.k_count
         alpha = scale * rng.uniform(-1.0, 1.0, size=m.n_cols)
         delta = scale * rng.uniform(-1.0, 1.0, size=m.n_cols)
-        state = SolverState(alpha=alpha, v=m.mat_vec(alpha))
-        shared = duality_gap(spec, m, alpha, state.v)
-        views = _build_views(state, sigma_prime, spec, m, p, shared, blocks)
-        rhs = (1.0 - gamma) * shared.primal
-        for view in views:
-            dk = np.zeros(m.n_cols)
-            dk[view.block] = delta[view.block]
-            rhs += gamma * subproblem_value(view, delta[view.block],
-                                            m.mat_vec(dk))
-
-        a_new = alpha + gamma * delta
-        lhs = primal_value(spec, m, a_new, m.mat_vec(a_new))
-        worst = max(worst, lhs - rhs)
+        peak = float(np.max(np.abs(m.mat_vec(delta)), initial=0.0))
+        for alpha, delta in ((alpha, delta), (np.zeros(m.n_cols),
+                                              delta / peak if peak else delta)):
+            state = SolverState(alpha=alpha, v=m.mat_vec(alpha))
+            shared = duality_gap(spec, m, alpha, state.v)
+            views = _build_views(state, sigma_prime, spec, m, p, shared, blocks)
+            rhs = (1.0 - gamma) * shared.primal
+            for view in views:
+                dk = np.zeros(m.n_cols)
+                dk[view.block] = delta[view.block]
+                rhs += gamma * subproblem_value(view, delta[view.block],
+                                                m.mat_vec(dk))
+            a_new = alpha + gamma * delta
+            lhs = primal_value(spec, m, a_new, m.mat_vec(a_new))
+            worst = max(worst, lhs - rhs)
     return worst
 
 

@@ -77,6 +77,13 @@ def test_eta_out_of_range_exits_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("objective", ["lasso", "sparse_logistic"])
+def test_eta_without_elastic_net_exits_one(objective, capsys):
+    assert run(f"{SMALL} --objective {objective} --lambda 0.1 --eta 0.5") == 1
+    assert "--eta applies only to --objective elastic_net" \
+        in capsys.readouterr().err
+
+
 def test_data_and_synthetic_mutually_exclusive(capsys):
     assert run("--data /tmp/x.libsvm --synthetic 4,4,0.5,1,0.1,0 "
                "--objective lasso --lambda 0.1") == 1

@@ -1,5 +1,9 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shardcd as sc
 from conftest import random_matrix
@@ -110,8 +114,7 @@ def test_partition_sweep_disjoint_exhaustive_balanced():
             assert max(sizes) - min(sizes) <= 1
             seen = np.concatenate(p.blocks)
             assert len(seen) == n and set(seen.tolist()) == set(range(n))
-            for kk, b in enumerate(p.blocks):
-                assert np.all(p.owner[b] == kk)
+            assert (p.k_count, p.n_cols) == (k, n)
 
 
 def test_partition_errors():
@@ -119,6 +122,18 @@ def test_partition_errors():
         sc.partition_columns(4, 0)
     with pytest.raises(ValueError):
         sc.partition_columns(4, 5)
+
+
+@pytest.mark.parametrize("blocks, message", [
+    (([0, 1, 2], [2, 3]), "repeat column 2"),        # overlap
+    (([0, 1], [0, 1, 2, 3]), "repeat column 0"),
+    (([0, 1], [3, 4]), "miss column 2"),             # gap
+    (([1, 2], [3]), "miss column 0"),
+    (([0, 1, 1],), "repeat column 1"),
+])
+def test_partition_rejects_overlap_and_gap(blocks, message):
+    with pytest.raises(ValueError, match=message):
+        sc.Partition(tuple(np.array(b) for b in blocks))
 
 
 def test_normalize_unit_columns_untouched():
@@ -200,3 +215,53 @@ def test_sq_spectral_norm_examples():
         ref = np.linalg.norm(dense_from_columns(9, columns), 2) ** 2
         got = sc.sq_spectral_norm(m, iters=2000, seed=trial)
         assert got == pytest.approx(ref, rel=1e-9)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_storage_matches_lexsort_reference_and_round_trips(data):
+    d, n = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    keys = data.draw(st.lists(st.integers(0, d * n - 1), unique=True))
+    # explicit zeros of both signs among the values; rows and columns
+    # without entries occur whenever keys miss them
+    vals = np.array(data.draw(st.lists(
+        st.sampled_from([0.0, -0.0]) | st.floats(-1e6, 1e6),
+        min_size=len(keys), max_size=len(keys))), dtype=np.float64)
+    rows, cols = np.divmod(np.array(keys, dtype=np.int64), n)
+    perm = np.array(data.draw(st.permutations(range(len(keys)))), dtype=np.int64)
+    rows, cols, vals = rows[perm], cols[perm], vals[perm]
+
+    m = sc.ColMatrix.from_coo(d, n, rows, cols, vals)
+    order = np.lexsort((rows, cols))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+    assert bits(m.indptr) == bits(indptr.astype(np.int64))
+    assert bits(m.rows) == bits(rows[order])
+    assert bits(m.vals) == bits(vals[order])
+    col_ids = np.repeat(np.arange(n), np.diff(m.indptr))
+    sq = np.bincount(col_ids, weights=m.vals * m.vals, minlength=n) \
+        if m.nnz else np.zeros(n)
+    assert bits(m.col_sq_norms) == bits(sq)
+
+    if keys:
+        dup = data.draw(st.integers(0, len(keys) - 1))
+        at = data.draw(st.integers(0, len(keys)))
+        with pytest.raises(ValueError, match=rf"duplicate entry at "
+                           rf"\(row {rows[dup]}, column {cols[dup]}\)$"):
+            sc.ColMatrix.from_coo(d, n, np.insert(rows, at, rows[dup]),
+                                  np.insert(cols, at, cols[dup]),
+                                  np.insert(vals, at, 1.0))
+
+    labels = np.arange(d, dtype=np.float64) - 0.5
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.svm")
+        sc.write_libsvm(path, m, labels)
+        back, back_labels = sc.read_libsvm(path)
+    # the file does not record trailing empty columns
+    assert (back.n_rows, m.indptr[back.n_cols]) == (d, m.nnz)
+    assert bits(back.indptr) == bits(m.indptr[:back.n_cols + 1])
+    assert bits(back.rows) == bits(m.rows) and bits(back.vals) == bits(m.vals)
+    assert bits(back_labels) == bits(labels)

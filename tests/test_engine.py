@@ -357,6 +357,27 @@ def test_check_lemma3_detects_unsafe_sigma():
     assert worst > 0
 
 
+def test_check_lemma3_detects_a_too_large_logistic_tau(monkeypatch):
+    # criterion 3's logistic instances, where random alpha saturate the loss
+    instances = []
+    for seed in (100, 102):
+        m, b, _ = sc.gen_synthetic(sc.SyntheticSpec(
+            n=40, d=20, density=0.5, true_nnz=6, noise_sd=0.2, seed=seed))
+        labels = np.where(b < 0, -1.0, 1.0)
+        instances.append((m, sc.make_objective(
+            sc.DataFit(kind=sc.LOGISTIC, labels=labels), "l1", 0.3)))
+    p, cfg = sc.partition_columns(40, 4), sc.EngineConfig(k_count=4)
+
+    def worst():
+        return max(sc.check_lemma3(spec, m, p, cfg, trials=200, seed=s)
+                   for s, (m, spec) in enumerate(instances))
+
+    assert worst() <= 1e-8
+    # 16x the true smoothness constant: unsafe near v = 0, where f'' = 1/4
+    monkeypatch.setattr(sc.DataFit, "tau", property(lambda self: 64.0))
+    assert worst() > 0.1
+
+
 def test_check_sigma_safety_k1_equals_gamma():
     m, _, _ = desk_setup(seed=17)
     p = sc.partition_columns(m.n_cols, 1)
@@ -524,11 +545,8 @@ def test_estimate_theta_recorded_in_trace():
 
 def random_partition(rng, n, k):
     """k blocks of a random permutation of n columns, each sorted."""
-    blocks = tuple(np.sort(c) for c in np.array_split(rng.permutation(n), k))
-    owner = np.empty(n, dtype=np.int64)
-    for kk, blk in enumerate(blocks):
-        owner[blk] = kk
-    return sc.Partition(k_count=k, blocks=blocks, owner=owner)
+    return sc.Partition(tuple(np.sort(c) for c in
+                              np.array_split(rng.permutation(n), k)))
 
 
 @settings(max_examples=25, deadline=None,
