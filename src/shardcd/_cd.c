@@ -1,8 +1,11 @@
-/* Native coordinate pass of shardcd.local: the same exact single-coordinate
- * steps as local._coordinate_pass and local._shrink, in the same operation
- * order, on the ColMatrix CSC buffers in place.  Build without FMA
- * contraction (-ffp-contract=off) so every product is rounded as in Python;
- * only the sum in x_i^T z may differ from numpy's dot in the last bits.
+/* Native helpers of shardcd, built and loaded by local._build_kernel.
+ *
+ * cd_pass: the coordinate pass of shardcd.local, the same exact
+ * single-coordinate steps as local._coordinate_pass and local._shrink, in
+ * the same operation order, on the ColMatrix CSC buffers in place.  Build
+ * without FMA contraction (-ffp-contract=off) so every product is rounded as
+ * in Python; only the sum in x_i^T z may differ from numpy's dot in the last
+ * bits.
  *
  * order[s]   pool position of step s (n_steps entries)
  * ids[t]     matrix column of pool position t
@@ -11,6 +14,7 @@
  * z          the running product A d, updated in place
  * Returns the number of steps the support bound clipped. */
 #include <stdint.h>
+#include <stdlib.h>
 
 int64_t cd_pass(int64_t n_steps, const int64_t *order, const int64_t *ids,
                 const int64_t *indptr, const int64_t *rows, const double *vals,
@@ -44,4 +48,116 @@ int64_t cd_pass(int64_t n_steps, const int64_t *order, const int64_t *ids,
         }
     }
     return clamps;
+}
+
+static int is_digit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+static const char *skip_digits(const char *p, const char *end)
+{
+    while (p < end && is_digit(*p))
+        p++;
+    return p;
+}
+
+/* Whether a token may end at p: a blank, a line end or the buffer's end. */
+static int token_ends(const char *p, const char *end)
+{
+    return p == end || *p == ' ' || *p == '\t' || *p == '\n' || *p == '\r';
+}
+
+/* Parses the token [+-]?(D+(.D*)?|.D+)([eE][+-]?D+)? at p into *x and
+ * returns its end, or NULL when p holds no such token or strtod stops
+ * elsewhere (a decimal point other than '.' under LC_NUMERIC). */
+static const char *number(const char *p, const char *end, double *x)
+{
+    const char *q = p;
+    if (q < end && (*q == '+' || *q == '-'))
+        q++;
+    const char *d = q;
+    q = skip_digits(q, end);
+    int digits = q > d;
+    if (q < end && *q == '.') {
+        d = ++q;
+        q = skip_digits(q, end);
+        digits |= q > d;
+    }
+    if (!digits)
+        return NULL;
+    if (q < end && (*q == 'e' || *q == 'E')) {
+        q++;
+        if (q < end && (*q == '+' || *q == '-'))
+            q++;
+        d = q;
+        q = skip_digits(q, end);
+        if (q == d)
+            return NULL;
+    }
+    char *stop;
+    *x = strtod(p, &stop);
+    return stop == q && token_ends(q, end) ? q : NULL;
+}
+
+/* parse_libsvm: the tokenizer of shardcd.dataio.read_libsvm for the strict
+ * ASCII subset of the format, into caller-allocated arrays.
+ *
+ * buf, len      the file's bytes, NUL-terminated at buf[len]
+ * labels[i]     label of example i (at most max_rows examples)
+ * counts[i]     number of idx:val entries of example i
+ * cols, vals    0-based column and value of each entry (at most max_entries)
+ * Blanks are ' ' and '\t', lines end in '\n' or "\r\n", blank lines are
+ * skipped, labels and values are numbers as above and indices plain decimal
+ * digits, at least 1, strictly ascending within a line and within int64.
+ * Returns the number of examples, or -1 on any other input, for which the
+ * Python loop rereads the file. */
+int64_t parse_libsvm(const char *buf, int64_t len, int64_t max_rows,
+                     int64_t max_entries, double *labels, int64_t *counts,
+                     int64_t *cols, double *vals)
+{
+    const char *p = buf, *end = buf + len;
+    int64_t n = 0, k = 0;
+    while (p < end) {
+        while (p < end && (*p == ' ' || *p == '\t'))
+            p++;
+        if (p < end && *p != '\n' && *p != '\r') {
+            if (n == max_rows)
+                return -1;
+            p = number(p, end, &labels[n]);
+            if (p == NULL)
+                return -1;
+            int64_t first = k, prev = 0;
+            for (;;) {
+                while (p < end && (*p == ' ' || *p == '\t'))
+                    p++;
+                if (p == end || *p == '\n' || *p == '\r')
+                    break;
+                int64_t idx = 0;
+                const char *d = p;
+                for (; p < end && is_digit(*p); p++) {
+                    if (idx > (INT64_MAX - (*p - '0')) / 10)
+                        return -1;
+                    idx = 10 * idx + (*p - '0');
+                }
+                if (p == d || p == end || *p != ':' || idx <= prev
+                    || k == max_entries)
+                    return -1;
+                p = number(p + 1, end, &vals[k]);
+                if (p == NULL)
+                    return -1;
+                cols[k++] = idx - 1;
+                prev = idx;
+            }
+            counts[n++] = k - first;
+        }
+        if (p < end && *p == '\r') {
+            if (p + 1 == end || p[1] != '\n')
+                return -1;
+            p++;
+        }
+        if (p < end)
+            p++;
+    }
+    return n;
 }

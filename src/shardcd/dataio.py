@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import local
 from .data import ColMatrix
 
 __all__ = [
@@ -17,6 +18,9 @@ __all__ = [
 
 TRACE_FIELDS = ("round", "elapsed_ms", "primal", "dual", "gap", "nnz",
                 "local_updates", "theta")
+
+
+_INDEX_MAX = 2**63 - 1  # column indices are stored as int64
 
 
 class DataFormatError(ValueError):
@@ -34,7 +38,54 @@ def read_libsvm(path):
 
     Returns (matrix, labels); labels has one entry per example. An empty
     file and a non-finite label or value are errors.
+
+    With the C library of `local` built, `parse_libsvm` in _cd.c reads
+    the file's bytes under a strict ASCII grammar: blanks are spaces and
+    tabs, lines end in LF or CR LF, labels and values match
+    `[+-]?(D+(.D*)?|.D+)([eE][+-]?D+)?` and indices are plain decimal
+    digits within int64. It declines everything else (a sign or `_` in an
+    index, `nan`, hexadecimal, other whitespace, a lone CR, non-ASCII
+    bytes, any malformed line), and the Python loop then rereads the
+    file, so both give the same arrays and the same errors.
     """
+    parsed = None
+    if local.kernel_name() == "c":
+        with open(path, "rb") as fh:
+            parsed = _tokenize_c(fh.read())
+    labels, counts, cols, vals = parsed or _tokenize(path)
+    if not len(counts):
+        raise DataFormatError(f"{path}: empty dataset")
+    if not (np.isfinite(labels).all() and np.isfinite(vals).all()):
+        with open(path, "r") as fh:  # error path only: find the line again
+            for lineno, line in enumerate(fh, start=1):
+                for tok in line.split():
+                    if not np.isfinite(float(tok.rpartition(":")[2])):
+                        raise DataFormatError(
+                            f"{path}:{lineno}: non-finite number {tok!r}")
+    rows = np.repeat(np.arange(len(counts)), counts)
+    return ColMatrix.from_coo(len(counts), int(cols.max(initial=-1)) + 1, rows,
+                              cols, vals), labels
+
+
+def _tokenize_c(buf):
+    """`_tokenize`'s arrays from the C tokenizer, or None when it declines;
+    every example takes a line and every entry a colon."""
+    max_rows, max_entries = buf.count(b"\n") + 1, buf.count(b":")
+    labels, counts = np.empty(max_rows), np.empty(max_rows, dtype=np.int64)
+    cols = np.empty(max_entries, dtype=np.int64)
+    vals = np.empty(max_entries)
+    n = local._kernel.parse_libsvm(buf, len(buf), max_rows, max_entries,
+                                   labels.ctypes.data, counts.ctypes.data,
+                                   cols.ctypes.data, vals.ctypes.data)
+    if n < 0:
+        return None
+    nnz = int(counts[:n].sum())
+    return labels[:n].copy(), counts[:n], cols[:nnz], vals[:nnz]
+
+
+def _tokenize(path):
+    """The reference tokenizer: labels, entries per example, 0-based
+    columns and values, or DataFormatError naming the first bad line."""
     labels, counts, ex_cols, ex_vals = [], [], [], []
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -55,6 +106,8 @@ def read_libsvm(path):
                     val = float(val)
                 except ValueError:
                     raise DataFormatError(f"{path}:{lineno}: bad token {tok!r}")
+                if idx > _INDEX_MAX:
+                    raise DataFormatError(f"{path}:{lineno}: bad token {tok!r}")
                 if idx <= 0:
                     raise DataFormatError(f"{path}:{lineno}: index {idx} not 1-based")
                 if idx <= prev:
@@ -64,21 +117,9 @@ def read_libsvm(path):
                 ex_cols.append(idx - 1)
                 ex_vals.append(val)
             counts.append(len(parts) - 1)
-    if not counts:
-        raise DataFormatError(f"{path}: empty dataset")
-    labels = np.asarray(labels, dtype=np.float64)
-    vals = np.asarray(ex_vals, dtype=np.float64)
-    if not (np.isfinite(labels).all() and np.isfinite(vals).all()):
-        with open(path, "r") as fh:  # error path only: find the line again
-            for lineno, line in enumerate(fh, start=1):
-                for tok in line.split():
-                    if not np.isfinite(float(tok.rpartition(":")[2])):
-                        raise DataFormatError(
-                            f"{path}:{lineno}: non-finite number {tok!r}")
-    rows = np.repeat(np.arange(len(counts)), counts)
-    cols = np.asarray(ex_cols, dtype=np.int64)
-    return ColMatrix.from_coo(len(counts), int(cols.max(initial=-1)) + 1, rows,
-                              cols, vals), labels
+    return (np.asarray(labels, dtype=np.float64), counts,
+            np.asarray(ex_cols, dtype=np.int64),
+            np.asarray(ex_vals, dtype=np.float64))
 
 
 def write_libsvm(path, m, labels):

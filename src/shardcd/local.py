@@ -19,6 +19,7 @@ The coordinate pass runs in a C kernel (_cd.c), compiled once per
 process with the C compiler on PATH and loaded with ctypes; without a
 working compiler the Python loop runs, which is also the kernel's
 reference. The two agree up to the summation order of each x_i^T z.
+The same library carries dataio's libsvm tokenizer.
 """
 
 from __future__ import annotations
@@ -164,36 +165,39 @@ def coordinate_update(reg, current_total, g_lin, q):
 
 def _build_kernel():
     """Compile _cd.c with the C compiler on PATH into a private temporary
-    directory, load it and remove the directory; None when any step
-    fails."""
+    directory, load it and remove the directory; the library with
+    `cd_pass` and `parse_libsvm` typed, or None when any step fails."""
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         return None
     try:
         with tempfile.TemporaryDirectory(prefix="shardcd-",
                                          ignore_cleanup_errors=True) as tmp:
-            lib = os.path.join(tmp, "_cd.so")
+            so = os.path.join(tmp, "_cd.so")
             subprocess.run([cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off",
-                            "-o", lib,
+                            "-o", so,
                             os.path.join(os.path.dirname(__file__), "_cd.c")],
                            stdin=subprocess.DEVNULL, capture_output=True,
                            check=True, timeout=120)
-            fn = ctypes.CDLL(lib).cd_pass
+            lib = ctypes.CDLL(so)
+            cd_pass, parse = lib.cd_pass, lib.parse_libsvm
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
-    fn.restype = ctypes.c_int64
-    fn.argtypes = ([ctypes.c_int64] + [ctypes.c_void_p] * 9
-                   + [ctypes.c_double] * 4)
-    return fn
+    cd_pass.restype = parse.restype = ctypes.c_int64
+    cd_pass.argtypes = ([ctypes.c_int64] + [ctypes.c_void_p] * 9
+                        + [ctypes.c_double] * 4)
+    parse.argtypes = ([ctypes.c_char_p] + [ctypes.c_int64] * 3
+                      + [ctypes.c_void_p] * 4)
+    return lib
 
 
 _UNBUILT = object()
-_kernel = _UNBUILT  # cd_pass of _cd.c once built, or None for the Python loop
+_kernel = _UNBUILT  # _cd.c's library once built, or None for the Python loops
 
 
 def kernel_name():
-    """Which coordinate pass this process runs, "c" or "python"; the C
-    kernel is built on the first call."""
+    """Which coordinate pass and libsvm tokenizer this process runs, "c"
+    or "python"; the C library is built on the first call."""
     global _kernel
     if _kernel is _UNBUILT:
         _kernel = _build_kernel()
@@ -223,10 +227,11 @@ def _coordinate_pass(view, order, totals, z):
                 and len(ids) == len(qs) == len(xw)
                 and (not len(ids) or 0 <= ids.min() and ids.max() < m.n_cols)):
             raise ValueError("block columns do not match the matrix")
-        return _kernel(len(order), order.ctypes.data, ids.ctypes.data,
-                       m.indptr.ctypes.data, m.rows.ctypes.data,
-                       m.vals.ctypes.data, xw.ctypes.data, qs.ctypes.data,
-                       totals.ctypes.data, z.ctypes.data, sp_tau, l1, l2, bound)
+        return _kernel.cd_pass(
+            len(order), order.ctypes.data, ids.ctypes.data,
+            m.indptr.ctypes.data, m.rows.ctypes.data, m.vals.ctypes.data,
+            xw.ctypes.data, qs.ctypes.data, totals.ctypes.data, z.ctypes.data,
+            sp_tau, l1, l2, bound)
     spans = list(zip(m.indptr[cols.ids].tolist(),
                      m.indptr[cols.ids + 1].tolist()))
     rows, vals, dot = m.rows, m.vals, np.dot

@@ -1,3 +1,4 @@
+import functools
 import sys
 from pathlib import Path
 
@@ -56,3 +57,16 @@ def pass_kernel(request, monkeypatch):
     elif local.kernel_name() != "c":
         pytest.skip("no C compiler to build the kernel with")
     return request.param
+
+
+def both_readers(test):
+    """Run a read_libsvm test on the C tokenizer, when the C library
+    builds, and then on the Python loop, under the test's own name."""
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        if local.kernel_name() == "c":
+            test(*args, **kwargs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(local, "_kernel", None)
+            test(*args, **kwargs)
+    return run

@@ -1,15 +1,20 @@
 import csv
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shardcd as sc
+from shardcd import dataio, local
 from shardcd.dataio import DataFormatError, TRACE_FIELDS
 from shardcd.engine import RoundTrace
-from conftest import random_matrix
+from conftest import both_readers, random_matrix
 
 
+@both_readers
 def test_read_libsvm_two_lines(tmp_path):
     path = tmp_path / "tiny.txt"
     path.write_text("1 1:0.5\n-1 2:1.0\n")
@@ -19,6 +24,7 @@ def test_read_libsvm_two_lines(tmp_path):
     assert m.toarray().tolist() == [[0.5, 0.0], [0.0, 1.0]]
 
 
+@both_readers
 def test_read_libsvm_empty_file(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("")
@@ -26,6 +32,7 @@ def test_read_libsvm_empty_file(tmp_path):
         sc.read_libsvm(path)
 
 
+@both_readers
 def test_read_libsvm_malformed_line_reports_number(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 1:0.5\n-1 2:oops\n")
@@ -33,6 +40,7 @@ def test_read_libsvm_malformed_line_reports_number(tmp_path):
         sc.read_libsvm(path)
 
 
+@both_readers
 def test_read_libsvm_skips_blank_lines(tmp_path):
     path = tmp_path / "blank.txt"
     path.write_text("1 1:0.5\n\n-1 2:1.0\n\n")
@@ -41,6 +49,7 @@ def test_read_libsvm_skips_blank_lines(tmp_path):
     assert labels.tolist() == [1.0, -1.0]
 
 
+@both_readers
 def test_read_libsvm_label_only_example(tmp_path):
     path = tmp_path / "bare.txt"
     path.write_text("1 1:0.5\n-1\n1 2:1.0\n")
@@ -53,6 +62,7 @@ def test_read_libsvm_label_only_example(tmp_path):
     assert out.read_text() == "1.0 1:0.5\n-1.0\n1.0 2:1.0\n"
 
 
+@both_readers
 def test_read_libsvm_rejects_nonascending(tmp_path):
     path = tmp_path / "order.txt"
     path.write_text("1 2:1.0 1:0.5\n")
@@ -63,6 +73,7 @@ def test_read_libsvm_rejects_nonascending(tmp_path):
         sc.read_libsvm(path)
 
 
+@both_readers
 @pytest.mark.parametrize("line", ["nan 1:0.5", "1 1:nan", "1 1:0.5 2:inf",
                                   "-1 2:-inf"])
 def test_read_libsvm_rejects_non_finite(tmp_path, line):
@@ -72,6 +83,7 @@ def test_read_libsvm_rejects_non_finite(tmp_path, line):
         sc.read_libsvm(path)
 
 
+@both_readers
 def test_libsvm_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     m, _ = random_matrix(rng, n=9, d=6, density=0.5)
@@ -87,6 +99,116 @@ def test_libsvm_round_trip(tmp_path):
     assert np.array_equal(m2.indptr, m.indptr)
     assert np.array_equal(m2.rows, m.rows)
     assert np.array_equal(m2.vals, m.vals)
+
+
+@both_readers
+def test_read_libsvm_index_beyond_int64_is_a_bad_token(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("1 1:0.5\n-1 99999999999999999999999:1.0\n")
+    with pytest.raises(DataFormatError, match=r"huge\.txt:2: bad token "
+                       r"'99999999999999999999999:1\.0'$"):
+        sc.read_libsvm(path)
+
+
+def read_outcome(path, kernel):
+    """read_libsvm's arrays and labels as bytes, or its error, with the
+    module's kernel handle set to `kernel`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(local, "_kernel", kernel)
+        try:
+            m, labels = sc.read_libsvm(path)
+        except Exception as err:
+            return type(err), str(err)
+    return (m.n_rows, m.n_cols) + tuple(
+        (a.dtype, a.tobytes()) for a in (m.indptr, m.rows, m.vals, labels))
+
+
+def needs_c_tokenizer():
+    if local.kernel_name() != "c":
+        pytest.skip("no C compiler to build the tokenizer with")
+    return local._kernel
+
+
+@pytest.mark.parametrize("text", [
+    "1 +3:1.0\n", "1 1_0:1\n", "1 1:1_0\n", "1 0x10:1\n", "1 1:0x10\n",
+    "1 1:0.5\r-1 2:1.0\n", "1 1:0.5\r", "1\x0b1:0.5\n", "1 1:0.5\f\n",
+    "1\u00a01:0.5\n", "\u0661 1:0.5\n", "\ufeff1 1:0.5\n", "1 1:0.5\x00\n",
+    "nan 1:0.5\n", "1 1:nan\n", "1 1:inf\n", "1 1:Infinity\n",
+    "1 99999999999999999999999:1.0\n", "1 9223372036854775808:1.0\n",
+    "1 0:1\n", "1 -2:1\n", "1 2:1 2:1\n", "1 :1\n", "1 1:\n", "1 1:2:3\n",
+    "1 1:.\n", "1 1:1e\n", "1 1:1e+\n", "1 1 2:1\n", "1: 1:1\n", "x 1:1\n",
+])
+def test_read_libsvm_declined_input_reads_as_in_python(tmp_path, text):
+    lib = needs_c_tokenizer()
+    path = tmp_path / "declined.txt"
+    path.write_bytes(text.encode())
+    assert dataio._tokenize_c(path.read_bytes()) is None
+    assert read_outcome(path, lib) == read_outcome(path, None)
+
+
+@pytest.mark.parametrize("text", ["1 1:1e999\n", "-1e999 1:1\n",
+                                  "1 1:1e-400 2:4.9e-324\n"])
+def test_read_libsvm_out_of_range_numbers_read_as_in_python(tmp_path, text):
+    lib = needs_c_tokenizer()
+    path = tmp_path / "range.txt"
+    path.write_text(text)
+    assert dataio._tokenize_c(path.read_bytes()) is not None
+    assert read_outcome(path, lib) == read_outcome(path, None)
+
+
+DIGITS = "0123456789"
+BLANKS = st.text(" \t", min_size=1, max_size=3)
+
+
+@st.composite
+def number_text(draw):
+    """A number of the C tokenizer's grammar, whose square is finite."""
+    whole = draw(st.text(DIGITS, max_size=17))
+    frac = draw(st.none() | st.text(DIGITS, max_size=17))
+    if not (whole or frac):
+        whole = "0"
+    text = draw(st.sampled_from(["", "+", "-"])) + whole
+    if frac is not None:
+        text += "." + frac
+    if draw(st.booleans()):
+        text += (draw(st.sampled_from("eE"))
+                 + draw(st.sampled_from(["", "+", "-"]))
+                 + draw(st.sampled_from(["", "0", "00"]))
+                 + str(draw(st.integers(0, 130))))
+    return text
+
+
+@st.composite
+def libsvm_text(draw):
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        lines += draw(st.lists(st.text(" \t", max_size=3), max_size=2))
+        gaps = draw(st.lists(st.integers(1, 40), max_size=6))
+        tokens = [draw(number_text())] + [
+            draw(st.sampled_from(["", "0", "00"])) + f"{idx}:{draw(number_text())}"
+            for idx in np.cumsum(gaps, dtype=np.int64).tolist()]
+        line = "".join(tok + draw(BLANKS) for tok in tokens[:-1]) + tokens[-1]
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + line
+                     + draw(st.sampled_from(["", " ", "\t "])))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=libsvm_text())
+def test_c_tokenizer_reads_valid_files_as_the_python_loop(text):
+    lib = needs_c_tokenizer()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "valid.txt")
+        with open(path, "wb") as fh:
+            fh.write(text.encode())
+        assert dataio._tokenize_c(text.encode()) is not None
+        got, want = read_outcome(path, lib), read_outcome(path, None)
+    assert isinstance(want[0], int)  # read, not raised
+    assert got == want
 
 
 def test_gen_synthetic_deterministic_and_dense():

@@ -1,5 +1,7 @@
 import math
+import os
 import shutil
+import subprocess
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -269,6 +271,18 @@ def test_kernel_builds_with_a_compiler_on_path():
     if not (shutil.which("cc") or shutil.which("gcc")):
         pytest.skip("no C compiler on PATH")
     assert local.kernel_name() == "c"
+
+
+def test_native_source_compiles_without_warnings(tmp_path):
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    src = os.path.join(os.path.dirname(local.__file__), "_cd.c")
+    build = subprocess.run([cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off",
+                            "-Wall", "-Wextra", "-Werror",
+                            "-o", str(tmp_path / "_cd.so"), src],
+                           capture_output=True, text=True, timeout=120)
+    assert build.returncode == 0, build.stderr
 
 
 def test_kernel_matches_python_loop(monkeypatch):
