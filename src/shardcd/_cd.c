@@ -12,9 +12,30 @@
  * xw, qs     per pool position: x_i^T w and the curvature sigma'/tau ||x_i||^2
  * totals     per pool position: alpha_i + d_i, updated in place
  * z          the running product A d, updated in place
- * Returns the number of steps the support bound clipped. */
+ * Returns the number of steps the support bound clipped.
+ *
+ * In random order every step starts a chain of dependent cache misses,
+ * ids[t] -> indptr -> rows/vals, that the arithmetic waits on.  The draws
+ * are known in advance, so the pass fetches ahead without changing a single
+ * operation: at step s it prefetches indptr for step s + 2 AHEAD, then reads
+ * the now cached bounds of step s + AHEAD and prefetches the head of that
+ * column's rows and vals, and its totals entry.  The head is capped at HEAD
+ * entries: a whole long column (logistic's ~900 entries) would evict the
+ * lines the current steps still use.  z is not prefetched: it is one float64
+ * per example, small enough to stay in L2 on the workloads measured, and a
+ * third stage that prefetched z[rows] gained nothing.  No look-ahead index
+ * passes n_steps - 1. */
 #include <stdint.h>
 #include <stdlib.h>
+
+/* A read prefetch hint, or nothing where the compiler has no builtin. */
+#if defined(__GNUC__) || defined(__clang__)
+#define PREFETCH(p) __builtin_prefetch(p)
+#else
+#define PREFETCH(p) ((void)(p))
+#endif
+
+enum { AHEAD = 8, HEAD = 64, LINE = 8 /* int64 or double per cache line */ };
 
 int64_t cd_pass(int64_t n_steps, const int64_t *order, const int64_t *ids,
                 const int64_t *indptr, const int64_t *rows, const double *vals,
@@ -23,6 +44,17 @@ int64_t cd_pass(int64_t n_steps, const int64_t *order, const int64_t *ids,
 {
     int64_t clamps = 0;
     for (int64_t s = 0; s < n_steps; s++) {
+        if (s + 2 * AHEAD < n_steps)
+            PREFETCH(&indptr[ids[order[s + 2 * AHEAD]]]);
+        if (s + AHEAD < n_steps) {
+            int64_t u = order[s + AHEAD];
+            int64_t a = indptr[ids[u]], b = indptr[ids[u] + 1];
+            for (int64_t e = a; e < b && e < a + HEAD; e += LINE) {
+                PREFETCH(&rows[e]);
+                PREFETCH(&vals[e]);
+            }
+            PREFETCH(&totals[u]);
+        }
         int64_t t = order[s], lo = indptr[ids[t]], hi = indptr[ids[t] + 1];
         double dot = 0.0;
         for (int64_t e = lo; e < hi; e++)

@@ -204,12 +204,26 @@ def kernel_name():
     return "python" if _kernel is None else "c"
 
 
+def _c_array(a, dtype, size):
+    """Whether `a` is a one-dimensional C-contiguous `dtype` array of
+    `size` entries."""
+    return (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == 1
+            and a.flags.c_contiguous and len(a) == size)
+
+
+def _within(a, n):
+    """Whether every entry of the integer array `a` lies in [0, n)."""
+    return not len(a) or (0 <= a.min() and a.max() < n)
+
+
 def _coordinate_pass(view, order, totals, z):
     """Exact single-coordinate steps on the pool positions in `order`.
 
-    `order` is an int64 array; `totals` (float64, one entry per pool
-    column) holds the coordinates' current values alpha_i + d_i. It and
-    the running product z = A d are updated in place. Runs the C kernel
+    `order` is a C-contiguous int64 array of pool positions; `totals`
+    (C-contiguous float64, one entry per pool column) holds the
+    coordinates' current values alpha_i + d_i. It and the running product
+    z = A d (C-contiguous float64, one entry per matrix row) are updated
+    in place; anything else is refused with ValueError. Runs the C kernel
     when it built, else the Python loop below, its reference: the same
     steps in the same operation order (rows within a column are
     distinct, so the gathered z[r] is reused for the write). Returns the
@@ -220,20 +234,26 @@ def _coordinate_pass(view, order, totals, z):
     xw = np.asarray(view.xw, dtype=np.float64)[cols.pool]
     qs = sp_tau * cols.sq
     l1, l2, bound = view.reg.penalty
+    ids = cols.ids
+    # the kernel indexes unchecked: refuse what could read or write out of bounds
+    if not (_c_array(ids, np.int64, len(qs)) and len(xw) == len(qs)
+            and _within(ids, m.n_cols)):
+        raise ValueError("block columns do not match the matrix")
+    if not (_c_array(order, np.int64, len(order)) and _within(order, len(ids))):
+        raise ValueError("order is not a C-contiguous int64 array of pool positions")
+    if not _c_array(totals, np.float64, len(ids)):
+        raise ValueError("totals is not a C-contiguous float64 array "
+                         "with one entry per pool column")
+    if not _c_array(z, np.float64, m.n_rows):
+        raise ValueError("z is not a C-contiguous float64 array "
+                         "with one entry per matrix row")
     if kernel_name() == "c":
-        ids = cols.ids
-        # the kernel indexes unchecked: refuse what could read out of bounds
-        if not (ids.dtype == np.int64 and ids.flags.c_contiguous
-                and len(ids) == len(qs) == len(xw)
-                and (not len(ids) or 0 <= ids.min() and ids.max() < m.n_cols)):
-            raise ValueError("block columns do not match the matrix")
         return _kernel.cd_pass(
             len(order), order.ctypes.data, ids.ctypes.data,
             m.indptr.ctypes.data, m.rows.ctypes.data, m.vals.ctypes.data,
             xw.ctypes.data, qs.ctypes.data, totals.ctypes.data, z.ctypes.data,
             sp_tau, l1, l2, bound)
-    spans = list(zip(m.indptr[cols.ids].tolist(),
-                     m.indptr[cols.ids + 1].tolist()))
+    spans = list(zip(m.indptr[ids].tolist(), m.indptr[ids + 1].tolist()))
     rows, vals, dot = m.rows, m.vals, np.dot
     xw, qs, tot = xw.tolist(), qs.tolist(), totals.tolist()
     clamp_hits = 0

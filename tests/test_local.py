@@ -278,11 +278,23 @@ def test_native_source_compiles_without_warnings(tmp_path):
     if cc is None:
         pytest.skip("no C compiler on PATH")
     src = os.path.join(os.path.dirname(local.__file__), "_cd.c")
-    build = subprocess.run([cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off",
-                            "-Wall", "-Wextra", "-Werror",
-                            "-o", str(tmp_path / "_cd.so"), src],
-                           capture_output=True, text=True, timeout=120)
-    assert build.returncode == 0, build.stderr
+    # the second build is the whole library as a compiler without
+    # __builtin_prefetch sees it. The macros are undefined after the system
+    # headers, which gcc cannot read with __GNUC__ undefined (glibc then
+    # typedefs _Float32, a keyword of gcc's).
+    plain = tmp_path / "plain.c"
+    plain.write_text("#include <stdint.h>\n#include <stdlib.h>\n"
+                     "#undef __GNUC__\n#undef __clang__\n"
+                     f'#include "{src}"\n')
+    for source in (src, str(plain)):
+        build = subprocess.run([cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off",
+                                "-Wall", "-Wextra", "-Werror",
+                                "-o", str(tmp_path / "_cd.so"), source],
+                               capture_output=True, text=True, timeout=120)
+        assert build.returncode == 0, build.stderr
+    expanded = subprocess.run([cc, "-E", str(plain)], capture_output=True,
+                              text=True, timeout=120, check=True).stdout
+    assert "__builtin_prefetch" not in expanded
 
 
 def test_kernel_matches_python_loop(monkeypatch):
@@ -357,6 +369,103 @@ def test_kernel_refuses_columns_outside_the_matrix():
                                    cols.sq)
     with pytest.raises(ValueError, match="do not match the matrix"):
         sc.solve_local(view, h=1, seed=0)
+
+
+def sequential_pass(view, order, totals, z):
+    """The coordinate pass in Python floats, each x_i^T z summed strictly
+    left to right as the C kernel sums it; updates totals and z in place
+    and returns the clamp count."""
+    cols, m = view.columns, view.matrix
+    sp_tau = view.sigma_prime / view.tau
+    xw = np.asarray(view.xw, dtype=np.float64)[cols.pool].tolist()
+    qs = (sp_tau * cols.sq).tolist()
+    l1, l2, bound = view.reg.penalty
+    rows, vals = m.rows.tolist(), m.vals.tolist()
+    clamps = 0
+    for t in order.tolist():
+        lo, hi = int(m.indptr[cols.ids[t]]), int(m.indptr[cols.ids[t] + 1])
+        dot = 0.0
+        for e in range(lo, hi):
+            dot += vals[e] * float(z[rows[e]])
+        c, q = float(totals[t]), qs[t]
+        num, new = q * c - (xw[t] + sp_tau * dot), 0.0
+        if num > l1:
+            new = (num - l1) / (q + l2)
+        elif num < -l1:
+            new = (num + l1) / (q + l2)
+        if abs(new) > bound:
+            new = math.copysign(bound, new)
+            clamps += 1
+        if new != c:
+            totals[t] = new
+            for e in range(lo, hi):
+                z[rows[e]] = float(z[rows[e]]) + (new - c) * vals[e]
+    return clamps
+
+
+def test_kernel_pass_is_bit_identical_to_a_sequential_sum():
+    # columns longer than the kernel's prefetched head (64 entries) and
+    # step counts across its look-ahead of 8 and 16 steps, with the first
+    # and last pool positions drawn at both ends of the order
+    needs_kernel()
+    rng = np.random.default_rng(83)
+    d = 320
+    columns = []
+    for j in range(14):
+        idx = np.flatnonzero(rng.random(d) < (0.8 if j % 3 else 0.05))
+        columns.append(list(zip(idx.tolist(), rng.standard_normal(len(idx)).tolist())))
+    m = sc.ColMatrix.from_columns(d, columns)
+    assert np.max(np.diff(m.indptr)) > 200
+    b = rng.standard_normal(d)
+    fit = sc.DataFit(kind=sc.LEAST_SQUARES, labels=b)
+    lam = 0.05 * float(np.max(np.abs(m.mat_tvec(b))))
+    clamps = 0
+    for n_steps in range(40):
+        if n_steps % 2:
+            reg = sc.Regularizer(kind=sc.L1, lam=lam, support_bound=0.05)
+        else:
+            reg = sc.Regularizer(kind=sc.ELASTIC_NET, lam=lam, eta=0.5)
+        block = np.arange(m.n_cols, dtype=np.int64)
+        view = sc.SubproblemView(
+            matrix=m, block=block, w=sc.f_grad(fit, rng.standard_normal(d)),
+            alpha_block=np.zeros(m.n_cols), sigma_prime=float(rng.uniform(0.5, 4.0)),
+            tau=1.0, reg=reg)
+        last = len(view.columns.pool) - 1
+        order = rng.integers(0, last + 1, size=n_steps)
+        order[:2], order[-2:] = [0, last][:n_steps], [last, 0][:n_steps]
+        start = np.clip(0.1 * rng.standard_normal(last + 1), -0.05, 0.05)
+        z0 = 0.1 * rng.standard_normal(d)
+        totals, z = start.copy(), z0.copy()
+        got = local._coordinate_pass(view, order, totals, z)
+        ref_totals, ref_z = start.copy(), z0.copy()
+        ref = sequential_pass(view, order, ref_totals, ref_z)
+        assert totals.tobytes() == ref_totals.tobytes()
+        assert z.tobytes() == ref_z.tobytes()
+        assert got == ref
+        clamps += ref
+    assert clamps > 0
+
+
+def test_pass_refuses_arrays_the_kernel_would_overrun(pass_kernel):
+    view, _ = make_view(seed=3)
+    n_pool, n_rows = len(view.columns.pool), view.matrix.n_rows
+    totals, z = np.zeros(n_pool), np.zeros(n_rows)
+    for order, what in [(np.array([0, n_pool]), "order"),
+                        (np.array([-1, 0]), "order"),
+                        (np.array([0, 1], dtype=np.int32), "order"),
+                        (np.arange(4)[::2], "order")]:
+        with pytest.raises(ValueError, match=what):
+            local._coordinate_pass(view, order, totals, z)
+    order = np.array([0, n_pool - 1])
+    for bad in [np.zeros(n_pool + 1), np.zeros(n_pool, np.float32),
+                np.zeros(2 * n_pool)[::2]]:
+        with pytest.raises(ValueError, match="totals"):
+            local._coordinate_pass(view, order, bad, z)
+    for bad in [np.zeros(n_rows - 1), np.zeros((n_rows, 1))]:
+        with pytest.raises(ValueError, match="z is not"):
+            local._coordinate_pass(view, order, totals, bad)
+    assert not totals.any() and not z.any()
+    assert local._coordinate_pass(view, order, totals, z) == 0
 
 
 def test_solve_local_skips_zero_columns():
