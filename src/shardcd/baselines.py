@@ -128,12 +128,12 @@ def solve_baseline(cfg, spec, m):
             step_size = spec.data_fit.tau / norm_sq
 
         def step(state, shared):
-            return prox_gd_step(state, spec, m, step_size, shared), m.n_cols, None
+            return prox_gd_step(state, spec, m, step_size, shared), m.n_cols
     else:
         def step(state, shared):
             seed = _worker_seed(cfg.seed, 0, state.round + 1)
             return (mb_cd_round(state, spec, m, cfg.batch_size, cfg.beta_scale,
-                                seed, shared), cfg.batch_size, None)
+                                seed, shared), cfg.batch_size)
 
     return _drive(step, spec, m, cfg.max_rounds, cfg.gap_tol,
                   {"step_size": step_size})

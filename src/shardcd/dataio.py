@@ -202,18 +202,18 @@ def gen_synthetic(sspec, classification=False):
 
 
 def _trace_values(tr):
-    """One record's values in TRACE_FIELDS order (theta None when absent)."""
-    theta = None if tr.theta_estimate is None else float(tr.theta_estimate)
-    return (tr.round, float(tr.elapsed_ms), float(tr.primal), float(tr.dual),
-            float(tr.gap), tr.nnz, tr.local_updates, theta)
+    """One record's values in TRACE_FIELDS order; elapsed_ms is always 0.0
+    and theta always None, reserved so the file format stays fixed."""
+    return (tr.round, 0.0, float(tr.primal), float(tr.dual),
+            float(tr.gap), tr.nnz, tr.local_updates, None)
 
 
 def write_trace(traces, path, format="csv"):
     """Serialize per-round records with round-trip-exact numbers.
 
     CSV columns: round,elapsed_ms,primal,dual,gap,nnz,local_updates,theta
-    (theta left empty when absent). JSON is an array of objects with the
-    same keys (theta null when absent).
+    (elapsed_ms always 0.0, theta always empty). JSON is an array of
+    objects with the same keys (theta always null).
     """
     if format == "csv":
         with open(path, "w") as fh:

@@ -24,9 +24,10 @@ sigma' each round to the measured alignment of the workers' updates, and
 rejects (keeps the state of) a round whose updates break the data-fit
 half of the paper's Lemma 3 at the sigma' it used.
 
-Timing in traces is simulated (configured per-round latency plus a
-per-update cost model) so traces are deterministic; measured wall times
-are kept separately in the solve diagnostics.
+Traces hold only deterministic quantities: their elapsed_ms column is
+always 0.0 and their theta column always empty, kept so the file format
+does not change. Measured wall times are kept separately in the solve
+diagnostics.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .local import (BlockColumns, SubproblemView, kernel_name, measure_theta,
-                    solve_local, subproblem_value)
+from .local import (BlockColumns, SubproblemView, kernel_name, solve_local,
+                    subproblem_value)
 # benchmarks/tracing.py wraps duality_gap, f_grad and f_value here by name
 from .objectives import (ELASTIC_NET, duality_gap, f_grad,  # noqa: F401
                          f_value, primal_value)
@@ -63,8 +64,6 @@ class EngineConfig:
     safe. h_local is the number of local coordinate-descent epochs per
     round, the single communication/computation trade-off knob. seed
     (nonnegative) derives every worker's sampling stream.
-    round_latency and update_cost (nonnegative, finite seconds) feed the
-    simulated per-round timing recorded in traces.
     """
 
     k_count: int
@@ -74,9 +73,6 @@ class EngineConfig:
     max_rounds: int = 100
     gap_tol: float = 1e-6
     seed: int = 0
-    estimate_theta: bool = False
-    round_latency: float = 0.0
-    update_cost: float = 0.0
 
     def __post_init__(self):
         if self.k_count < 1:
@@ -88,9 +84,6 @@ class EngineConfig:
         if self.sigma_prime is not None \
                 and not self.gamma <= self.sigma_prime < math.inf:
             raise ValueError("sigma_prime must be finite and at least gamma")
-        for name in ("round_latency", "update_cost"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be nonnegative and finite")
         _check_drive_settings(self.max_rounds, self.gap_tol, self.seed)
 
     @property
@@ -135,8 +128,6 @@ class RoundTrace:
     gap: float
     nnz: int
     local_updates: int
-    elapsed_ms: float
-    theta_estimate: float | None = None
 
 
 @dataclass
@@ -226,13 +217,12 @@ def check_v(m, alpha, v):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _drive(step, spec, m, max_rounds, gap_tol, diag,
-           round_latency=0.0, update_cost=0.0):
+def _drive(step, spec, m, max_rounds, gap_tol, diag):
     """The certify, drift-check, trace and stop loop every method runs.
 
     `step(state, shared)` advances one round from `state`, whose
-    certificate is `shared`, and returns (new state, coordinate updates,
-    theta estimate or None); it must not modify the arrays it is handed.
+    certificate is `shared`, and returns (new state, coordinate updates);
+    it must not modify the arrays it is handed.
     Every state, the zero start included, is certified after check_v and
     recorded as one trace row; a step that hands back the alpha and v
     arrays certified last (a rejected round) reuses that drift and
@@ -244,23 +234,19 @@ def _drive(step, spec, m, max_rounds, gap_tol, diag,
     trace row, at the state certified before it (at the zero start it
     raises ValueError); numpy's overflow and invalid-value warnings are
     silenced, since the stop reason reports them. Adds measured step
-    seconds (`wall_times`) and the simulated elapsed time
-    (`sim_elapsed_s`) to `diag`.
+    seconds (`wall_times`) to `diag`.
     """
     spec.check_dims(m)
     state = certified = SolverState.initial(m)
     shared = None
     traces = []
     diag["wall_times"] = []
-    diag["sim_elapsed_s"] = 0.0
-    updates, theta, seconds = 0, None, 0.0
+    updates = 0
     for t in range(max_rounds + 1):
         if t:  # round 0 certifies the zero start
             t0 = time.perf_counter()
-            state, updates, theta = step(state, shared)
+            state, updates = step(state, shared)
             diag["wall_times"].append(time.perf_counter() - t0)
-            seconds = round_latency + update_cost * updates
-            diag["sim_elapsed_s"] += seconds
         if shared is None or state.alpha is not certified.alpha \
                 or state.v is not certified.v:
             drift = check_v(m, state.alpha, state.v)
@@ -271,8 +257,7 @@ def _drive(step, spec, m, max_rounds, gap_tol, diag,
             return SolveResult(certified, traces, "diverged", diag)
         traces.append(RoundTrace(
             round=t, primal=shared.primal, dual=shared.dual, gap=shared.gap,
-            nnz=int(np.count_nonzero(state.alpha)), local_updates=updates,
-            elapsed_ms=1000.0 * seconds, theta_estimate=theta))
+            nnz=int(np.count_nonzero(state.alpha)), local_updates=updates))
         certified = state
         if shared.gap <= gap_tol:
             return SolveResult(state, traces, "gap_tol", diag)
@@ -328,16 +313,16 @@ def solve(cfg, spec, m, p):
     """
     if m.n_cols != p.n_cols:
         raise ValueError("partition does not match matrix columns")
+    blocks = [BlockColumns.of(m, block) for block in p.blocks]
     diag = {
         "max_abs_coef": [],
         "sigma_prime": [],
         "rejected_rounds": 0,
         "clamp_hits": 0,
-        "frozen_cols": 0,
+        "frozen_cols": m.n_cols - sum(len(c.pool) for c in blocks),
         "columns_normalized": m.normalized,
         "kernel": kernel_name(),
     }
-    blocks = [BlockColumns.of(m, block) for block in p.blocks]
     cap = cfg.fixed_sigma_prime
     floor = sigma = cfg.gamma if cfg.sigma_prime is None else cap
 
@@ -353,17 +338,10 @@ def solve(cfg, spec, m, p):
         else:
             sigma = max(floor, 0.9 * sigma)
         diag["clamp_hits"] += sum(r.clamp_hits for r in results)
-        diag["frozen_cols"] = max(diag["frozen_cols"],
-                                  sum(r.frozen_cols for r in results))
         diag["max_abs_coef"].append(float(np.max(np.abs(new.alpha), initial=0.0)))
-        theta = None
-        if cfg.estimate_theta:
-            theta = max(measure_theta(view, res)
-                        for view, res in zip(views, results))
-        return new, sum(r.updates_done for r in results), theta
+        return new, sum(r.updates_done for r in results)
 
-    return _drive(step, spec, m, cfg.max_rounds, cfg.gap_tol, diag,
-                  cfg.round_latency, cfg.update_cost)
+    return _drive(step, spec, m, cfg.max_rounds, cfg.gap_tol, diag)
 
 
 # ----------------------------------------------------------------------
@@ -475,7 +453,7 @@ def theory_round_bound(spec, m, cfg, theta):
                          "(elastic net) regularizer")
     if theta >= 1.0:
         return math.inf
-    if theta < 0.0:
+    if not theta >= 0.0:
         raise ValueError("theta must lie in [0, 1)")
     mu_tau = reg.strong_convexity * spec.data_fit.tau
     n = m.n_cols

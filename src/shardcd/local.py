@@ -89,9 +89,9 @@ class SubproblemView:
     columns: BlockColumns | None = None
 
     def __post_init__(self):
-        if self.sigma_prime <= 0:
+        if not self.sigma_prime > 0:
             raise ValueError("sigma_prime must be positive")
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError("tau must be positive")
         if self.xw is None:
             self.xw = self.matrix.mat_tvec(self.w)[self.block]
@@ -158,7 +158,7 @@ def coordinate_update(reg, current_total, g_lin, q):
     coordinate, so the shrinkage step of the penalty form
     l1 |a| + l2 a^2 / 2, clipped to [-B, B], is the exact minimizer.
     """
-    if q <= 0:
+    if not q > 0:
         raise ValueError("curvature q must be positive")
     return _shrink(current_total, g_lin, q, *reg.penalty)[0]
 

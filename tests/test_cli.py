@@ -1,3 +1,6 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
@@ -139,6 +142,30 @@ def test_json_trace_deterministic(tmp_path, capsys):
     run(f"{flags} --out {b}")
     assert a.read_bytes() == b.read_bytes()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("method", ["", "--baseline prox_gd",
+                                    "--baseline mb_cd --batch 4"],
+                         ids=["solver", "prox_gd", "mb_cd"])
+def test_reserved_trace_columns(tmp_path, capsys, method, fmt):
+    # elapsed_ms and theta stay in the file format, always 0.0 and empty
+    out = tmp_path / f"t.{fmt}"
+    run(f"{SMALL} --objective lasso --lambda 1.0 --k 2 --rounds 10 "
+        f"--format {fmt} --out {out} {method}")
+    capsys.readouterr()
+    if fmt == "csv":
+        with open(out) as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert tuple(reader.fieldnames) == sc.TRACE_FIELDS
+        assert all(r["theta"] == "" for r in rows)
+    else:
+        rows = json.loads(out.read_text())
+        assert all(tuple(r) == sc.TRACE_FIELDS for r in rows)
+        assert all(r["theta"] is None for r in rows)
+    assert len(rows) > 1
+    assert all(float(r["elapsed_ms"]) == 0.0 for r in rows)
 
 
 def test_sparse_logistic_runs(capsys):

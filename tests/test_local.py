@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import shutil
@@ -108,8 +109,18 @@ def test_coordinate_update_enet_closed_form():
 
 def test_coordinate_update_rejects_bad_curvature():
     reg = sc.Regularizer(kind=sc.ELASTIC_NET, lam=1.0, eta=0.5)
-    with pytest.raises(ValueError):
-        sc.coordinate_update(reg, 0.0, 1.0, 0.0)
+    for q in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="curvature q must be positive"):
+            sc.coordinate_update(reg, 0.0, 1.0, q)
+
+
+def test_view_rejects_nan_scalings():
+    # a NaN sigma' or tau fails every comparison in the shrinkage step,
+    # which would set each drawn coordinate to 0.0
+    view, _ = make_view(seed=1)
+    for name in ("sigma_prime", "tau"):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            dataclasses.replace(view, **{name: math.nan})
 
 
 def test_coordinate_update_matches_golden_section():
