@@ -19,7 +19,7 @@ from .baselines import BaselineConfig, solve_baseline
 from .data import partition_columns
 from .dataio import DataFormatError, SyntheticSpec, gen_synthetic, read_libsvm, write_trace
 from .engine import EngineConfig
-from .local import measure_theta, solve_local
+from .local import measure_theta
 from .objectives import (DataFit, LEAST_SQUARES, LOGISTIC, make_objective)
 
 __all__ = ["cli_main", "main"]
@@ -122,15 +122,13 @@ def _run_check(check, args, m, labels, p, cfg):
         ok = worst <= 1e-8
         print(f"lemma3 check: worst_violation={worst:.6g} ok={ok}")
         return 0 if ok else 2
-    # theta: grade one round of local solves from the zero start
+    # theta: grade the local solves of one round from the zero start
     state = engine.SolverState.initial(m)
     views = engine._build_views(state, cfg.fixed_sigma_prime, spec, m, p,
                                 engine.duality_gap(spec, m, state.alpha,
                                                    state.v))
-    thetas = []
-    for k in range(p.k_count):
-        res = solve_local(views[k], cfg.h_local, engine._worker_seed(cfg.seed, k, 0))
-        thetas.append(measure_theta(views[k], res))
+    _, results = engine.run_round(state, cfg, spec, m, p, views)
+    thetas = [measure_theta(v, r) for v, r in zip(views, results)]
     print(f"theta check: h={cfg.h_local} max={max(thetas):.6g} "
           f"mean={float(np.mean(thetas)):.6g}")
     return 0

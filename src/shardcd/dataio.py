@@ -127,10 +127,13 @@ def write_libsvm(path, m, labels):
 
     scipy turns the columns row-major (features ascending within each
     example), and examples are written one at a time, so only one line's
-    numbers are held as Python objects.
+    numbers are held as Python objects. Non-finite labels, which
+    read_libsvm refuses, raise ValueError before `path` is opened.
     """
     if len(labels) != m.n_rows:
         raise ValueError("labels must have one entry per matrix row")
+    if not np.isfinite(labels).all():
+        raise ValueError("labels must be finite")
     by_row = m._csc.tocsr()
     bounds = by_row.indptr.tolist()
     features = by_row.indices + 1
@@ -162,8 +165,10 @@ class SyntheticSpec:
             raise ValueError("density must lie in (0, 1]")
         if not 0 <= self.true_nnz <= self.n:
             raise ValueError("true_nnz must lie in [0, n]")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be nonnegative")
+        if not 0 <= self.noise_sd < np.inf:
+            raise ValueError("noise_sd must be finite and nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 def gen_synthetic(sspec, classification=False):

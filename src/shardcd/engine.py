@@ -149,7 +149,7 @@ def _build_views(state, sigma_prime, spec, m, p, shared, blocks=None):
 
     `shared` is the certificate (GapReport) taken at `state`; every view
     reads its f(v), w and A^T w. `blocks` holds each block's
-    BlockColumns when the caller built them already.
+    BlockColumns when the caller built them already, else each is built.
     """
     f_share = shared.fit / p.k_count
     return [
@@ -161,36 +161,31 @@ def _build_views(state, sigma_prime, spec, m, p, shared, blocks=None):
             sigma_prime=sigma_prime,
             tau=spec.data_fit.tau,
             reg=spec.reg,
-            f_share=f_share,
             xw=shared.atw[block],
-            columns=None if blocks is None else blocks[k],
+            columns=BlockColumns.of(m, block) if blocks is None else blocks[k],
+            f_share=f_share,
         )
         for k, block in enumerate(p.blocks)
     ]
 
 
-def run_round(state, cfg, spec, m, p, views=None):
+def run_round(state, cfg, spec, m, p, views):
     """Execute one synchronous round; returns (new state, worker results).
 
-    `views` are the workers' views at `state` as _build_views makes
-    them; without them they are built here, with cfg.fixed_sigma_prime,
-    from the certificate at `state` (duality_gap), which supplies the
-    data-fit value, its gradient and A^T w for all workers. Local solves run
-    on disjoint blocks, then the coefficient and shared-vector updates
-    are reduced at a barrier in ascending worker order. Coefficients are
-    clipped to the penalty's [-B, B] unconditionally: for the L1 box this
-    only removes rounding, since each is a convex combination of two
-    in-box values, and for B = inf (elastic net) the clip does nothing.
-    Any worker failure aborts the round with the input state unchanged.
+    `views` are the workers' views at `state`, made by _build_views from
+    the certificate taken there. Local solves run on disjoint blocks,
+    then the coefficient and shared-vector updates are reduced at a
+    barrier in ascending worker order. Coefficients are clipped to the
+    penalty's [-B, B] unconditionally: for the L1 box this only removes
+    rounding, since each is a convex combination of two in-box values,
+    and for B = inf (elastic net) the clip does nothing. Any worker
+    failure aborts the round with the input state unchanged.
     """
     if p.k_count != cfg.k_count:
         raise ValueError(f"config expects {cfg.k_count} workers, "
                          f"partition has {p.k_count}")
     if p.n_cols != m.n_cols:
         raise ValueError("partition does not match matrix columns")
-    if views is None:
-        views = _build_views(state, cfg.fixed_sigma_prime, spec, m, p,
-                             duality_gap(spec, m, state.alpha, state.v))
     t = state.round
     results = [solve_local(views[k], cfg.h_local, _worker_seed(cfg.seed, k, t))
                for k in range(p.k_count)]
@@ -348,7 +343,7 @@ def solve(cfg, spec, m, p):
 # diagnostics for the convergence-theory constants
 
 
-def check_lemma3(spec, m, p, cfg, trials=200, seed=0, sigma_scale=None):
+def check_lemma3(spec, m, p, cfg, trials=200, seed=0):
     """Probe the surrogate inequality tying local objectives to the global one.
 
     For random feasible (alpha, delta, gamma) triples it evaluates
@@ -358,18 +353,16 @@ def check_lemma3(spec, m, p, cfg, trials=200, seed=0, sigma_scale=None):
 
     and returns the worst left-minus-right value over all trials (<= 0
     up to rounding when the local quadratic scaling is safe). Each
-    trial draws its own gamma and uses sigma_prime = scale * gamma * K,
-    where `scale` defaults to cfg.fixed_sigma_prime / (gamma K), 1 when
-    sigma_prime is unset; passing sigma_scale < 1 probes deliberately
-    unsafe scalings the solver config itself would reject. Each trial
-    also probes alpha = 0 with delta / max |A delta|, where the logistic
-    curvature peaks. D(alpha) and each G_k come from the certificate at
-    alpha and its _build_views.
+    trial draws its own gamma and uses sigma_prime = ratio * gamma * K,
+    where ratio = cfg.fixed_sigma_prime / (cfg.gamma K) is the configured
+    scaling's (1 when sigma_prime is unset). Each trial also probes
+    alpha = 0 with delta / max |A delta|, where the logistic curvature
+    peaks. D(alpha) and each G_k come from the certificate at alpha and
+    its _build_views.
     """
     spec.check_dims(m)
     rng = np.random.default_rng(seed)
-    ratio = cfg.fixed_sigma_prime / (cfg.gamma * p.k_count) \
-        if sigma_scale is None else float(sigma_scale)
+    ratio = cfg.fixed_sigma_prime / (cfg.gamma * p.k_count)
     scale = 0.45 * spec.reg.support_bound if spec.reg.kind == "l1" else 1.0
     blocks = [BlockColumns.of(m, block) for block in p.blocks]
     worst = -math.inf

@@ -69,12 +69,12 @@ class SubproblemView:
     """Read-only slice of shared state a worker needs for one round.
 
     `alpha_block` holds the current coefficients of the owned columns,
-    `w` the data-fit gradient at the shared prediction vector, and
-    `f_share` the worker's share of the data-fit value (supplied by the
-    driver so local objective values are comparable across workers).
-    `xw` holds the owned columns' inner products with `w`, (A^T w)[block],
-    and `columns` the block's per-solve constants; both are computed
-    here when the driver does not supply them.
+    `w` the data-fit gradient at the shared prediction vector, `xw` the
+    owned columns' inner products with it, (A^T w)[block], `columns` the
+    block's per-solve constants, and `f_share` the worker's share of the
+    data-fit value (so local objective values are comparable across
+    workers). The driver computes all of them once per round; the view
+    only holds them.
     """
 
     matrix: object
@@ -84,19 +84,15 @@ class SubproblemView:
     sigma_prime: float
     tau: float
     reg: object
+    xw: np.ndarray
+    columns: BlockColumns
     f_share: float = 0.0
-    xw: np.ndarray | None = None
-    columns: BlockColumns | None = None
 
     def __post_init__(self):
         if not self.sigma_prime > 0:
             raise ValueError("sigma_prime must be positive")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
-        if self.xw is None:
-            self.xw = self.matrix.mat_tvec(self.w)[self.block]
-        if self.columns is None:
-            self.columns = BlockColumns.of(self.matrix, self.block)
 
 
 @dataclass
@@ -108,7 +104,7 @@ class LocalResult:
     changes (float64); under L1 few coordinates move, and
     `len(delta_alpha)` counts them. delta_v is the running product
     A * delta, maintained incrementally and equal to the fresh product
-    up to accumulation rounding.
+    up to accumulation rounding. Zero-norm columns are never moved.
     """
 
     changed: np.ndarray
@@ -116,7 +112,6 @@ class LocalResult:
     delta_v: np.ndarray
     updates_done: int
     clamp_hits: int = 0
-    frozen_cols: int = 0
 
 
 def subproblem_value(view, delta, z):
@@ -277,19 +272,17 @@ def solve_local(view, h, seed):
     """Run h epochs of randomized coordinate descent on the subproblem.
 
     Performs h * block_size single-coordinate updates on uniformly
-    sampled (with replacement) columns of positive norm; zero-norm
-    columns are frozen at their current value and counted in the
-    result. The running product z = A * delta is maintained by sparse
-    in-place updates. Deterministic given (view, h, seed); the local
-    objective never increases across updates.
+    sampled (with replacement) columns of positive norm, the pool of
+    `view.columns`. The running product z = A * delta is maintained by
+    sparse in-place updates. Deterministic given (view, h, seed); the
+    local objective never increases across updates.
     """
     if h < 1:
         raise ValueError("local epoch count h must be >= 1")
     pool = view.columns.pool
     z = np.zeros(view.matrix.n_rows)
-    frozen = len(view.block) - len(pool)
     if not len(pool):
-        return LocalResult(np.zeros(0, np.int64), np.zeros(0), z, 0, 0, frozen)
+        return LocalResult(np.zeros(0, np.int64), np.zeros(0), z, 0)
 
     n_updates = h * len(view.block)
     draws = np.random.default_rng(seed).integers(0, len(pool), size=n_updates)
@@ -298,7 +291,7 @@ def solve_local(view, h, seed):
     clamp_hits = _coordinate_pass(view, draws, totals, z)
     moved = np.flatnonzero(totals != start)
     return LocalResult(pool[moved], totals[moved] - start[moved], z,
-                       n_updates, clamp_hits, frozen)
+                       n_updates, clamp_hits)
 
 
 def _cd_minimize(view, max_sweeps, tol=1e-14):
@@ -324,21 +317,22 @@ def _cd_minimize(view, max_sweeps, tol=1e-14):
     return delta, z, value
 
 
-def measure_theta(view, result, oracle_iters=400):
+def measure_theta(view, result):
     """Grade a local solve against a near-exact reference.
 
     Returns (G(result) - G(ref)) / (G(0) - G(ref)) clamped to [0, 1]:
     0 means the budgeted solve matched the reference, 1 means it made
-    no progress. The reference is an extended cyclic coordinate-descent
-    run capped at `oracle_iters` sweeps. Returns 0.0 when the zero
-    update is already optimal (denominator below 1e-14). Single-run
-    diagnostic, not a certified bound.
+    no progress. `result` is solve_local's result on `view` (run_round
+    returns one per worker); the reference is cyclic coordinate descent
+    capped at 400 sweeps. Returns 0.0 when the zero update is already
+    optimal (denominator below 1e-14). Single-run diagnostic, not a
+    certified bound.
     """
     delta = np.zeros(len(view.block))
     g_zero = subproblem_value(view, delta, np.zeros(view.matrix.n_rows))
     delta[result.changed] = result.delta_alpha
     g_res = subproblem_value(view, delta, result.delta_v)
-    _, _, g_ref = _cd_minimize(view, max_sweeps=oracle_iters)
+    _, _, g_ref = _cd_minimize(view, max_sweeps=400)
     denom = g_zero - g_ref
     if denom < 1e-14:
         return 0.0

@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import shardcd as sc
-from shardcd import local
+from shardcd import engine, local
 
 
 def random_matrix(rng, n, d, density=0.4):
@@ -40,6 +40,23 @@ def lasso_objective(m, b, frac=0.15):
 def enet_objective(b, lam=0.3, eta=0.5):
     fit = sc.DataFit(kind=sc.LEAST_SQUARES, labels=b)
     return sc.make_objective(fit, "elastic_net", lam, eta=eta)
+
+
+def subproblem(matrix, block, w, **fields):
+    """A SubproblemView with the inputs the driver computes per round,
+    xw = (A^T w)[block] and the block's BlockColumns, filled in here."""
+    return sc.SubproblemView(matrix=matrix, block=block, w=w,
+                             xw=matrix.mat_tvec(w)[block],
+                             columns=sc.BlockColumns.of(matrix, block),
+                             **fields)
+
+
+def hand_round(state, cfg, spec, m, p):
+    """One engine.run_round from `state` at cfg.fixed_sigma_prime, its
+    views built from the certificate taken at `state`."""
+    views = engine._build_views(state, cfg.fixed_sigma_prime, spec, m, p,
+                                sc.duality_gap(spec, m, state.alpha, state.v))
+    return engine.run_round(state, cfg, spec, m, p, views)
 
 
 @pytest.fixture

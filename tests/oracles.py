@@ -142,8 +142,7 @@ def local_solve_loop(view, h, seed):
     Recomputes every column's inner product with the view's gradient one
     column at a time and keeps the update as a dict, with the shrinkage
     steps written out here. Draws the same coordinate sequence as the
-    package solver. Returns (delta map, A delta, updates, clamp hits,
-    frozen columns).
+    package solver. Returns (delta map, A delta, updates, clamp hits).
     """
     m = view.matrix
     block = view.block
@@ -151,7 +150,7 @@ def local_solve_loop(view, h, seed):
     pool = [j for j in range(len(block)) if sq[block[j]] > 0.0]
     z = np.zeros(m.n_rows)
     if not pool:
-        return {}, z, 0, 0, len(block)
+        return {}, z, 0, 0
     sp_tau = view.sigma_prime / view.tau
     cols = [m.column(int(block[j])) for j in pool]
     xw = [float(np.dot(v, view.w[r])) for r, v in cols]
@@ -181,7 +180,7 @@ def local_solve_loop(view, h, seed):
     delta = {pool[t]: totals[t] - float(view.alpha_block[pool[t]])
              for t in range(len(pool))
              if totals[t] != view.alpha_block[pool[t]]}
-    return delta, z, n_updates, clamps, len(block) - len(pool)
+    return delta, z, n_updates, clamps
 
 
 def normalized_dense(dense):

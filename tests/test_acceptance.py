@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import shardcd as sc
-from shardcd.engine import _build_views, _worker_seed
+from shardcd.engine import _build_views
 from conftest import random_matrix
 from oracles import golden_min, linear_fit_r2, numeric_conjugate, numeric_sup
 
@@ -47,10 +47,8 @@ def c5_run():
     zero = sc.SolverState.initial(m)
     views = _build_views(zero, cfg.fixed_sigma_prime, spec, m, p,
                          sc.duality_gap(spec, m, zero.alpha, zero.v))
-    theta = max(sc.measure_theta(views[k],
-                                 sc.solve_local(views[k], cfg.h_local,
-                                                _worker_seed(cfg.seed, k, 0)))
-                for k in range(4))
+    _, results = sc.run_round(zero, cfg, spec, m, p, views)
+    theta = max(sc.measure_theta(v, r) for v, r in zip(views, results))
     return dict(m=m, b=b, spec=spec, p=p, cfg=cfg, res=res, elapsed=elapsed,
                 d_star=tight.traces[-1].primal, theta=theta)
 

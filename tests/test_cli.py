@@ -118,6 +118,15 @@ def test_bad_synthetic_descriptor_exits_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("noise_seed,cause", [
+    ("nan,1", "noise_sd must be finite and nonnegative"),
+    ("inf,1", "noise_sd must be finite and nonnegative"),
+    ("0.1,-1", "seed must be nonnegative")], ids=["nan", "inf", "seed"])
+def test_bad_synthetic_value_names_its_cause(noise_seed, cause, capsys):
+    assert run(f"--synthetic 50,30,0.2,5,{noise_seed} --lambda 0.1") == 1
+    assert capsys.readouterr().err == f"error: bad --synthetic value: {cause}\n"
+
+
 def test_help_exits_zero(capsys):
     assert run("--help") == 0
     capsys.readouterr()

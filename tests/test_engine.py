@@ -8,7 +8,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import shardcd as sc
 from shardcd import engine as eng
 from shardcd import local
-from conftest import enet_objective, lasso_objective, regression_instance
+from conftest import (enet_objective, hand_round, lasso_objective,
+                      regression_instance, subproblem)
 
 
 def desk_setup(seed=5, n=40, d=24, kind="l1", K=4):
@@ -46,9 +47,9 @@ def test_mismatched_partition_rejected():
         sc.solve(cfg, spec, m, p)
     other = sc.partition_columns(m.n_cols - 1, 2)
     with pytest.raises(ValueError):
-        sc.run_round(sc.SolverState.initial(m),
-                     sc.EngineConfig(k_count=2, max_rounds=1, gap_tol=0.0),
-                     spec, m, other)
+        hand_round(sc.SolverState.initial(m),
+                   sc.EngineConfig(k_count=2, max_rounds=1, gap_tol=0.0),
+                   spec, m, other)
 
 
 def test_single_worker_big_budget_decreases_primal():
@@ -56,7 +57,7 @@ def test_single_worker_big_budget_decreases_primal():
     cfg = sc.EngineConfig(k_count=1, h_local=200, max_rounds=1, gap_tol=0.0, seed=1)
     state0 = sc.SolverState.initial(m)
     p0 = sc.primal_value(spec, m, state0.alpha, state0.v)
-    state1, _ = sc.run_round(state0, cfg, spec, m, p)
+    state1, _ = hand_round(state0, cfg, spec, m, p)
     p1 = sc.primal_value(spec, m, state1.alpha, state1.v)
     assert p1 <= p0
 
@@ -105,7 +106,7 @@ def test_l1_barrier_keeps_coefficients_in_box():
     m, spec, p, cfg = divergent_setup("l1")
     state = sc.SolverState.initial(m)
     for _ in range(30):
-        state, _ = sc.run_round(state, cfg, spec, m, p)
+        state, _ = hand_round(state, cfg, spec, m, p)
         assert np.max(np.abs(state.alpha)) <= spec.reg.support_bound
         assert sc.duality_gap(spec, m, state.alpha, state.v).gap >= -1e-9
     assert state.round == 30
@@ -268,7 +269,7 @@ def test_round_aborts_transactionally_on_worker_failure(monkeypatch):
 
     monkeypatch.setattr(eng, "solve_local", flaky)
     with pytest.raises(RuntimeError):
-        eng.run_round(state, cfg, spec, m, p)
+        hand_round(state, cfg, spec, m, p)
     assert np.array_equal(state.alpha, alpha_before)
     assert np.array_equal(state.v, v_before)
 
@@ -319,8 +320,8 @@ def test_check_lemma3_zero_delta_tight():
     gamma = 0.7
     rhs = (1 - gamma) * sc.primal_value(spec, m, np.zeros(m.n_cols), v)
     for k in range(p.k_count):
-        view = sc.SubproblemView(
-            matrix=m, block=p.blocks[k], w=w,
+        view = subproblem(
+            m, p.blocks[k], w,
             alpha_block=np.zeros(len(p.blocks[k])), sigma_prime=gamma * 4,
             tau=1.0, reg=spec.reg, f_share=f_share)
         rhs += gamma * sc.subproblem_value(view, np.zeros(len(p.blocks[k])),
@@ -344,12 +345,10 @@ def test_check_lemma3_detects_unsafe_sigma():
     fit = sc.DataFit(kind=sc.LEAST_SQUARES, labels=b)
     spec = sc.make_objective(fit, "l1", 0.5)
     p = sc.partition_columns(8, 4)
-    cfg = sc.EngineConfig(k_count=4)
-    worst = sc.check_lemma3(spec, m, p, cfg, trials=100, seed=0, sigma_scale=0.1)
+    # sigma' = gamma K / 4, below the safe gamma K
+    cfg = sc.EngineConfig(k_count=4, sigma_prime=1.0)
+    worst = sc.check_lemma3(spec, m, p, cfg, trials=100, seed=0)
     assert worst > 0
-    # a NaN scaling is refused, not reported as a -inf pass
-    with pytest.raises(ValueError, match="sigma_prime must be positive"):
-        sc.check_lemma3(spec, m, p, cfg, trials=1, seed=0, sigma_scale=math.nan)
 
 
 def test_check_lemma3_detects_a_too_large_logistic_tau(monkeypatch):
@@ -506,6 +505,30 @@ def test_frozen_columns_surface_in_diagnostics():
         assert res.diagnostics["frozen_cols"] == 2
 
 
+def test_round_given_its_views_computes_no_product_or_certificate(monkeypatch):
+    # a round is the local solves plus the barrier: f(v), w and A^T w
+    # arrive in its views
+    m, spec, p = desk_setup(seed=24, n=16, d=10, K=2)
+    cfg = sc.EngineConfig(k_count=2, h_local=2, max_rounds=1, gap_tol=0.0,
+                          seed=1)
+    state = sc.SolverState.initial(m)
+    views = eng._build_views(state, cfg.fixed_sigma_prime, spec, m, p,
+                             sc.duality_gap(spec, m, state.alpha, state.v))
+    calls = []
+    for name in ("mat_vec", "mat_tvec"):
+        real = getattr(sc.ColMatrix, name)
+        monkeypatch.setattr(
+            sc.ColMatrix, name,
+            lambda self, x, name=name, real=real: calls.append(name)
+            or real(self, x))
+    monkeypatch.setattr(eng, "duality_gap",
+                        lambda *args: calls.append("duality_gap"))
+    new, results = eng.run_round(state, cfg, spec, m, p, views)
+    assert calls == []
+    assert new.round == 1 and len(results) == 2
+    assert np.any(new.alpha)
+
+
 def test_views_reuse_the_certificate(monkeypatch):
     # every round starts from a certificate, whose f(v), w and A^T w the
     # round's views take instead of computing them
@@ -546,7 +569,7 @@ def test_round_invariants_over_random_partitions(seed, k, kind, unsafe_sigma, h)
                           max_rounds=8, gap_tol=0.0, seed=seed)
     state = sc.SolverState.initial(m)
     for _ in range(cfg.max_rounds):
-        state, _ = sc.run_round(state, cfg, spec, m, p)
+        state, _ = hand_round(state, cfg, spec, m, p)
         v_ref = m.mat_vec(state.alpha)
         assert np.max(np.abs(state.v - v_ref)) \
             <= 1e-8 * (1.0 + np.max(np.abs(v_ref)))
@@ -566,7 +589,7 @@ def _solve_recording_rounds(cfg, spec, m, p):
     calls = []
     real = eng.run_round
 
-    def recording(state, cfg, spec, m, p, views=None):
+    def recording(state, cfg, spec, m, p, views):
         new, results = real(state, cfg, spec, m, p, views)
         calls.append((state, views, new, results))
         return new, results

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import tempfile
 
@@ -81,6 +82,17 @@ def test_read_libsvm_rejects_non_finite(tmp_path, line):
     path.write_text(f"1 1:0.5\n\n{line}\n-1 2:1.0\n")
     with pytest.raises(DataFormatError, match=r"nonfinite\.txt:3: non-finite"):
         sc.read_libsvm(path)
+
+
+def test_write_libsvm_refuses_non_finite_labels(tmp_path):
+    # read_libsvm refuses what it would write; the file is left untouched
+    m = sc.ColMatrix.from_columns(2, [[(0, 1.0)], [(1, 2.0)]])
+    path = tmp_path / "kept.txt"
+    path.write_text("1 1:1.0\n")
+    for bad in ([math.nan, 1.0], [1.0, math.inf], [-math.inf, 1.0]):
+        with pytest.raises(ValueError, match="labels must be finite"):
+            sc.write_libsvm(path, m, np.array(bad))
+        assert path.read_text() == "1 1:1.0\n"
 
 
 @both_readers
@@ -267,6 +279,12 @@ def test_gen_synthetic_validation():
         sc.SyntheticSpec(n=4, d=4, density=0.0, true_nnz=1, noise_sd=0.1, seed=0)
     with pytest.raises(ValueError):
         sc.SyntheticSpec(n=4, d=4, density=0.5, true_nnz=9, noise_sd=0.1, seed=0)
+    for noise in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise_sd must be finite and nonneg"):
+            sc.SyntheticSpec(n=4, d=4, density=0.5, true_nnz=1, noise_sd=noise,
+                             seed=0)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        sc.SyntheticSpec(n=4, d=4, density=0.5, true_nnz=1, noise_sd=0.1, seed=-1)
 
 
 def test_noiseless_synthetic_support_recovery():

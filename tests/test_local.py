@@ -10,7 +10,8 @@ import pytest
 
 import shardcd as sc
 from shardcd import local
-from conftest import enet_objective, lasso_objective, random_matrix, regression_instance
+from conftest import (enet_objective, hand_round, lasso_objective, random_matrix,
+                      regression_instance, subproblem)
 from oracles import golden_min, local_solve_loop
 
 
@@ -24,8 +25,8 @@ def make_view(seed=1, n=12, d=8, kind="l1", sigma_prime=2.0, alpha_scale=0.2):
     alpha = alpha_scale * rng.standard_normal(n)
     v = m.mat_vec(alpha)
     block = np.arange(n, dtype=np.int64)
-    return sc.SubproblemView(
-        matrix=m, block=block, w=sc.f_grad(spec.data_fit, v),
+    return subproblem(
+        m, block, sc.f_grad(spec.data_fit, v),
         alpha_block=alpha, sigma_prime=sigma_prime, tau=1.0, reg=spec.reg,
         f_share=sc.f_value(spec.data_fit, v) / 2.0), spec
 
@@ -47,6 +48,23 @@ def one_dim_objective(view, z_other, j, delta_others):
         return sc.subproblem_value(view, delta, z)
 
     return fn
+
+
+def test_view_requires_the_driver_inputs():
+    # xw = (A^T w)[block] and the block's columns come from the driver,
+    # once per round; a view never computes them itself
+    m, b, _ = regression_instance(seed=2, n=6, d=5)
+    spec = lasso_objective(m, b)
+    block = np.arange(6, dtype=np.int64)
+    w = sc.f_grad(spec.data_fit, np.zeros(m.n_rows))
+    full = dict(matrix=m, block=block, w=w, alpha_block=np.zeros(6),
+                sigma_prime=1.0, tau=1.0, reg=spec.reg,
+                xw=m.mat_tvec(w)[block], columns=sc.BlockColumns.of(m, block))
+    assert sc.SubproblemView(**full).xw is full["xw"]
+    for missing in ("xw", "columns"):
+        fields = {k: v for k, v in full.items() if k != missing}
+        with pytest.raises(TypeError, match=missing):
+            sc.SubproblemView(**fields)
 
 
 def test_subproblem_value_at_zero():
@@ -182,9 +200,9 @@ def test_solve_local_dead_zone_returns_zero_update():
     lam = 2.0 * float(np.max(np.abs(m.mat_tvec(b))))
     spec = sc.make_objective(fit, "l1", lam)
     v = np.zeros(m.n_rows)
-    view = sc.SubproblemView(
-        matrix=m, block=np.arange(16, dtype=np.int64),
-        w=sc.f_grad(fit, v), alpha_block=np.zeros(16),
+    view = subproblem(
+        m, np.arange(16, dtype=np.int64),
+        sc.f_grad(fit, v), alpha_block=np.zeros(16),
         sigma_prime=1.0, tau=1.0, reg=spec.reg, f_share=sc.f_value(fit, v))
     res = sc.solve_local(view, h=3, seed=0)
     assert len(res.changed) == len(res.delta_alpha) == 0
@@ -199,8 +217,8 @@ def test_solve_local_single_column_is_exact():
     alpha = 0.1 * rng.standard_normal(6)
     v = m.mat_vec(alpha)
     block = np.array([2], dtype=np.int64)
-    view = sc.SubproblemView(
-        matrix=m, block=block, w=sc.f_grad(spec.data_fit, v),
+    view = subproblem(
+        m, block, sc.f_grad(spec.data_fit, v),
         alpha_block=alpha[block], sigma_prime=2.0, tau=1.0, reg=spec.reg,
         f_share=sc.f_value(spec.data_fit, v) / 3.0)
     res = sc.solve_local(view, h=1, seed=4)
@@ -256,21 +274,20 @@ def test_solve_local_matches_per_column_loop(pass_kernel):
         v = m.mat_vec(alpha)
         block = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
                                    replace=False))
-        view = sc.SubproblemView(
-            matrix=m, block=block, w=sc.f_grad(fit, v),
+        view = subproblem(
+            m, block, sc.f_grad(fit, v),
             alpha_block=alpha[block], sigma_prime=float(rng.uniform(0.5, 4.0)),
             tau=1.0, reg=spec.reg, f_share=sc.f_value(fit, v))
         h = int(rng.integers(1, 4))
         res = sc.solve_local(view, h=h, seed=trial)
-        delta, z, updates, clamps, frozen = local_solve_loop(view, h, trial)
+        delta, z, updates, clamps = local_solve_loop(view, h, trial)
         assert res.changed.tolist() == sorted(delta)
         for j, dv in delta.items():
             got, ref = alpha[block[j]] + changes(res)[j], alpha[block[j]] + dv
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
         assert np.max(np.abs(res.delta_v - z), initial=0.0) \
             <= 1e-12 * max(1.0, np.max(np.abs(z), initial=0.0))
-        assert (res.updates_done, res.clamp_hits, res.frozen_cols) == \
-            (updates, clamps, frozen)
+        assert (res.updates_done, res.clamp_hits) == (updates, clamps)
 
 
 def needs_kernel():
@@ -335,8 +352,8 @@ def test_kernel_matches_python_loop(monkeypatch):
         v = m.mat_vec(alpha)
         block = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
                                    replace=False))
-        view = sc.SubproblemView(
-            matrix=m, block=block, w=sc.f_grad(fit, v),
+        view = subproblem(
+            m, block, sc.f_grad(fit, v),
             alpha_block=alpha[block], sigma_prime=float(rng.uniform(0.5, 4.0)),
             tau=1.0, reg=reg, f_share=sc.f_value(fit, v))
         h = int(rng.integers(1, 4))
@@ -348,8 +365,8 @@ def test_kernel_matches_python_loop(monkeypatch):
             assert abs(a - r) <= 1e-12 * max(1.0, abs(r))
         scale = max(1.0, np.max(np.abs(ref.delta_v), initial=0.0))
         assert np.max(np.abs(got.delta_v - ref.delta_v), initial=0.0) <= 1e-12 * scale
-        assert (got.updates_done, got.clamp_hits, got.frozen_cols) == \
-            (ref.updates_done, ref.clamp_hits, ref.frozen_cols)
+        assert (got.updates_done, got.clamp_hits) == \
+            (ref.updates_done, ref.clamp_hits)
         clamps += ref.clamp_hits
         # the cyclic reference solve runs the same pass
         g_val = run(c_pass, local._cd_minimize, view, 50)[2]
@@ -437,8 +454,8 @@ def test_kernel_pass_is_bit_identical_to_a_sequential_sum():
         else:
             reg = sc.Regularizer(kind=sc.ELASTIC_NET, lam=lam, eta=0.5)
         block = np.arange(m.n_cols, dtype=np.int64)
-        view = sc.SubproblemView(
-            matrix=m, block=block, w=sc.f_grad(fit, rng.standard_normal(d)),
+        view = subproblem(
+            m, block, sc.f_grad(fit, rng.standard_normal(d)),
             alpha_block=np.zeros(m.n_cols), sigma_prime=float(rng.uniform(0.5, 4.0)),
             tau=1.0, reg=reg)
         last = len(view.columns.pool) - 1
@@ -485,12 +502,11 @@ def test_solve_local_skips_zero_columns():
     b = np.array([1.0, 1.0, -1.0])
     fit = sc.DataFit(kind=sc.LEAST_SQUARES, labels=b)
     spec = sc.make_objective(fit, "l1", 0.01)
-    view = sc.SubproblemView(
-        matrix=m, block=np.arange(3, dtype=np.int64), w=sc.f_grad(fit, np.zeros(3)),
+    view = subproblem(
+        m, np.arange(3, dtype=np.int64), sc.f_grad(fit, np.zeros(3)),
         alpha_block=np.zeros(3), sigma_prime=1.0, tau=1.0, reg=spec.reg,
         f_share=sc.f_value(fit, np.zeros(3)))
     res = sc.solve_local(view, h=10, seed=1)
-    assert res.frozen_cols == 1
     assert 1 not in res.changed
 
 
@@ -520,9 +536,9 @@ def test_measure_theta_already_optimal_block():
     fit = sc.DataFit(kind=sc.LEAST_SQUARES, labels=b)
     lam = 3.0 * float(np.max(np.abs(m.mat_tvec(b))))
     spec = sc.make_objective(fit, "l1", lam)
-    view = sc.SubproblemView(
-        matrix=m, block=np.arange(8, dtype=np.int64),
-        w=sc.f_grad(fit, np.zeros(m.n_rows)), alpha_block=np.zeros(8),
+    view = subproblem(
+        m, np.arange(8, dtype=np.int64),
+        sc.f_grad(fit, np.zeros(m.n_rows)), alpha_block=np.zeros(8),
         sigma_prime=1.0, tau=1.0, reg=spec.reg,
         f_share=sc.f_value(fit, np.zeros(m.n_rows)))
     res = sc.solve_local(view, h=1, seed=0)
@@ -541,7 +557,7 @@ def test_shotgun_configuration_matches_minibatch_cd():
     cfg = sc.EngineConfig(k_count=n, h_local=1, gamma=gamma, sigma_prime=1.0,
                           max_rounds=1, gap_tol=0.0, seed=2)
     state0 = sc.SolverState.initial(m)
-    state1, _ = sc.run_round(state0, cfg, spec, m, p)
+    state1, _ = hand_round(state0, cfg, spec, m, p)
 
     ref = sc.mb_cd_round(state0, spec, m, n, gamma * n, 123, sc.duality_gap(
         spec, m, state0.alpha, state0.v))
