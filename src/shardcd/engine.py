@@ -20,9 +20,10 @@ baselines alike, so their traces and stop reasons ("gap_tol",
 "diverged", "max_rounds") mean the same thing.
 
 Unless a sigma_prime is given, solve adapts the local quadratic scaling
-sigma' each round to the measured alignment of the workers' updates, and
-rejects (keeps the state of) a round whose updates break the data-fit
-half of the paper's Lemma 3 at the sigma' it used.
+sigma' each round to the measured alignment of the workers' updates. A
+least-squares round whose updates break the data-fit half of the paper's
+Lemma 3 at the sigma' it used is rejected (keeps its state); a logistic
+round searches for its step length along its combined update instead.
 
 Traces hold only deterministic quantities: their elapsed_ms column is
 always 0.0 and their theta column always empty, kept so the file format
@@ -41,8 +42,8 @@ import numpy as np
 from .local import (BlockColumns, SubproblemView, kernel_name, solve_local,
                     subproblem_value)
 # benchmarks/tracing.py wraps duality_gap, f_grad and f_value here by name
-from .objectives import (ELASTIC_NET, duality_gap, f_grad,  # noqa: F401
-                         f_value, primal_value)
+from .objectives import (ELASTIC_NET, LOGISTIC, _primal_change,  # noqa: F401
+                         duality_gap, f_grad, f_value, primal_value)
 
 __all__ = [
     "EngineConfig", "SolverState", "RoundTrace", "SolveResult",
@@ -283,6 +284,36 @@ def _aligned(results, gamma, sigma_prime):
     return not gamma * aligned > sigma_prime * spread
 
 
+def _line_search(spec, state, cand, aligned, primal):
+    """Step length t along a logistic round's update cand - state.
+
+    An aligned round takes t = 1 and doubles t, up to 64, while the
+    primal P(t) strictly falls; no trial falls below a NaN or infinite
+    P(1), so such a round takes t = 1, which _drive stops as "diverged".
+    A misaligned round failed the test that makes its candidate a
+    descent step, so it takes the first t = 1/2, 1/4, ..., 2^-10 whose
+    fall P(0) - P(t) exceeds 1e-12 |P(0)| (`primal`), far above the
+    rounding of a primal sum, else t = 0. Each trial is one call of
+    _primal_change's gathered sums.
+    """
+    change = _primal_change(spec, state.alpha, cand.alpha - state.alpha,
+                            state.v, cand.v - state.v)
+    if aligned:
+        t, best = 1.0, change(1.0)
+        while t < 64.0:
+            trial = change(2.0 * t)
+            if not trial < best:
+                break
+            t, best = 2.0 * t, trial
+        return t
+    t = 0.5
+    while not change(t) < -1e-12 * abs(primal):
+        if t == 2.0 ** -10:
+            return 0.0
+        t *= 0.5
+    return t
+
+
 def solve(cfg, spec, m, p):
     """Run rounds until the duality gap reaches gap_tol or rounds run out.
 
@@ -292,19 +323,27 @@ def solve(cfg, spec, m, p):
 
     sigma' starts at the floor and moves within [floor, cap]: [gamma,
     gamma K] with cfg.sigma_prime unset, else floor = cap = sigma_prime.
-    A round below the cap is accepted when its updates pass _aligned (one
-    test for both data fits), else rejected: the state stays as it was
-    (the round still counts, with its updates and a trace row, and keeps
-    its certificate) and sigma' doubles, up to the cap. After an accepted
-    round sigma' shrinks by a factor 0.9, down to the floor. At gamma K
-    the inequality holds by Cauchy-Schwarz: no test runs there or at K=1.
+    A round below the cap is aligned when its updates pass _aligned (one
+    test for both data fits); at gamma K the inequality holds by
+    Cauchy-Schwarz, so no test runs there or at K=1 and every round is
+    aligned. sigma' shrinks by a factor 0.9 after an aligned round, down
+    to the floor, and doubles after a misaligned one, up to the cap.
+
+    The round then steps t (cand - state) from its state to its
+    candidate cand. A least-squares round takes t = 1 when aligned, else
+    t = 0. A logistic round takes the t of _line_search, at least 1 when
+    aligned and below 1 when not: tau = 4 is logistic's worst-case
+    curvature, so its candidate is often far short of the best point on
+    the line, while for least squares tau = 1 is exact. At t = 0 the
+    round is rejected: the state stays as it was (the round still counts,
+    with its updates and a trace row, and keeps its certificate).
 
     Returns the final state, one trace row per round, the stop reason
     ("gap_tol", "diverged" or "max_rounds"), and a diagnostics dict with
     measured wall times, per-round coefficient extremes, each round's
-    sigma' (`sigma_prime`), the count of `rejected_rounds`,
-    clamp/frozen-column counters and the coordinate-pass kernel that ran
-    ("c" or "python").
+    sigma' (`sigma_prime`) and step t (`step`), the count of
+    `rejected_rounds` (rounds with t = 0), clamp/frozen-column counters
+    and the coordinate-pass kernel that ran ("c" or "python").
     """
     if m.n_cols != p.n_cols:
         raise ValueError("partition does not match matrix columns")
@@ -312,6 +351,7 @@ def solve(cfg, spec, m, p):
     diag = {
         "max_abs_coef": [],
         "sigma_prime": [],
+        "step": [],
         "rejected_rounds": 0,
         "clamp_hits": 0,
         "frozen_cols": m.n_cols - sum(len(c.pool) for c in blocks),
@@ -326,12 +366,19 @@ def solve(cfg, spec, m, p):
         views = _build_views(state, sigma, spec, m, p, shared, blocks)
         new, results = run_round(state, cfg, spec, m, p, views)
         diag["sigma_prime"].append(sigma)
-        if sigma < cap and not _aligned(results, cfg.gamma, sigma):
+        aligned = not sigma < cap or _aligned(results, cfg.gamma, sigma)
+        t = 1.0 if aligned else 0.0
+        if spec.data_fit.kind == LOGISTIC:
+            t = _line_search(spec, state, new, aligned, shared.primal)
+        if t == 0.0:
             new = SolverState(alpha=state.alpha, v=state.v, round=new.round)
             diag["rejected_rounds"] += 1
-            sigma = min(cap, 2.0 * sigma)
-        else:
-            sigma = max(floor, 0.9 * sigma)
+        elif t != 1.0:
+            new = SolverState(alpha=state.alpha + t * (new.alpha - state.alpha),
+                              v=state.v + t * (new.v - state.v),
+                              round=new.round)
+        diag["step"].append(t)
+        sigma = max(floor, 0.9 * sigma) if aligned else min(cap, 2.0 * sigma)
         diag["clamp_hits"] += sum(r.clamp_hits for r in results)
         diag["max_abs_coef"].append(float(np.max(np.abs(new.alpha), initial=0.0)))
         return new, sum(r.updates_done for r in results)

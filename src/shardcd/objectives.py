@@ -217,6 +217,27 @@ def _fit_pass(fit, v):
             lambda s: _entropy(t, log_t, log_1mt, s))
 
 
+def _primal_change(spec, a, da, v, dv):
+    """t -> P(a + t da) - P(a) for a logistic data fit, with v = A a and
+    dv = A da given.
+
+    The rows where dv != 0 and the coordinates where da != 0 are gathered
+    once; each call sums softplus(-b v_j) and l(a_i) differences over
+    those only, so it costs no product and no pass over the whole of v.
+    Non-finite when the point is: outside the L1 box, or overflowed.
+    """
+    rows, cols = np.flatnonzero(dv), np.flatnonzero(da)
+    b, v, dv = spec.data_fit.labels[rows], v[rows], dv[rows]
+    a, da = a[cols], da[cols]
+
+    def loss(z):  # log(1 + exp(-z)), as _fit_pass computes it
+        return np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+    loss0, pen0 = loss(b * v), ell_value(spec.reg, a)
+    return lambda t: float(np.sum(loss(b * (v + t * dv)) - loss0)) \
+        + float(np.sum(ell_value(spec.reg, a + t * da) - pen0))
+
+
 def f_value(fit, v):
     """Evaluate the data-fit term at a length-d prediction vector."""
     return _fit_pass(fit, v)[0]

@@ -184,6 +184,18 @@ def test_sparse_logistic_runs(capsys):
     assert "sparse_logistic" in capsys.readouterr().out
 
 
+def test_near_separable_logistic_reaches_the_gap(capsys):
+    # at logistic's worst-case step length this run spent all 5,000
+    # rounds and stopped at gap 4.6e-4; the line search makes it stop
+    rc = run("--synthetic 200,100,0.1,10,0.01,42 --lambda 0.05 "
+             "--objective sparse_logistic --k 1 --h 5")
+    fields = dict(f.split("=") for f in capsys.readouterr().out.split()
+                  if "=" in f)
+    assert rc == 0 and fields["stop"] == "gap_tol"
+    assert int(fields["rounds"]) < 5000
+    assert abs(float(fields["primal"]) - 6.916608) <= float(fields["gap"])
+
+
 def test_baseline_runs(tmp_path, capsys):
     out = tmp_path / "pg.csv"
     rc = run(f"{SMALL} --objective lasso --lambda 2.0 --baseline prox_gd "

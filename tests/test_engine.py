@@ -126,14 +126,12 @@ def test_divergent_run_stops_at_its_last_certificate(kind):
                                           res.state.v)
 
 
-@pytest.mark.parametrize("poison", ["inf", "nan", "overflow"])
-def test_non_finite_round_stops_the_run_at_its_last_certificate(
-        poison, monkeypatch):
-    # a round whose v or certificate is not finite gets no trace row: the
-    # run stops as diverged at the state certified before it, without a
-    # numpy warning. sigma' is fixed at gamma K so that round 3 is
-    # applied; the adaptive default rejects it and discards the poison
-    m, spec, p = desk_setup(seed=28, kind="enet")
+def poisoned_round_solve(m, spec, p, poison, monkeypatch, sign=1.0):
+    """Solve with round 3 poisoned: v[0] = sign * inf or NaN, or a finite
+    alpha[0] = 1e200 whose f(v) or l(alpha) is not. The run must stop as
+    diverged at the state certified before it, without a numpy warning.
+    sigma' is fixed at gamma K so that round 3 is applied; the adaptive
+    default rejects it and discards the poison."""
     cfg = sc.EngineConfig(k_count=4, h_local=2, sigma_prime=4.0,
                           max_rounds=10, gap_tol=0.0, seed=2)
     real = eng.run_round
@@ -141,11 +139,11 @@ def test_non_finite_round_stops_the_run_at_its_last_certificate(
     def poisoned(*args, **kwargs):
         new, results = real(*args, **kwargs)
         if new.round == 3:
-            if poison == "overflow":  # finite, but f(v) and l(alpha) are not
+            if poison == "overflow":
                 new.alpha[0] = 1e200
                 new.v = m.mat_vec(new.alpha)
             else:
-                new.v[0] = float(poison)
+                new.v[0] = sign * float(poison)
         return new, results
 
     monkeypatch.setattr(eng, "run_round", poisoned)
@@ -163,6 +161,31 @@ def test_non_finite_round_stops_the_run_at_its_last_certificate(
     ref = sc.solve(cfg, spec, m, p)
     assert np.array_equal(res.state.alpha, ref.state.alpha)
     assert np.array_equal(res.state.v, ref.state.v)
+    return res
+
+
+@pytest.mark.parametrize("poison", ["inf", "nan", "overflow"])
+def test_non_finite_round_stops_the_run_at_its_last_certificate(
+        poison, monkeypatch):
+    # a round whose v or certificate is not finite gets no trace row
+    m, spec, p = desk_setup(seed=28, kind="enet")
+    poisoned_round_solve(m, spec, p, poison, monkeypatch)
+
+
+@pytest.mark.parametrize("poison", ["inf", "nan", "overflow"])
+def test_non_finite_logistic_round_stops_the_run_at_its_last_certificate(
+        poison, monkeypatch):
+    # the line search takes t = 1 at a non-finite P(1), doubling no
+    # further; v[0] = -b[0] inf makes the loss at row 0 infinite
+    m, b, _ = sc.gen_synthetic(sc.SyntheticSpec(
+        n=40, d=24, density=0.4, true_nnz=5, noise_sd=0.1, seed=28),
+        classification=True)
+    spec = sc.make_objective(sc.DataFit(kind=sc.LOGISTIC, labels=b),
+                             "elastic_net", 0.3, eta=0.5)
+    res = poisoned_round_solve(m, spec, sc.partition_columns(40, 4), poison,
+                               monkeypatch, sign=-b[0])
+    assert len(res.diagnostics["step"]) == 3
+    assert res.diagnostics["step"][2] == 1.0
 
 
 @pytest.mark.parametrize("rounds", [400, 2000])
@@ -629,12 +652,22 @@ def test_accepted_rounds_satisfy_lemma3_and_never_raise_the_primal(
     assert res.diagnostics["sigma_prime"] == [views[0].sigma_prime
                                               for _, views, _, _ in calls]
     assert all(gamma <= s <= gamma * k for s in res.diagnostics["sigma_prime"])
+    steps = res.diagnostics["step"]
+    assert len(steps) == len(calls)
+    if kind != "logistic":
+        assert set(steps) <= {0.0, 1.0}
     successors = [state for state, _, _, _ in calls[1:]] + [res.state]
-    rejected = 0
-    for (state, views, new, results), nxt in zip(calls, successors):
-        if nxt.alpha is not new.alpha:  # rejected: the input state went on
+    for (state, views, new, results), nxt, t in zip(calls, successors, steps):
+        if t == 0.0:  # rejected: the input state went on
             assert nxt.alpha is state.alpha and nxt.v is state.v
-            rejected += 1
+            continue
+        if t == 1.0:
+            assert nxt.alpha is new.alpha and nxt.v is new.v
+        else:  # a logistic line-search step along the round's update
+            assert np.array_equal(nxt.alpha,
+                                  state.alpha + t * (new.alpha - state.alpha))
+            assert np.array_equal(nxt.v, state.v + t * (new.v - state.v))
+        if t < 1.0:  # a misaligned candidate, not bound by Lemma 3
             continue
         # the data-fit half of Lemma 3, with f evaluated directly
         fv = sc.f_value(fit, state.v)
@@ -644,10 +677,54 @@ def test_accepted_rounds_satisfy_lemma3_and_never_raise_the_primal(
         rhs = fv + gamma * float(np.dot(views[0].w, total)) \
             + gamma * sigma / (2.0 * fit.tau) * sq
         assert sc.f_value(fit, new.v) <= rhs + 1e-9 * abs(fv)
-    assert rejected == res.diagnostics["rejected_rounds"]
+    assert steps.count(0.0) == res.diagnostics["rejected_rounds"]
     primals = [t.primal for t in res.traces]
     for before, after in zip(primals, primals[1:]):
         assert after <= before + 1e-9 * abs(before)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**16), k=st.integers(1, 6),
+       reg=st.sampled_from(["l1", "elastic_net"]), h=st.integers(1, 4),
+       gamma=st.sampled_from([0.5, 1.0]))
+def test_logistic_line_search_steps(seed, k, reg, h, gamma):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(max(k, 2), 30)), int(rng.integers(3, 20))
+    m, b, _ = sc.gen_synthetic(sc.SyntheticSpec(
+        n=n, d=d, density=float(rng.uniform(0.2, 0.8)), true_nnz=2,
+        noise_sd=0.1, seed=seed), classification=True)
+    if rng.random() < 0.5:
+        m.normalize_columns()
+    fit = sc.DataFit(kind=sc.LOGISTIC, labels=b)
+    lam = 0.1 * float(np.max(np.abs(m.mat_tvec(sc.f_grad(fit, np.zeros(d))))))
+    spec = sc.make_objective(fit, reg, max(lam, 1e-3), eta=0.5)
+    p = random_partition(rng, n, k)
+    cfg = sc.EngineConfig(k_count=k, h_local=h, gamma=gamma, max_rounds=25,
+                          gap_tol=0.0, seed=seed)
+    res, calls = _solve_recording_rounds(cfg, spec, m, p)
+    assert res.stop_reason != "diverged"
+    assert len(res.diagnostics["step"]) == len(calls) == res.state.round
+    successors = [state for state, _, _, _ in calls[1:]] + [res.state]
+    primals = [t.primal for t in res.traces]
+    for r, ((state, views, new, results), nxt, t) in enumerate(
+            zip(calls, successors, res.diagnostics["step"])):
+        sigma = views[0].sigma_prime
+        aligned = sigma == gamma * k or eng._aligned(results, gamma, sigma)
+        if t >= 1.0:
+            assert aligned and t in [2.0 ** i for i in range(7)]
+        else:
+            assert not aligned
+            assert t in [0.0] + [0.5 ** i for i in range(1, 11)]
+        if 0.0 < t < 1.0:
+            assert primals[r + 1] < primals[r]
+        if t > 1.0:  # doubling stops only when P stops falling: allow
+            # the rounding of the certificate's sum over all rows
+            top = sc.primal_value(spec, m, new.alpha, new.v)
+            assert primals[r + 1] <= top + 1e-12 * abs(top)
+        if reg == "l1":
+            assert np.max(np.abs(nxt.alpha)) <= spec.reg.support_bound
+        sc.check_v(m, nxt.alpha, nxt.v)
 
 
 def test_rejected_round_reuses_its_certificate(monkeypatch):
