@@ -87,49 +87,29 @@ static int is_digit(char c)
     return c >= '0' && c <= '9';
 }
 
-static const char *skip_digits(const char *p, const char *end)
-{
-    while (p < end && is_digit(*p))
-        p++;
-    return p;
-}
+/* Digits, signs, '.', 'e' and 'E': a table tests them faster than ifs. */
+static const char NUMBER_CHARS[256] = {
+    ['0'] = 1, ['1'] = 1, ['2'] = 1, ['3'] = 1, ['4'] = 1, ['5'] = 1,
+    ['6'] = 1, ['7'] = 1, ['8'] = 1, ['9'] = 1, ['+'] = 1, ['-'] = 1,
+    ['.'] = 1, ['e'] = 1, ['E'] = 1};
 
-/* Whether a token may end at p: a blank, a line end or the buffer's end. */
-static int token_ends(const char *p, const char *end)
-{
-    return p == end || *p == ' ' || *p == '\t' || *p == '\n' || *p == '\r';
-}
-
-/* Parses the token [+-]?(D+(.D*)?|.D+)([eE][+-]?D+)? at p into *x and
- * returns its end, or NULL when p holds no such token or strtod stops
- * elsewhere (a decimal point other than '.' under LC_NUMERIC). */
+/* Parses the number at p into *x with strtod, which stops at the NUL after
+ * the buffer at the latest, and returns its end; or NULL unless strtod read
+ * a whole token (ending at a blank, a line end or the buffer's end) made only
+ * of NUMBER_CHARS.  From those strtod reads no leading blank, inf, nan or
+ * hexadecimal, and it stops at a '.' that LC_NUMERIC does not make the
+ * decimal point, so it accepts exactly [+-]?(D+(.D*)?|.D+)([eE][+-]?D+)?. */
 static const char *number(const char *p, const char *end, double *x)
 {
-    const char *q = p;
-    if (q < end && (*q == '+' || *q == '-'))
-        q++;
-    const char *d = q;
-    q = skip_digits(q, end);
-    int digits = q > d;
-    if (q < end && *q == '.') {
-        d = ++q;
-        q = skip_digits(q, end);
-        digits |= q > d;
-    }
-    if (!digits)
-        return NULL;
-    if (q < end && (*q == 'e' || *q == 'E')) {
-        q++;
-        if (q < end && (*q == '+' || *q == '-'))
-            q++;
-        d = q;
-        q = skip_digits(q, end);
-        if (q == d)
-            return NULL;
-    }
     char *stop;
     *x = strtod(p, &stop);
-    return stop == q && token_ends(q, end) ? q : NULL;
+    if (stop == p || !(stop == end || *stop == ' ' || *stop == '\t'
+                       || *stop == '\n' || *stop == '\r'))
+        return NULL;
+    for (const char *q = p; q < stop; q++)
+        if (!NUMBER_CHARS[(unsigned char)*q])
+            return NULL;
+    return stop;
 }
 
 /* parse_libsvm: the tokenizer of shardcd.dataio.read_libsvm for the strict
@@ -140,10 +120,11 @@ static const char *number(const char *p, const char *end, double *x)
  * counts[i]     number of idx:val entries of example i
  * cols, vals    0-based column and value of each entry (at most max_entries)
  * Blanks are ' ' and '\t', lines end in '\n' or "\r\n", blank lines are
- * skipped, labels and values are numbers as above and indices plain decimal
- * digits, at least 1, strictly ascending within a line and within int64.
- * Returns the number of examples, or -1 on any other input, for which the
- * Python loop rereads the file. */
+ * skipped, labels and values are numbers as number() reads them (an
+ * exponent out of range reads as inf) and indices plain decimal digits, at
+ * least 1, strictly ascending within a line and within int64.  Returns the
+ * number of examples, or -1 on any other input, for which the Python loop
+ * rereads the file. */
 int64_t parse_libsvm(const char *buf, int64_t len, int64_t max_rows,
                      int64_t max_entries, double *labels, int64_t *counts,
                      int64_t *cols, double *vals)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import sq_spectral_norm
-from .engine import SolverState, _check_drive_settings, _drive, _worker_seed
+from .engine import (SolverState, _check_drive_settings, _check_integers,
+                     _drive, _worker_seed)
 
 __all__ = ["BaselineConfig", "prox_gd_step", "mb_cd_round", "solve_baseline"]
 
@@ -51,6 +52,7 @@ class BaselineConfig:
             raise ValueError(f"unknown baseline kind {self.kind!r}")
         if self.step_size is not None:
             _check_step(self.step_size, "step_size")
+        _check_integers(batch_size=self.batch_size)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 1.0 <= self.beta_scale <= self.batch_size:

@@ -142,32 +142,31 @@ def cli_main(argv=None):
         return 0 if exc.code in (0, None) else 1
 
     try:
-        cfg = EngineConfig(
-            k_count=args.k, h_local=args.h, gamma=args.gamma,
-            sigma_prime=args.sigma_prime, max_rounds=args.rounds,
-            gap_tol=args.gap_tol, seed=args.seed)
-        baseline_cfg = None
+        if args.check and args.baseline:
+            raise ValueError("--check and --baseline cannot be combined")
         if args.baseline:
-            baseline_cfg = BaselineConfig(
+            cfg = BaselineConfig(
                 kind=args.baseline, step_size=args.step,
                 batch_size=args.batch, beta_scale=args.beta,
                 max_rounds=args.rounds, gap_tol=args.gap_tol, seed=args.seed)
+        else:
+            cfg = EngineConfig(
+                k_count=args.k, h_local=args.h, gamma=args.gamma,
+                sigma_prime=args.sigma_prime, max_rounds=args.rounds,
+                gap_tol=args.gap_tol, seed=args.seed)
         if args.objective == "elastic_net" and args.eta is None:
             raise ValueError("--eta is required for the elastic net")
         if args.objective != "elastic_net" and args.eta is not None:
             raise ValueError("--eta applies only to --objective elastic_net")
         m, labels = _load_instance(args)
-        p = partition_columns(m.n_cols, cfg.k_count)
-
-        if args.check:
-            return _run_check(args.check, args, m, labels, p, cfg)
-
-        spec = _make_spec(args, labels)
-        if baseline_cfg is not None:
-            result = solve_baseline(baseline_cfg, spec, m)
-            label = baseline_cfg.kind
+        if args.baseline:
+            result = solve_baseline(cfg, _make_spec(args, labels), m)
+            label = cfg.kind
         else:
-            result = engine.solve(cfg, spec, m, p)
+            p = partition_columns(m.n_cols, cfg.k_count)
+            if args.check:
+                return _run_check(args.check, args, m, labels, p, cfg)
+            result = engine.solve(cfg, _make_spec(args, labels), m, p)
             label = f"k={cfg.k_count} h={cfg.h_local}"
     except (DataFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -182,7 +181,7 @@ def cli_main(argv=None):
 
     last = result.traces[-1]
     rejected = ""
-    if baseline_cfg is None and cfg.sigma_prime is None:
+    if not args.baseline and cfg.sigma_prime is None:
         rejected = f" rejected={result.diagnostics['rejected_rounds']}"
     print(f"{args.objective} [{label}] rounds={result.state.round} "
           f"primal={last.primal:.10g} gap={last.gap:.6g} nnz={last.nnz} "

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,27 +42,26 @@ def read_libsvm(path):
 
     With the C library of `local` built, `parse_libsvm` in _cd.c reads
     the file's bytes under a strict ASCII grammar: blanks are spaces and
-    tabs, lines end in LF or CR LF, labels and values match
-    `[+-]?(D+(.D*)?|.D+)([eE][+-]?D+)?` and indices are plain decimal
-    digits within int64. It declines everything else (a sign or `_` in an
-    index, `nan`, hexadecimal, other whitespace, a lone CR, non-ASCII
-    bytes, any malformed line), and the Python loop then rereads the
-    file, so both give the same arrays and the same errors.
+    tabs, lines end in LF or CR LF, indices are plain decimal digits
+    within int64, and labels and values are what `strtod` reads from a
+    whole token of digits, signs, `.`, `e` and `E`, which is exactly
+    `[+-]?(D+(.D*)?|.D+)([eE][+-]?D+)?`. It declines everything else (a
+    sign or `_` in an index, `nan`, hexadecimal, other whitespace, a lone
+    CR, non-ASCII bytes, any malformed line). On declined input, and on a
+    label or value that reads as infinite, the Python loop `_tokenize`
+    rereads the file, so both give the same arrays and the same error,
+    which names the first bad token in file order.
     """
     parsed = None
     if local.kernel_name() == "c":
         with open(path, "rb") as fh:
             parsed = _tokenize_c(fh.read())
-    labels, counts, cols, vals = parsed or _tokenize(path)
+    if parsed is None or not (np.isfinite(parsed[0]).all()
+                              and np.isfinite(parsed[3]).all()):
+        parsed = _tokenize(path)
+    labels, counts, cols, vals = parsed
     if not len(counts):
         raise DataFormatError(f"{path}: empty dataset")
-    if not (np.isfinite(labels).all() and np.isfinite(vals).all()):
-        with open(path, "r") as fh:  # error path only: find the line again
-            for lineno, line in enumerate(fh, start=1):
-                for tok in line.split():
-                    if not np.isfinite(float(tok.rpartition(":")[2])):
-                        raise DataFormatError(
-                            f"{path}:{lineno}: non-finite number {tok!r}")
     rows = np.repeat(np.arange(len(counts)), counts)
     return ColMatrix.from_coo(len(counts), int(cols.max(initial=-1)) + 1, rows,
                               cols, vals), labels
@@ -85,7 +85,8 @@ def _tokenize_c(buf):
 
 def _tokenize(path):
     """The reference tokenizer: labels, entries per example, 0-based
-    columns and values, or DataFormatError naming the first bad line."""
+    columns and values, or DataFormatError naming the first bad token,
+    non-finite numbers included."""
     labels, counts, ex_cols, ex_vals = [], [], [], []
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -93,9 +94,10 @@ def _tokenize(path):
             if not parts:
                 continue
             try:
-                labels.append(float(parts[0]))
+                label = float(parts[0])
             except ValueError:
                 raise DataFormatError(f"{path}:{lineno}: bad label {parts[0]!r}")
+            labels.append(_check_finite(label, path, lineno, parts[0]))
             prev = 0
             for tok in parts[1:]:
                 idx, sep, val = tok.partition(":")
@@ -115,11 +117,17 @@ def _tokenize(path):
                         f"{path}:{lineno}: indices not strictly ascending")
                 prev = idx
                 ex_cols.append(idx - 1)
-                ex_vals.append(val)
+                ex_vals.append(_check_finite(val, path, lineno, tok))
             counts.append(len(parts) - 1)
     return (np.asarray(labels, dtype=np.float64), counts,
             np.asarray(ex_cols, dtype=np.int64),
             np.asarray(ex_vals, dtype=np.float64))
+
+
+def _check_finite(x, path, lineno, tok):
+    if not math.isfinite(x):
+        raise DataFormatError(f"{path}:{lineno}: non-finite number {tok!r}")
+    return x
 
 
 def write_libsvm(path, m, labels):

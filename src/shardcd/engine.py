@@ -34,6 +34,7 @@ diagnostics.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -76,6 +77,7 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integers(k_count=self.k_count, h_local=self.h_local)
         if self.k_count < 1:
             raise ValueError("k_count must be >= 1")
         if self.h_local < 1:
@@ -96,10 +98,19 @@ class EngineConfig:
         return self.sigma_prime
 
 
+def _check_integers(**counts):
+    """Refuse a count that is not an integer, naming its field: a float
+    count fails deep in numpy, or (a seed) is silently truncated."""
+    for name, value in counts.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_drive_settings(max_rounds, gap_tol, seed):
     """Reject the _drive settings under which it could return a result
     without a certificate, never stop on the gap (a NaN gap_tol), or fail
     after round 0 deriving a worker stream (a negative seed)."""
+    _check_integers(max_rounds=max_rounds, seed=seed)
     if max_rounds < 0:
         raise ValueError("max_rounds must be >= 0")
     if not gap_tol >= 0:
@@ -181,12 +192,13 @@ def run_round(state, cfg, spec, m, p, views):
     rounding, since each is a convex combination of two in-box values,
     and for B = inf (elastic net) the clip does nothing. Any worker
     failure aborts the round with the input state unchanged.
+
+    numpy's overflow and invalid-value warnings stay on here: a caller who
+    steps rounds by hand gets no stop reason, so a warning is its only
+    sign of a round that overflowed. solve silences them in _drive only
+    because its "diverged" stop reports the overflow.
     """
-    if p.k_count != cfg.k_count:
-        raise ValueError(f"config expects {cfg.k_count} workers, "
-                         f"partition has {p.k_count}")
-    if p.n_cols != m.n_cols:
-        raise ValueError("partition does not match matrix columns")
+    _check_partition(cfg, m, p)
     t = state.round
     results = [solve_local(views[k], cfg.h_local, _worker_seed(cfg.seed, k, t))
                for k in range(p.k_count)]
@@ -201,6 +213,14 @@ def run_round(state, cfg, spec, m, p, views):
     np.clip(new_alpha, -bound, bound, out=new_alpha)
     new_v = state.v + cfg.gamma * dv
     return SolverState(alpha=new_alpha, v=new_v, round=t + 1), results
+
+
+def _check_partition(cfg, m, p):
+    if p.k_count != cfg.k_count:
+        raise ValueError(f"config expects {cfg.k_count} workers, "
+                         f"partition has {p.k_count}")
+    if p.n_cols != m.n_cols:
+        raise ValueError("partition does not match matrix columns")
 
 
 def check_v(m, alpha, v):
@@ -345,8 +365,7 @@ def solve(cfg, spec, m, p):
     `rejected_rounds` (rounds with t = 0), clamp/frozen-column counters
     and the coordinate-pass kernel that ran ("c" or "python").
     """
-    if m.n_cols != p.n_cols:
-        raise ValueError("partition does not match matrix columns")
+    _check_partition(cfg, m, p)
     blocks = [BlockColumns.of(m, block) for block in p.blocks]
     diag = {
         "max_abs_coef": [],

@@ -294,12 +294,12 @@ def solve_local(view, h, seed):
                        n_updates, clamp_hits)
 
 
-def _cd_minimize(view, max_sweeps, tol=1e-14):
+def _cd_minimize(view, max_sweeps):
     """Deterministic cyclic coordinate descent on the subproblem.
 
-    Sweeps until the per-sweep objective improvement drops below `tol`
-    or the sweep budget runs out. Returns (dense delta, z, value); used as
-    the reference when grading a budgeted local solve.
+    Sweeps until the per-sweep objective improvement drops below 1e-14
+    or the sweep budget runs out. Returns the subproblem value reached;
+    used as the reference when grading a budgeted local solve.
     """
     pool = view.columns.pool
     z = np.zeros(view.matrix.n_rows)
@@ -312,9 +312,9 @@ def _cd_minimize(view, max_sweeps, tol=1e-14):
         _coordinate_pass(view, order, totals, z)
         delta[pool] = totals - start
         before, value = value, subproblem_value(view, delta, z)
-        if before - value < tol:
+        if before - value < 1e-14:
             break
-    return delta, z, value
+    return value
 
 
 def measure_theta(view, result):
@@ -332,7 +332,7 @@ def measure_theta(view, result):
     g_zero = subproblem_value(view, delta, np.zeros(view.matrix.n_rows))
     delta[result.changed] = result.delta_alpha
     g_res = subproblem_value(view, delta, result.delta_v)
-    _, _, g_ref = _cd_minimize(view, max_sweeps=400)
+    g_ref = _cd_minimize(view, max_sweeps=400)
     denom = g_zero - g_ref
     if denom < 1e-14:
         return 0.0

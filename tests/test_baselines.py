@@ -140,11 +140,13 @@ def test_mb_cd_validation():
     with pytest.raises(ValueError):
         sc.BaselineConfig(kind="sgd")
     # each would return a result without a certificate, never stop, stop
-    # as diverged for a step that was never a number, or fail after round
-    # 0 deriving a sampling stream
+    # as diverged for a step that was never a number, fail after round 0
+    # deriving a sampling stream, or (a count that is not an integer) fail
+    # deep in numpy or truncate
     for bad in ({"max_rounds": -3}, {"gap_tol": -1e-6}, {"gap_tol": -math.inf},
                 {"gap_tol": math.nan}, {"step_size": math.nan},
-                {"step_size": math.inf}, {"step_size": -1.0}, {"seed": -1}):
+                {"step_size": math.inf}, {"step_size": -1.0}, {"seed": -1},
+                {"max_rounds": 2.5}, {"seed": 1.5}, {"batch_size": 2.5}):
         (name,) = bad
         for kind in ("prox_gd", "mb_cd"):
             with pytest.raises(ValueError, match=name):

@@ -208,6 +208,27 @@ def test_baseline_runs(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_baseline_ignores_solver_only_flags(tmp_path, capsys):
+    # --k, --sigma-prime and --h set up the solver, which a baseline never runs
+    base = "--synthetic 60,30,0.3,5,0.1,7 --lambda 0.5 --baseline prox_gd"
+    outputs = []
+    for i, extra in enumerate(["", "--k 100", "--sigma-prime 0.5", "--h 0"]):
+        out = tmp_path / f"t{i}.csv"
+        rc = run(f"{base} {extra} --out {out}")
+        outputs.append((rc, capsys.readouterr().out, out.read_bytes()))
+    assert outputs[0][1].startswith("lasso [prox_gd]")
+    assert outputs[1:] == outputs[:1] * 3
+
+
+@pytest.mark.parametrize("check", ["sigma", "lemma3", "theta"])
+def test_check_with_baseline_exits_one(check, capsys):
+    assert run(f"{SMALL} --objective lasso --lambda 0.5 --check {check} "
+               f"--baseline mb_cd") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--check" in captured.err and "--baseline" in captured.err
+
+
 def test_check_sigma(capsys):
     rc = run(f"{SMALL} --check sigma --k 4")
     assert rc == 0

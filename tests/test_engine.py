@@ -38,13 +38,22 @@ def test_config_defaults_and_validation():
         with pytest.raises(ValueError, match=name):
             sc.EngineConfig(k_count=2, **bad)
     assert sc.EngineConfig(k_count=2, max_rounds=0, gap_tol=math.inf)
+    # counts that are not integers fail deep in numpy or (a seed) truncate
+    for bad in ({"k_count": 2.0}, {"k_count": 1.5}, {"h_local": 1.5},
+                {"max_rounds": 2.5}, {"seed": 1.5}, {"seed": None}):
+        (name,) = bad
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            sc.EngineConfig(**{"k_count": 2, **bad})
+    assert sc.EngineConfig(k_count=np.int64(2), h_local=np.int32(3)).k_count == 2
 
 
 def test_mismatched_partition_rejected():
     m, spec, p = desk_setup(seed=4, K=4)
-    cfg = sc.EngineConfig(k_count=2, max_rounds=1, gap_tol=0.0)
-    with pytest.raises(ValueError):
-        sc.solve(cfg, spec, m, p)
+    for rounds in (0, 1):  # refused before the zero start is certified
+        cfg = sc.EngineConfig(k_count=2, max_rounds=rounds, gap_tol=0.0)
+        with pytest.raises(ValueError,
+                           match="config expects 2 workers, partition has 4"):
+            sc.solve(cfg, spec, m, p)
     other = sc.partition_columns(m.n_cols - 1, 2)
     with pytest.raises(ValueError):
         hand_round(sc.SolverState.initial(m),
@@ -124,6 +133,31 @@ def test_divergent_run_stops_at_its_last_certificate(kind):
     assert last.primal > res.traces[0].primal
     assert last.primal == sc.primal_value(spec, m, res.state.alpha,
                                           res.state.v)
+
+
+def test_hand_stepped_round_warns_where_solve_stops_diverged(pass_kernel):
+    # gamma = sigma' = 1e-300: each of the two workers alone moves v[0] by
+    # about 1e308 from the zero start, and their sum at the barrier
+    # overflows. A caller stepping by hand gets no stop reason, so the
+    # round stays loud; solve reports the overflow as its stop reason.
+    m = sc.ColMatrix.from_columns(1, [[(0, 1.0)], [(0, 1.0)]])
+    fit = sc.DataFit(kind=sc.LEAST_SQUARES, labels=np.array([1e8]))
+    spec = sc.make_objective(fit, "elastic_net", 1e-3, eta=1e-300)
+    cfg = sc.EngineConfig(k_count=2, gamma=1e-300, sigma_prime=1e-300,
+                          max_rounds=5, gap_tol=0.0)
+    p = sc.partition_columns(2, 2)
+    state = sc.SolverState.initial(m)
+    with np.errstate(over="ignore"):  # the unscaled dual alone overflows
+        cert = sc.duality_gap(spec, m, state.alpha, state.v)
+    assert math.isfinite(cert.gap)
+    views = eng._build_views(state, cfg.fixed_sigma_prime, spec, m, p, cert)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            eng.run_round(state, cfg, spec, m, p, views)
+        res = sc.solve(cfg, spec, m, p)
+    assert res.stop_reason == "diverged"
+    assert res.state.round == res.traces[-1].round == 0
 
 
 def poisoned_round_solve(m, spec, p, poison, monkeypatch, sign=1.0):

@@ -84,6 +84,16 @@ def test_read_libsvm_rejects_non_finite(tmp_path, line):
         sc.read_libsvm(path)
 
 
+@both_readers
+def test_read_libsvm_names_the_first_bad_token(tmp_path):
+    # a non-finite number before a malformed token is the one named
+    path = tmp_path / "two.txt"
+    path.write_text("1 1:0.5\n-1 2:inf\n1 x:1\n")
+    with pytest.raises(DataFormatError,
+                       match=r"two\.txt:2: non-finite number '2:inf'$"):
+        sc.read_libsvm(path)
+
+
 def test_write_libsvm_refuses_non_finite_labels(tmp_path):
     # read_libsvm refuses what it would write; the file is left untouched
     m = sc.ColMatrix.from_columns(2, [[(0, 1.0)], [(1, 2.0)]])
@@ -149,6 +159,10 @@ def needs_c_tokenizer():
     "1 99999999999999999999999:1.0\n", "1 9223372036854775808:1.0\n",
     "1 0:1\n", "1 -2:1\n", "1 2:1 2:1\n", "1 :1\n", "1 1:\n", "1 1:2:3\n",
     "1 1:.\n", "1 1:1e\n", "1 1:1e+\n", "1 1 2:1\n", "1: 1:1\n", "x 1:1\n",
+    # strtod's own leniencies: leading whitespace (a newline would read the
+    # next line's label), a locale's comma, inf, nan(...), a trailing e
+    "1 1:\n-1 2:1.0", "1 1: 5\n", "1 1:\t5\n", "1 1:\x0b5\n", "1 1:1,5\n",
+    "1 1:INF\n", "1 1:nan(0x1)\n", "1 1:1e5e\n",
 ])
 def test_read_libsvm_declined_input_reads_as_in_python(tmp_path, text):
     lib = needs_c_tokenizer()
