@@ -2,10 +2,12 @@
  *
  * cd_pass: the coordinate pass of shardcd.local, the same exact
  * single-coordinate steps as local._coordinate_pass and local._shrink, in
- * the same operation order, on the ColMatrix CSC buffers in place.  Build
- * without FMA contraction (-ffp-contract=off) so every product is rounded as
- * in Python; only the sum in x_i^T z may differ from numpy's dot in the last
- * bits.
+ * the same operation order, on the ColMatrix CSC buffers in place, so the
+ * two give bit-identical results.  The order: x_i^T z is summed left to
+ * right over the column's entries from +0.0, each product rounded on its
+ * own; every other operation is one IEEE operation in the order written
+ * below.  Build without FMA contraction (-ffp-contract=off, local._CFLAGS)
+ * so that no product is fused into a sum.
  *
  * order[s]   pool position of step s (n_steps entries)
  * ids[t]     matrix column of pool position t

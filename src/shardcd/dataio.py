@@ -10,6 +10,7 @@ import numpy as np
 
 from . import local
 from .data import ColMatrix
+from .engine import _check_integers
 
 __all__ = [
     "DataFormatError", "SyntheticSpec",
@@ -167,6 +168,8 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
+        _check_integers(n=self.n, d=self.d, true_nnz=self.true_nnz,
+                        seed=self.seed)
         if self.n < 1 or self.d < 1:
             raise ValueError("n and d must be positive")
         if not 0.0 < self.density <= 1.0:

@@ -18,8 +18,8 @@ step is one scalar shrinkage clipped to [-B, B], a no-op for B = inf.
 The coordinate pass runs in a C kernel (_cd.c), compiled once per
 process with the C compiler on PATH and loaded with ctypes; without a
 working compiler the Python loop runs, which is also the kernel's
-reference. The two agree up to the summation order of each x_i^T z.
-The same library carries dataio's libsvm tokenizer.
+reference, and the two give bit-identical results. The same library
+carries dataio's libsvm tokenizer.
 """
 
 from __future__ import annotations
@@ -158,6 +158,9 @@ def coordinate_update(reg, current_total, g_lin, q):
     return _shrink(current_total, g_lin, q, *reg.penalty)[0]
 
 
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
 def _build_kernel():
     """Compile _cd.c with the C compiler on PATH into a private temporary
     directory, load it and remove the directory; the library with
@@ -169,8 +172,7 @@ def _build_kernel():
         with tempfile.TemporaryDirectory(prefix="shardcd-",
                                          ignore_cleanup_errors=True) as tmp:
             so = os.path.join(tmp, "_cd.so")
-            subprocess.run([cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off",
-                            "-o", so,
+            subprocess.run([cc, *_CFLAGS, "-o", so,
                             os.path.join(os.path.dirname(__file__), "_cd.c")],
                            stdin=subprocess.DEVNULL, capture_output=True,
                            check=True, timeout=120)
@@ -220,9 +222,9 @@ def _coordinate_pass(view, order, totals, z):
     z = A d (C-contiguous float64, one entry per matrix row) are updated
     in place; anything else is refused with ValueError. Runs the C kernel
     when it built, else the Python loop below, its reference: the same
-    steps in the same operation order (rows within a column are
-    distinct, so the gathered z[r] is reused for the write). Returns the
-    number of steps the support bound clipped.
+    steps in the operation order _cd.c's header states, bit for bit (rows
+    within a column are distinct, so the gathered z[r] is reused for the
+    write). Returns the number of steps the support bound clipped.
     """
     cols, m = view.columns, view.matrix
     sp_tau = view.sigma_prime / view.tau
@@ -249,7 +251,7 @@ def _coordinate_pass(view, order, totals, z):
             xw.ctypes.data, qs.ctypes.data, totals.ctypes.data, z.ctypes.data,
             sp_tau, l1, l2, bound)
     spans = list(zip(m.indptr[ids].tolist(), m.indptr[ids + 1].tolist()))
-    rows, vals, dot = m.rows, m.vals, np.dot
+    rows, vals, acc = m.rows, m.vals, np.add.accumulate
     xw, qs, tot = xw.tolist(), qs.tolist(), totals.tolist()
     clamp_hits = 0
     for t in order.tolist():
@@ -257,8 +259,9 @@ def _coordinate_pass(view, order, totals, z):
         r, v = rows[lo:hi], vals[lo:hi]
         c = tot[t]
         zr = z[r]
-        new, clamped = _shrink(c, xw[t] + sp_tau * float(dot(v, zr)),
-                               qs[t], l1, l2, bound)
+        # cd_pass's sum, left to right from +0.0 (0.0 + turns -0.0 into +0.0)
+        dot = 0.0 + float(acc(v * zr)[-1])
+        new, clamped = _shrink(c, xw[t] + sp_tau * dot, qs[t], l1, l2, bound)
         clamp_hits += clamped
         dlt = new - c
         if dlt != 0.0:
@@ -273,9 +276,9 @@ def solve_local(view, h, seed):
 
     Performs h * block_size single-coordinate updates on uniformly
     sampled (with replacement) columns of positive norm, the pool of
-    `view.columns`. The running product z = A * delta is maintained by
-    sparse in-place updates. Deterministic given (view, h, seed); the
-    local objective never increases across updates.
+    `view.columns`; a block with none makes no update. z = A * delta is
+    maintained by sparse in-place updates. Deterministic given (view, h,
+    seed); the local objective never increases across updates.
     """
     if h < 1:
         raise ValueError("local epoch count h must be >= 1")

@@ -353,7 +353,9 @@ def duality_gap(spec, m, a, v):
     fit, w, conj = _fit_pass(spec.data_fit, v)
     atw = m.mat_tvec(w)
     primal = fit + pen
-    dual = conj(1.0) + float(np.sum(ell_conj(spec.reg, -atw)))
+    # overflow needs |x_i^T w| > l1, where the finite rescaled dual is kept
+    with np.errstate(over="ignore"):
+        dual = conj(1.0) + float(np.sum(ell_conj(spec.reg, -atw)))
     l1 = spec.reg.penalty[0]
     top = float(np.max(np.abs(atw), initial=0.0))
     if top > l1:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import shardcd as sc
+from shardcd import local
 from shardcd.cli import build_parser, cli_main
 
 
@@ -13,6 +14,24 @@ def run(args):
 
 
 SMALL = "--synthetic 40,24,0.4,4,0.05,5"
+
+# Ten runs on one instance, by name, whose stdout and trace files a change
+# that keeps the solver's arithmetic must leave byte-identical
+IDENTITY_PREFIX = "--synthetic 200,100,0.1,10,0.01,42 --lambda 0.05"
+IDENTITY_RUNS = {
+    "lasso_k4_h5": "--objective lasso --k 4 --h 5",
+    "lasso_k4_h5_sp4": "--objective lasso --k 4 --h 5 --sigma-prime 4",
+    "enet_k3_json": "--objective elastic_net --k 3 --eta 0.5 --normalize "
+                    "--format json",
+    "logistic_k4_r300": "--objective sparse_logistic --k 4 --rounds 300",
+    "prox_gd": "--objective lasso --baseline prox_gd",
+    "mb_cd": "--objective lasso --baseline mb_cd --batch 10 --beta 2",
+    "enet_k16_h20_sp1": "--objective elastic_net --eta 0.5 --k 16 --h 20 "
+                        "--sigma-prime 1",
+    "check_theta": "--objective lasso --k 4 --check theta",
+    "check_lemma3": "--objective lasso --k 4 --check lemma3",
+    "check_sigma": "--objective lasso --k 4 --check sigma",
+}
 
 
 def test_converged_run_exits_zero(tmp_path, capsys):
@@ -141,6 +160,26 @@ def test_trace_files_byte_identical(tmp_path, capsys):
     assert rc1 == rc2
     assert a.read_bytes() == b.read_bytes()
     capsys.readouterr()
+
+
+# the runs of IDENTITY_RUNS that take the coordinate pass, but for
+# lasso_k4_h5_sp4, whose 1,061 rounds take seconds on the Python loop
+@pytest.mark.parametrize("name", ["lasso_k4_h5", "enet_k3_json",
+                                  "logistic_k4_r300", "enet_k16_h20_sp1",
+                                  "check_theta", "check_lemma3"])
+def test_identity_runs_do_not_depend_on_the_kernel(name, tmp_path, capsys,
+                                                   monkeypatch):
+    if local.kernel_name() != "c":
+        pytest.skip("no C compiler to build the kernel with")
+    outputs = []
+    for i, handle in enumerate((local._kernel, None)):
+        monkeypatch.setattr(local, "_kernel", handle)
+        out = tmp_path / f"t{i}"
+        rc = run(f"{IDENTITY_PREFIX} {IDENTITY_RUNS[name]} --out {out}")
+        outputs.append((rc, capsys.readouterr().out,
+                        out.read_bytes() if out.exists() else None))
+    assert (outputs[0][2] is None) == name.startswith("check")
+    assert outputs[1] == outputs[0]
 
 
 def test_json_trace_deterministic(tmp_path, capsys):

@@ -299,6 +299,14 @@ def test_gen_synthetic_validation():
                              seed=0)
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         sc.SyntheticSpec(n=4, d=4, density=0.5, true_nnz=1, noise_sd=0.1, seed=-1)
+    # counts and seeds that are not integers, refused before gen_synthetic
+    for name, value in [("n", 5.5), ("d", 4.0), ("true_nnz", 1.5),
+                        ("seed", 1.5)]:
+        fields = dict(n=4, d=4, density=0.5, true_nnz=1, noise_sd=0.1, seed=0)
+        fields[name] = value
+        with pytest.raises(ValueError,
+                           match=f"{name} must be an integer, got {value}"):
+            sc.SyntheticSpec(**fields)
 
 
 def test_noiseless_synthetic_support_recovery():

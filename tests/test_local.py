@@ -317,8 +317,7 @@ def test_native_source_compiles_without_warnings(tmp_path):
     # each also builds as strict C99, so the library stays plain C99
     for source in (src, str(plain)):
         for std in ([], ["-std=c99", "-pedantic-errors"]):
-            build = subprocess.run([cc, "-O2", "-fPIC", "-shared",
-                                    "-ffp-contract=off", "-Wall", "-Wextra",
+            build = subprocess.run([cc, *local._CFLAGS, "-Wall", "-Wextra",
                                     "-Werror", *std,
                                     "-o", str(tmp_path / "_cd.so"), source],
                                    capture_output=True, text=True, timeout=120)
@@ -363,18 +362,15 @@ def test_kernel_matches_python_loop(monkeypatch):
         got = run(c_pass, sc.solve_local, view, h, trial)
         ref = run(None, sc.solve_local, view, h, trial)
         assert np.array_equal(got.changed, ref.changed)
-        for j, dv in changes(ref).items():
-            a, r = alpha[block[j]] + changes(got)[j], alpha[block[j]] + dv
-            assert abs(a - r) <= 1e-12 * max(1.0, abs(r))
-        scale = max(1.0, np.max(np.abs(ref.delta_v), initial=0.0))
-        assert np.max(np.abs(got.delta_v - ref.delta_v), initial=0.0) <= 1e-12 * scale
+        assert got.delta_alpha.tobytes() == ref.delta_alpha.tobytes()
+        assert got.delta_v.tobytes() == ref.delta_v.tobytes()
         assert (got.updates_done, got.clamp_hits) == \
             (ref.updates_done, ref.clamp_hits)
         clamps += ref.clamp_hits
         # the cyclic reference solve runs the same pass
         g_val = run(c_pass, local._cd_minimize, view, 50)
         r_val = run(None, local._cd_minimize, view, 50)
-        assert abs(g_val - r_val) <= 1e-12 * max(1.0, abs(r_val))
+        assert g_val.hex() == r_val.hex()
     assert clamps > 0
 
 
@@ -402,43 +398,13 @@ def test_kernel_refuses_columns_outside_the_matrix():
         sc.solve_local(view, h=1, seed=0)
 
 
-def sequential_pass(view, order, totals, z):
-    """The coordinate pass in Python floats, each x_i^T z summed strictly
-    left to right as the C kernel sums it; updates totals and z in place
-    and returns the clamp count."""
-    cols, m = view.columns, view.matrix
-    sp_tau = view.sigma_prime / view.tau
-    xw = np.asarray(view.xw, dtype=np.float64)[cols.pool].tolist()
-    qs = (sp_tau * cols.sq).tolist()
-    l1, l2, bound = view.reg.penalty
-    rows, vals = m.rows.tolist(), m.vals.tolist()
-    clamps = 0
-    for t in order.tolist():
-        lo, hi = int(m.indptr[cols.ids[t]]), int(m.indptr[cols.ids[t] + 1])
-        dot = 0.0
-        for e in range(lo, hi):
-            dot += vals[e] * float(z[rows[e]])
-        c, q = float(totals[t]), qs[t]
-        num, new = q * c - (xw[t] + sp_tau * dot), 0.0
-        if num > l1:
-            new = (num - l1) / (q + l2)
-        elif num < -l1:
-            new = (num + l1) / (q + l2)
-        if abs(new) > bound:
-            new = math.copysign(bound, new)
-            clamps += 1
-        if new != c:
-            totals[t] = new
-            for e in range(lo, hi):
-                z[rows[e]] = float(z[rows[e]]) + (new - c) * vals[e]
-    return clamps
-
-
-def test_kernel_pass_is_bit_identical_to_a_sequential_sum():
+def test_kernel_pass_is_bit_identical_to_a_sequential_sum(monkeypatch):
+    # the Python loop sums each x_i^T z left to right, as the kernel does;
     # columns longer than the kernel's prefetched head (64 entries) and
     # step counts across its look-ahead of 8 and 16 steps, with the first
     # and last pool positions drawn at both ends of the order
     needs_kernel()
+    c_pass = local._kernel
     rng = np.random.default_rng(83)
     d = 320
     columns = []
@@ -467,9 +433,11 @@ def test_kernel_pass_is_bit_identical_to_a_sequential_sum():
         start = np.clip(0.1 * rng.standard_normal(last + 1), -0.05, 0.05)
         z0 = 0.1 * rng.standard_normal(d)
         totals, z = start.copy(), z0.copy()
+        monkeypatch.setattr(local, "_kernel", c_pass)
         got = local._coordinate_pass(view, order, totals, z)
         ref_totals, ref_z = start.copy(), z0.copy()
-        ref = sequential_pass(view, order, ref_totals, ref_z)
+        monkeypatch.setattr(local, "_kernel", None)
+        ref = local._coordinate_pass(view, order, ref_totals, ref_z)
         assert totals.tobytes() == ref_totals.tobytes()
         assert z.tobytes() == ref_z.tobytes()
         assert got == ref

@@ -276,6 +276,14 @@ def test_dual_value_terms_match_numeric_sup():
     assert total > 0.0 and rescaled < box
     rep = sc.duality_gap(spec, m, np.zeros(m.n_cols), v)
     assert rep.dual == pytest.approx(min(box, rescaled))
+    # l*(-x_i^T w) overflows only where |x_i^T w| exceeds the penalty's l1
+    # weight, so the finite rescaled dual is kept, without a warning
+    m = sc.ColMatrix.from_columns(1, [[(0, 1.0)], [(0, 1.0)]])
+    spec = sc.make_objective(ls_fit([1e8]), "elastic_net", 1e-3, eta=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = sc.duality_gap(spec, m, np.zeros(2), np.zeros(1))
+    assert math.isfinite(rep.gap) and rep.gap >= -1e-9
 
 
 def test_gap_zero_at_kkt_zero_point():
@@ -307,6 +315,19 @@ def test_weak_duality_random_samples():
             a = rng.uniform(-1, 1, size=n) * scale
             rep = sc.duality_gap(spec, m, a, m.mat_vec(a))
             assert rep.gap >= -1e-9
+    # eta = 1 leaves the penalty no l1 weight, so the dual is rescaled to s = 0
+    for fit in (ls_fit(rng.standard_normal(3)),
+                logistic_fit(rng.choice([-1.0, 1.0], size=3))):
+        m, _ = random_matrix(rng, n=2, d=3, density=0.6)
+        spec = sc.make_objective(fit, "elastic_net", 0.5, eta=1.0)
+        for _ in range(25):
+            a = rng.uniform(-2, 2, size=2)
+            rep = sc.duality_gap(spec, m, a, m.mat_vec(a))
+            assert math.isfinite(rep.gap) and rep.gap >= -1e-9
+        res = sc.solve(sc.EngineConfig(k_count=1, max_rounds=1000,
+                                       gap_tol=1e-9, seed=0),
+                       spec, m, sc.partition_columns(2, 1))
+        assert res.stop_reason == "gap_tol"
 
 
 def test_gap_small_at_bruteforce_optimum():
