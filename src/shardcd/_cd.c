@@ -26,7 +26,16 @@
  * lines the current steps still use.  z is not prefetched: it is one float64
  * per example, small enough to stay in L2 on the workloads measured, and a
  * third stage that prefetched z[rows] gained nothing.  No look-ahead index
- * passes n_steps - 1. */
+ * passes n_steps - 1.
+ *
+ * count_libsvm and parse_libsvm: the libsvm tokenizer of
+ * shardcd.dataio.read_libsvm, which may cut a file into chunks that each
+ * end just after a LF and run both on every chunk in a thread of its own.
+ * A chunk is a pointer into the one buffer holding the whole file, which is
+ * NUL-terminated after its last byte, never a copy: strtod skips leading
+ * whitespace, so on a "1:\n" token it reads past the chunk's LF into the
+ * next chunk (the token is declined), and the NUL keeps every such read
+ * inside the buffer. */
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -114,10 +123,39 @@ static const char *number(const char *p, const char *end, double *x)
     return stop;
 }
 
+/* count_libsvm: the LF bytes of buf[0, len), returned, and its ':' bytes, in
+ * *colons; they bound the examples and the entries parse_libsvm reads.  Each
+ * BLOCK of bytes is counted into byte-wide sums, a loop of fixed length that
+ * gcc vectorizes at -O2; the plain loop that finishes the tail took 7 times
+ * as long on a whole file (gcc 12, x86-64). */
+enum { BLOCK = 128 /* at most 255, the largest byte-wide sum */ };
+
+int64_t count_libsvm(const char *buf, int64_t len, int64_t *colons)
+{
+    int64_t lf = 0, c = 0, i = 0;
+    for (; i + BLOCK <= len; i += BLOCK) {
+        unsigned char block_lf = 0, block_c = 0;
+        for (int j = 0; j < BLOCK; j++) {
+            block_lf += buf[i + j] == '\n';
+            block_c += buf[i + j] == ':';
+        }
+        lf += block_lf;
+        c += block_c;
+    }
+    for (; i < len; i++) {
+        lf += buf[i] == '\n';
+        c += buf[i] == ':';
+    }
+    *colons = c;
+    return lf;
+}
+
 /* parse_libsvm: the tokenizer of shardcd.dataio.read_libsvm for the strict
  * ASCII subset of the format, into caller-allocated arrays.
  *
- * buf, len      the file's bytes, NUL-terminated at buf[len]
+ * buf, len      a chunk of the file's bytes: the whole file, or lines of it
+ *               ending in a LF, inside a buffer NUL-terminated after the
+ *               file's last byte (see the header)
  * labels[i]     label of example i (at most max_rows examples)
  * counts[i]     number of idx:val entries of example i
  * cols, vals    0-based column and value of each entry (at most max_entries)

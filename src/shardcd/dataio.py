@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from . import local
 from .data import ColMatrix
@@ -23,6 +27,7 @@ TRACE_FIELDS = ("round", "elapsed_ms", "primal", "dual", "gap", "nnz",
 
 
 _INDEX_MAX = 2**63 - 1  # column indices are stored as int64
+_CHUNK_MIN = 1 << 20  # bytes; the C tokenizer gives each thread at least this
 
 
 class DataFormatError(ValueError):
@@ -41,17 +46,17 @@ def read_libsvm(path):
     Returns (matrix, labels); labels has one entry per example. An empty
     file and a non-finite label or value are errors.
 
-    With the C library of `local` built, `parse_libsvm` in _cd.c reads
-    the file's bytes under a strict ASCII grammar: blanks are spaces and
-    tabs, lines end in LF or CR LF, indices are plain decimal digits
-    within int64, and labels and values are what `strtod` reads from a
-    whole token of digits, signs, `.`, `e` and `E`, which is exactly
+    With the C library of `local` built, `_tokenize_c` reads the file's
+    bytes under a strict ASCII grammar: blanks are spaces and tabs, lines
+    end in LF or CR LF, indices are plain decimal digits within int64, and
+    labels and values are what `strtod` reads from a whole token of digits,
+    signs, `.`, `e` and `E`, which is exactly
     `[+-]?(D+(.D*)?|.D+)([eE][+-]?D+)?`. It declines everything else (a
     sign or `_` in an index, `nan`, hexadecimal, other whitespace, a lone
     CR, non-ASCII bytes, any malformed line). On declined input, and on a
     label or value that reads as infinite, the Python loop `_tokenize`
     rereads the file, so both give the same arrays and the same error,
-    which names the first bad token in file order.
+    which names the first bad token in file order, for any thread count.
     """
     parsed = None
     if local.kernel_name() == "c":
@@ -63,25 +68,61 @@ def read_libsvm(path):
     labels, counts, cols, vals = parsed
     if not len(counts):
         raise DataFormatError(f"{path}: empty dataset")
-    rows = np.repeat(np.arange(len(counts)), counts)
-    return ColMatrix.from_coo(len(counts), int(cols.max(initial=-1)) + 1, rows,
-                              cols, vals), labels
+    # a valid CSR already (rows in order, columns strictly ascending in each)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    shape = (len(counts), int(cols.max(initial=-1)) + 1)
+    csc = scipy.sparse.csr_array((vals, cols, indptr), shape=shape).tocsc()
+    return ColMatrix(*shape, csc.indptr, csc.indices, csc.data), labels
+
+
+def _cuts(buf):
+    """Chunk bounds in `buf`: at most one chunk per usable CPU and per
+    _CHUNK_MIN bytes, each but the last ending just after a LF."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    n = max(1, min(cpus, len(buf) // _CHUNK_MIN))
+    cuts = [0]
+    for i in range(1, n):
+        lf = buf.find(b"\n", max(cuts[-1], i * len(buf) // n))
+        if 0 <= lf < len(buf) - 1:
+            cuts.append(lf + 1)
+    return cuts + [len(buf)]
 
 
 def _tokenize_c(buf):
-    """`_tokenize`'s arrays from the C tokenizer, or None when it declines;
-    every example takes a line and every entry a colon."""
-    max_rows, max_entries = buf.count(b"\n") + 1, buf.count(b":")
-    labels, counts = np.empty(max_rows), np.empty(max_rows, dtype=np.int64)
-    cols = np.empty(max_entries, dtype=np.int64)
-    vals = np.empty(max_entries)
-    n = local._kernel.parse_libsvm(buf, len(buf), max_rows, max_entries,
-                                   labels.ctypes.data, counts.ctypes.data,
-                                   cols.ctypes.data, vals.ctypes.data)
-    if n < 0:
+    """`_tokenize`'s arrays from the C tokenizer, or None when it declines.
+
+    Each `_cuts` chunk, in a thread of its own if there are more, counts
+    its LFs and colons; this thread allocates arrays from those bounds, and
+    each chunk parses into its slices. Threads get pointers into `buf`
+    (NUL-terminated by Python) and allocate nothing. An entry takes one
+    colon, so a chunk with fewer declines; unused example slots are dropped.
+    """
+    at, cuts = ctypes.cast(buf, ctypes.c_void_p).value, _cuts(buf)
+    chunks = [(at + lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])]
+    colons = np.zeros(len(chunks), dtype=np.int64)
+    with ThreadPoolExecutor(len(chunks)) as pool:  # starts threads on demand
+        run = pool.map if len(chunks) > 1 else map
+        slots = np.array(list(run(lambda i: local._kernel.count_libsvm(
+            *chunks[i], colons[i:].ctypes.data), range(len(chunks)))))
+        slots[-1] += 1  # the last line may end without a LF
+        row_at, entry_at = np.cumsum(slots) - slots, np.cumsum(colons) - colons
+        labels, counts = np.empty(slots.sum()), np.empty(slots.sum(), np.int64)
+        cols, vals = np.empty(colons.sum(), np.int64), np.empty(colons.sum())
+
+        def parse(i):
+            r, e = row_at[i], entry_at[i]
+            return local._kernel.parse_libsvm(
+                *chunks[i], slots[i], colons[i], labels[r:].ctypes.data,
+                counts[r:].ctypes.data, cols[e:].ctypes.data,
+                vals[e:].ctypes.data)
+
+        rows = list(run(parse, range(len(chunks))))
+    if min(rows) < 0 or any(counts[r:r + n].sum() != c for r, n, c
+                            in zip(row_at, rows, colons)):
         return None
-    nnz = int(counts[:n].sum())
-    return labels[:n].copy(), counts[:n], cols[:nnz], vals[:nnz]
+    keep = np.concatenate([np.arange(r, r + n) for r, n in zip(row_at, rows)])
+    return labels[keep], counts[keep], cols, vals
 
 
 def _tokenize(path):
@@ -132,7 +173,8 @@ def _check_finite(x, path, lineno, tok):
 
 
 def write_libsvm(path, m, labels):
-    """Inverse of :func:`read_libsvm`; values are written round-trip exact.
+    """Inverse of :func:`read_libsvm` but for trailing empty columns, which
+    the format cannot show; values are written round-trip exact.
 
     scipy turns the columns row-major (features ascending within each
     example), and examples are written one at a time, so only one line's

@@ -163,8 +163,9 @@ _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 def _build_kernel():
     """Compile _cd.c with the C compiler on PATH into a private temporary
-    directory, load it and remove the directory; the library with
-    `cd_pass` and `parse_libsvm` typed, or None when any step fails."""
+    directory, load it and remove the directory; the library, its functions
+    typed, or None when any step fails. A `CDLL` call releases the GIL:
+    `dataio._tokenize_c`'s threads rely on it to run at once."""
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         return None
@@ -177,13 +178,15 @@ def _build_kernel():
                            stdin=subprocess.DEVNULL, capture_output=True,
                            check=True, timeout=120)
             lib = ctypes.CDLL(so)
-            cd_pass, parse = lib.cd_pass, lib.parse_libsvm
+            cd_pass, count = lib.cd_pass, lib.count_libsvm
+            parse = lib.parse_libsvm
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
-    cd_pass.restype = parse.restype = ctypes.c_int64
+    cd_pass.restype = count.restype = parse.restype = ctypes.c_int64
     cd_pass.argtypes = ([ctypes.c_int64] + [ctypes.c_void_p] * 9
                         + [ctypes.c_double] * 4)
-    parse.argtypes = ([ctypes.c_char_p] + [ctypes.c_int64] * 3
+    count.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    parse.argtypes = ([ctypes.c_void_p] + [ctypes.c_int64] * 3
                       + [ctypes.c_void_p] * 4)
     return lib
 

@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import shardcd as sc
-from shardcd import engine, local
+from shardcd import dataio, engine, local
 
 
 def random_matrix(rng, n, d, density=0.4):
@@ -76,13 +78,27 @@ def pass_kernel(request, monkeypatch):
     return request.param
 
 
+@contextlib.contextmanager
+def chunked(cpus):
+    """Let read_libsvm's C tokenizer cut a file of any size into as many
+    chunks as `cpus` and the file's lines allow."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_CHUNK_MIN", 1)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                   raising=False)
+        yield
+
+
 def both_readers(test):
     """Run a read_libsvm test on the C tokenizer, when the C library
-    builds, and then on the Python loop, under the test's own name."""
+    builds, in one chunk and in up to three, and then on the Python loop,
+    under the test's own name."""
     @functools.wraps(test)
     def run(*args, **kwargs):
         if local.kernel_name() == "c":
             test(*args, **kwargs)
+            with chunked(3):
+                test(*args, **kwargs)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(local, "_kernel", None)
             test(*args, **kwargs)

@@ -1,8 +1,10 @@
 import csv
+import ctypes
 import json
 import math
 import os
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import shardcd as sc
 from shardcd import dataio, local
 from shardcd.dataio import DataFormatError, TRACE_FIELDS
 from shardcd.engine import RoundTrace
-from conftest import both_readers, random_matrix
+from conftest import both_readers, chunked, random_matrix
 
 
 @both_readers
@@ -112,15 +114,18 @@ def test_libsvm_round_trip(tmp_path):
     # round-tripping needs the last feature present somewhere
     if len(m.column(8)[0]) == 0:
         pytest.skip("degenerate draw")
-    labels = rng.standard_normal(6)
-    path = tmp_path / "rt.txt"
-    sc.write_libsvm(path, m, labels)
-    m2, labels2 = sc.read_libsvm(path)
-    assert (m2.n_rows, m2.n_cols) == (m.n_rows, m.n_cols)
-    assert np.array_equal(labels2, labels)
-    assert np.array_equal(m2.indptr, m.indptr)
-    assert np.array_equal(m2.rows, m.rows)
-    assert np.array_equal(m2.vals, m.vals)
+    # the format has no width: trailing empty columns read back as absent
+    narrow = sc.ColMatrix.from_coo(2, 3, [0, 1], [0, 1], [1.0, 2.0])
+    for m, width in ((m, m.n_cols), (narrow, 2)):
+        labels = rng.standard_normal(m.n_rows)
+        path = tmp_path / "rt.txt"
+        sc.write_libsvm(path, m, labels)
+        m2, labels2 = sc.read_libsvm(path)
+        assert (m2.n_rows, m2.n_cols) == (m.n_rows, width)
+        assert np.array_equal(labels2, labels)
+        assert np.array_equal(m2.indptr, m.indptr[:width + 1])
+        assert np.array_equal(m2.rows, m.rows)
+        assert np.array_equal(m2.vals, m.vals)
 
 
 @both_readers
@@ -168,8 +173,11 @@ def test_read_libsvm_declined_input_reads_as_in_python(tmp_path, text):
     lib = needs_c_tokenizer()
     path = tmp_path / "declined.txt"
     path.write_bytes(text.encode())
-    assert dataio._tokenize_c(path.read_bytes()) is None
-    assert read_outcome(path, lib) == read_outcome(path, None)
+    want = read_outcome(path, None)
+    for cpus in (1, 3):
+        with chunked(cpus):
+            assert dataio._tokenize_c(path.read_bytes()) is None
+            assert read_outcome(path, lib) == want
 
 
 @pytest.mark.parametrize("text", ["1 1:1e999\n", "-1e999 1:1\n",
@@ -231,10 +239,104 @@ def test_c_tokenizer_reads_valid_files_as_the_python_loop(text):
         path = os.path.join(tmp, "valid.txt")
         with open(path, "wb") as fh:
             fh.write(text.encode())
-        assert dataio._tokenize_c(text.encode()) is not None
-        got, want = read_outcome(path, lib), read_outcome(path, None)
-    assert isinstance(want[0], int)  # read, not raised
-    assert got == want
+        want = read_outcome(path, None)
+        assert isinstance(want[0], int)  # read, not raised
+        for cpus in (1, 3):
+            with chunked(cpus):
+                assert dataio._tokenize_c(text.encode()) is not None
+                assert read_outcome(path, lib) == want
+
+
+def test_count_libsvm_counts_line_ends_and_colons():
+    lib = needs_c_tokenizer()
+    text = b"1 1:0.5 2:1\n-1 3:2\r\n\n" * 20  # 440 bytes
+    for end in (0, 1, 127, 128, 129, 255, 256, 300, len(text)):
+        colons = ctypes.c_int64()
+        assert lib.count_libsvm(text, end, ctypes.byref(colons)) == \
+            text[:end].count(b"\n")
+        assert colons.value == text[:end].count(b":")
+
+
+LONG_LINE = "1 " + " ".join(f"{i}:{i}.5" for i in range(1, 30)) + "\n"
+
+
+@pytest.mark.parametrize("cpus, text, cuts, accepted", [
+    # a bad token only in the last chunk
+    (2, "1 1:0.5\n-1 2:1.0\n1 3:1.0\n-1 x:1\n", [0, 17, 32], False),
+    # bad tokens in two chunks: the first in file order is named
+    (2, "1 1:0.5\n-1 2:oops\n1 3:1\n-1 y:1\n", [0, 18, 31], False),
+    # an infinite value in a later chunk
+    (2, "1 1:0.5\n-1 2:1\n1 3:1e999\n", [0, 15, 25], True),
+    # `1:` ending a chunk: strtod reads on into the next chunk's label
+    (2, "1 1:\n-1\n", [0, 5, 8], False),
+    # CR LF and blank lines on either side of a cut
+    (3, "1 1:0.5\r\n\r\n\n-1 2:1\r\n\n1 3:2\r\n", [0, 11, 20, 28], True),
+    # no LF after the last line
+    (2, "1 1:0.5\n-1 2:1.0\n1 3:2", [0, 17, 22], True),
+    # fewer lines than chunks
+    (8, "1 1:0.5\n-1 2:1\n", [0, 8, 15], True),
+    (4, "1 1:0.5\n", [0, 8], True),
+    # one line longer than a chunk
+    (4, LONG_LINE + "-1 2:1\n1\n", [0, 216, 223, 225], True),
+], ids=["bad-last", "bad-twice", "inf-later", "colon-at-cut", "crlf-blank",
+        "no-final-lf", "few-lines", "one-line", "long-line"])
+def test_read_libsvm_in_chunks_reads_as_in_python(tmp_path, cpus, text, cuts,
+                                                   accepted):
+    lib = needs_c_tokenizer()
+    path = tmp_path / "chunks.txt"
+    path.write_bytes(text.encode())
+    with chunked(cpus):
+        assert dataio._cuts(text.encode()) == cuts
+        assert (dataio._tokenize_c(text.encode()) is not None) == accepted
+        assert read_outcome(path, lib) == read_outcome(path, None)
+
+
+class NoThread(RuntimeError):
+    pass
+
+
+def test_read_libsvm_starts_no_thread_on_one_cpu_or_a_small_file(
+        tmp_path, monkeypatch):
+    lib = needs_c_tokenizer()
+    path = tmp_path / "lines.txt"
+    path.write_text("1 1:0.5\n-1 2:1.0\n1 3:2\n")
+    want = read_outcome(path, None)
+
+    def refuse(*args, **kwargs):
+        raise NoThread
+
+    monkeypatch.setattr(threading, "Thread", refuse)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    assert read_outcome(path, lib) == want  # under _CHUNK_MIN
+    with chunked(1):
+        assert read_outcome(path, lib) == want
+    with chunked(2), pytest.raises(NoThread):  # the patch does catch threads
+        sc.read_libsvm(path)
+
+
+def test_read_libsvm_starts_a_thread_per_chunk_at_most(tmp_path, monkeypatch):
+    lib = needs_c_tokenizer()
+    path = tmp_path / "lines.txt"
+    path.write_text("".join(f"{i % 2} {i}:{i}.25\n" for i in range(1, 40)))
+    want = read_outcome(path, None)
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    with chunked(3):
+        assert read_outcome(path, lib) == want
+    assert 1 <= len(started) <= 3
+    assert not any(t.is_alive() for t in started)
+    # without sched_getaffinity, cpu_count bounds the threads
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(dataio, "_CHUNK_MIN", 1)
+    assert len(dataio._cuts(path.read_bytes())) == 3
 
 
 def test_gen_synthetic_deterministic_and_dense():
