@@ -28,6 +28,7 @@ TRACE_FIELDS = ("round", "elapsed_ms", "primal", "dual", "gap", "nnz",
 
 _INDEX_MAX = 2**63 - 1  # column indices are stored as int64
 _CHUNK_MIN = 1 << 20  # bytes; the C tokenizer gives each thread at least this
+_WRITE_BUF = 1 << 20  # bytes; the C formatter's buffer holds at least this
 
 
 class DataFormatError(ValueError):
@@ -174,26 +175,48 @@ def _check_finite(x, path, lineno, tok):
 
 def write_libsvm(path, m, labels):
     """Inverse of :func:`read_libsvm` but for trailing empty columns, which
-    the format cannot show; values are written round-trip exact.
+    the format cannot show; labels and values are written as `repr` writes
+    them, so they read back exactly.
 
     scipy turns the columns row-major (features ascending within each
-    example), and examples are written one at a time, so only one line's
-    numbers are held as Python objects. Non-finite labels, which
-    read_libsvm refuses, raise ValueError before `path` is opened.
+    example). With the C library of `local` built, `format_libsvm` fills a
+    buffer of _WRITE_BUF bytes, or of the longest line's worst case, with
+    whole lines, and it is written out each time; otherwise the Python
+    loop, the reference that writes the same bytes, writes one example at
+    a time. Labels that are not one-dimensional and real, or not finite
+    (read_libsvm refuses those), raise ValueError before `path` is opened.
     """
+    if np.ndim(labels) != 1 or np.iscomplexobj(labels):
+        raise ValueError("labels must be one-dimensional and real")
     if len(labels) != m.n_rows:
         raise ValueError("labels must have one entry per matrix row")
     if not np.isfinite(labels).all():
         raise ValueError("labels must be finite")
     by_row = m._csc.tocsr()
-    bounds = by_row.indptr.tolist()
-    features = by_row.indices + 1
-    with open(path, "w") as fh:
-        for e, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            parts = [repr(float(labels[e]))]
-            parts += [f"{f}:{v!r}" for f, v in zip(features[lo:hi].tolist(),
-                                                   by_row.data[lo:hi].tolist())]
-            fh.write(" ".join(parts) + "\n")
+    if local.kernel_name() == "c":
+        indptr, cols, vals, labels = (np.ascontiguousarray(a, t) for a, t in (
+            (by_row.indptr, np.int64), (by_row.indices, np.int64),
+            (by_row.data, np.float64), (labels, np.float64)))
+        # format_libsvm's worst case for a line of k entries: 25 + 45 k bytes
+        longest = np.diff(indptr).max(initial=0)
+        buf = np.empty(max(_WRITE_BUF, 25 + 45 * longest), np.uint8)
+        ptrs = [a.ctypes.data for a in (indptr, cols, vals, labels, buf)]
+        row, next_row = 0, ctypes.c_int64()
+        with open(path, "wb") as fh:
+            while row < m.n_rows:
+                n = local._kernel.format_libsvm(row, m.n_rows, *ptrs, len(buf),
+                                                ctypes.byref(next_row))
+                fh.write(memoryview(buf)[:n])
+                row = next_row.value
+    else:
+        bounds = by_row.indptr.tolist()
+        features = by_row.indices + 1
+        with open(path, "w", newline="\n") as fh:
+            for e, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                parts = [repr(float(labels[e]))]
+                parts += [f"{f}:{v!r}" for f, v in zip(
+                    features[lo:hi].tolist(), by_row.data[lo:hi].tolist())]
+                fh.write(" ".join(parts) + "\n")
     return m.n_rows
 
 

@@ -19,7 +19,8 @@ The coordinate pass runs in a C kernel (_cd.c), compiled once per
 process with the C compiler on PATH and loaded with ctypes; without a
 working compiler the Python loop runs, which is also the kernel's
 reference, and the two give bit-identical results. The same library
-carries dataio's libsvm tokenizer.
+carries dataio's libsvm tokenizer and its C++17 libsvm formatter
+(_text.cc); it builds only where both compile.
 """
 
 from __future__ import annotations
@@ -161,11 +162,19 @@ def coordinate_update(reg, current_total, g_lin, q):
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
+def _build_command(cc, so):
+    """The compiler call that builds the library `so` with `cc`, which
+    compiles each source as C or C++ by its extension."""
+    return [cc, *_CFLAGS, "-o", so, *(os.path.join(os.path.dirname(
+        __file__), src) for src in ("_cd.c", "_text.cc")), "-lstdc++"]
+
+
 def _build_kernel():
-    """Compile _cd.c with the C compiler on PATH into a private temporary
-    directory, load it and remove the directory; the library, its functions
-    typed, or None when any step fails. A `CDLL` call releases the GIL:
-    `dataio._tokenize_c`'s threads rely on it to run at once."""
+    """Compile _cd.c and _text.cc with the C compiler on PATH into one
+    library in a private temporary directory, load it and remove the
+    directory; the library, its functions typed, or None when any step
+    fails, as without a C++17 `<charconv>` that formats doubles (GCC 11).
+    A `CDLL` call releases the GIL: `dataio._tokenize_c`'s threads need it."""
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         return None
@@ -173,31 +182,33 @@ def _build_kernel():
         with tempfile.TemporaryDirectory(prefix="shardcd-",
                                          ignore_cleanup_errors=True) as tmp:
             so = os.path.join(tmp, "_cd.so")
-            subprocess.run([cc, *_CFLAGS, "-o", so,
-                            os.path.join(os.path.dirname(__file__), "_cd.c")],
-                           stdin=subprocess.DEVNULL, capture_output=True,
-                           check=True, timeout=120)
+            subprocess.run(_build_command(cc, so), stdin=subprocess.DEVNULL,
+                           capture_output=True, check=True, timeout=120)
             lib = ctypes.CDLL(so)
             cd_pass, count = lib.cd_pass, lib.count_libsvm
-            parse = lib.parse_libsvm
+            parse, fmt = lib.parse_libsvm, lib.format_libsvm
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
-    cd_pass.restype = count.restype = parse.restype = ctypes.c_int64
+    cd_pass.restype = count.restype = parse.restype = fmt.restype = \
+        ctypes.c_int64
     cd_pass.argtypes = ([ctypes.c_int64] + [ctypes.c_void_p] * 9
                         + [ctypes.c_double] * 4)
     count.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
     parse.argtypes = ([ctypes.c_void_p] + [ctypes.c_int64] * 3
                       + [ctypes.c_void_p] * 4)
+    fmt.argtypes = ([ctypes.c_int64] * 2 + [ctypes.c_void_p] * 5
+                    + [ctypes.c_int64, ctypes.c_void_p])
     return lib
 
 
 _UNBUILT = object()
-_kernel = _UNBUILT  # _cd.c's library once built, or None for the Python loops
+_kernel = _UNBUILT  # the library once built, or None for the Python loops
 
 
 def kernel_name():
-    """Which coordinate pass and libsvm tokenizer this process runs, "c"
-    or "python"; the C library is built on the first call."""
+    """Which coordinate pass, libsvm tokenizer and libsvm formatter this
+    process runs, "c" or "python"; the C library is built on the first
+    call."""
     global _kernel
     if _kernel is _UNBUILT:
         _kernel = _build_kernel()

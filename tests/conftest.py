@@ -103,3 +103,17 @@ def both_readers(test):
             mp.setattr(local, "_kernel", None)
             test(*args, **kwargs)
     return run
+
+
+def both_writers(test):
+    """Run a write_libsvm test on the C formatter, when the C library
+    builds, and then on the Python loop, under the test's own name. A
+    `both_readers` test that writes runs both writers already."""
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        if local.kernel_name() == "c":
+            test(*args, **kwargs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(local, "_kernel", None)
+            test(*args, **kwargs)
+    return run

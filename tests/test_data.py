@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shardcd as sc
-from conftest import random_matrix
+from conftest import both_writers, random_matrix
 from oracles import dense_from_columns, normalized_dense
 
 
@@ -221,6 +221,7 @@ def bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
+@both_writers
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_storage_matches_lexsort_reference_and_round_trips(data):

@@ -3,6 +3,8 @@ import ctypes
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import threading
 
@@ -14,7 +16,7 @@ import shardcd as sc
 from shardcd import dataio, local
 from shardcd.dataio import DataFormatError, TRACE_FIELDS
 from shardcd.engine import RoundTrace
-from conftest import both_readers, chunked, random_matrix
+from conftest import both_readers, both_writers, chunked, random_matrix
 
 
 @both_readers
@@ -96,6 +98,7 @@ def test_read_libsvm_names_the_first_bad_token(tmp_path):
         sc.read_libsvm(path)
 
 
+@both_writers
 def test_write_libsvm_refuses_non_finite_labels(tmp_path):
     # read_libsvm refuses what it would write; the file is left untouched
     m = sc.ColMatrix.from_columns(2, [[(0, 1.0)], [(1, 2.0)]])
@@ -105,6 +108,110 @@ def test_write_libsvm_refuses_non_finite_labels(tmp_path):
         with pytest.raises(ValueError, match="labels must be finite"):
             sc.write_libsvm(path, m, np.array(bad))
         assert path.read_text() == "1 1:1.0\n"
+
+
+@both_writers
+def test_write_libsvm_refuses_labels_not_one_dimensional_and_real(tmp_path):
+    # a (2, 1) or (2, 2) array has one entry per row by len(), and complex
+    # labels are finite; the file is left untouched
+    m = sc.ColMatrix.from_columns(2, [[(0, 1.0)], [(1, 2.0)]])
+    path = tmp_path / "kept.txt"
+    path.write_text("1 1:1.0\n")
+    for bad in (np.ones((2, 1)), np.ones((2, 2)), np.float64(1.0),
+                np.array([1.0, 2j]), [1.0, 1j]):
+        with pytest.raises(ValueError,
+                           match="labels must be one-dimensional and real"):
+            sc.write_libsvm(path, m, bad)
+        assert path.read_text() == "1 1:1.0\n"
+
+
+def written(path, m, labels, kernel):
+    """The bytes write_libsvm writes with the module's kernel handle set
+    to `kernel`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(local, "_kernel", kernel)
+        sc.write_libsvm(path, m, labels)
+    return path.read_bytes()
+
+
+def assert_writers_agree(path, m, labels):
+    """The C formatter writes the Python loop's bytes; returns them."""
+    lib = needs_c_tokenizer()  # the library that holds the formatter
+    want = written(path, m, labels, None)
+    assert written(path, m, labels, lib) == want
+    return want
+
+
+def one_column(values):
+    """Labels carrying `values`, and a one-column matrix holding those
+    whose squares, the column norm's terms, are finite."""
+    values = np.asarray(values, dtype=np.float64)
+    rows = np.flatnonzero(np.abs(values) < 1e150)
+    return sc.ColMatrix.from_coo(len(values), 1, rows, 0 * rows,
+                                 values[rows]), values
+
+
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    -2.2250738585072014e-308, sys.float_info.max, -sys.float_info.max,
+    1e-4, 9.999999999999999e-05, 1e-5, 1e16, -1e16, 9999999999999998.0,
+    0.1, 1 / 3, 123.0, 1.5e16, 1e-300, 1e300,
+] + [s * float(10**k) for k in range(19) for s in (1, -1)] + [
+    s * 2.0**e for e in range(-1074, 1024) for s in (1, -1)]
+
+
+def test_c_formatter_writes_repr_of_edge_values(tmp_path):
+    m, labels = one_column(EDGE_VALUES)
+    lines = assert_writers_agree(tmp_path / "edge.svm", m,
+                                 labels).decode().splitlines()
+    assert lines[:3] == ["0.0 1:0.0", "-0.0 1:-0.0", "5e-324 1:5e-324"]
+    assert [line.split()[0] for line in lines] == list(map(repr, EDGE_VALUES))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+def test_c_formatter_writes_repr_of_random_doubles(tmp_path_factory, bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    values = values[np.isfinite(values)]
+    m, labels = one_column(values)
+    assert_writers_agree(tmp_path_factory.mktemp("bits") / "bits.svm", m,
+                         labels)
+
+
+def test_c_formatter_buffer_boundary(tmp_path, monkeypatch):
+    lib = needs_c_tokenizer()
+    starts = []
+
+    class Counted:
+        def format_libsvm(self, row, *args):
+            starts.append(row)
+            return lib.format_libsvm(row, *args)
+
+    long_row = 30_000  # its worst case, 25 + 45 * 30_000 bytes, tops 1 MiB
+    # each case with the rows its calls start at, for the default buffer
+    # and for one too small for any line, which a buffer of the longest
+    # line's worst case replaces
+    cases = [
+        (sc.ColMatrix(3, 0, [0], [], []), [0], [0, 1, 2]),  # label-only rows
+        (sc.ColMatrix.from_coo(3, 2_000_000, [0, 2], [1_500_000, 1_999_999],
+                               [0.5, -2.0]), [0], [0, 2]),
+        (sc.ColMatrix.from_coo(4, long_row, np.full(long_row, 2),
+                               np.arange(long_row),
+                               np.linspace(-1, 1, long_row)), [0, 2], [0, 2]),
+        (sc.ColMatrix(0, 3, [0, 0, 0, 0], [], []), [], []),
+    ]
+    rng, default = np.random.default_rng(3), dataio._WRITE_BUF
+    monkeypatch.setattr(threading, "Thread", None)  # the writer starts
+    monkeypatch.setattr(subprocess, "Popen", None)  # no thread or process
+    for i, (m, *calls) in enumerate(cases):
+        labels = rng.standard_normal(m.n_rows)
+        path = tmp_path / f"case{i}.svm"
+        want = written(path, m, labels, None)
+        for size, expected in zip((default, 8), calls):
+            monkeypatch.setattr(dataio, "_WRITE_BUF", size)
+            del starts[:]
+            assert written(path, m, labels, Counted()) == want
+            assert starts == expected
 
 
 @both_readers

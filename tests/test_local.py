@@ -306,7 +306,7 @@ def test_native_source_compiles_without_warnings(tmp_path):
     if cc is None:
         pytest.skip("no C compiler on PATH")
     src = os.path.join(os.path.dirname(local.__file__), "_cd.c")
-    # the second build is the whole library as a compiler without
+    # the second build is _cd.c as a compiler without
     # __builtin_prefetch sees it. The macros are undefined after the system
     # headers, which gcc cannot read with __GNUC__ undefined (glibc then
     # typedefs _Float32, a keyword of gcc's).
@@ -314,7 +314,7 @@ def test_native_source_compiles_without_warnings(tmp_path):
     plain.write_text("#include <stdint.h>\n#include <stdlib.h>\n"
                      "#undef __GNUC__\n#undef __clang__\n"
                      f'#include "{src}"\n')
-    # each also builds as strict C99, so the library stays plain C99
+    # each also builds as strict C99, so _cd.c stays plain C99
     for source in (src, str(plain)):
         for std in ([], ["-std=c99", "-pedantic-errors"]):
             build = subprocess.run([cc, *local._CFLAGS, "-Wall", "-Wextra",
@@ -325,6 +325,21 @@ def test_native_source_compiles_without_warnings(tmp_path):
     expanded = subprocess.run([cc, "-E", str(plain)], capture_output=True,
                               text=True, timeout=120, check=True).stdout
     assert "__builtin_prefetch" not in expanded
+    cxx = shutil.which("c++") or shutil.which("g++")
+    if cxx is None:
+        pytest.skip("no C++ compiler on PATH")
+    # the whole library, built as local._build_kernel builds it
+    build = subprocess.run(local._build_command(cc, str(tmp_path / "lib.so")),
+                           capture_output=True, text=True, timeout=120)
+    assert build.returncode == 0, build.stderr
+    # and _text.cc alone, as is and as strict C++17
+    text = os.path.join(os.path.dirname(local.__file__), "_text.cc")
+    for std in ([], ["-std=c++17", "-pedantic-errors"]):
+        build = subprocess.run([cxx, *local._CFLAGS, "-Wall", "-Wextra",
+                                "-Werror", *std, "-o",
+                                str(tmp_path / "_text.so"), text],
+                               capture_output=True, text=True, timeout=120)
+        assert build.returncode == 0, build.stderr
 
 
 def test_kernel_matches_python_loop(monkeypatch):
