@@ -47,11 +47,11 @@ def read_libsvm(path):
     Returns (matrix, labels); labels has one entry per example. An empty
     file and a non-finite label or value are errors.
 
-    With the C library of `local` built, `_tokenize_c` reads the file's
-    bytes under a strict ASCII grammar: blanks are spaces and tabs, lines
-    end in LF or CR LF, indices are plain decimal digits within int64, and
-    labels and values are what `strtod` reads from a whole token of digits,
-    signs, `.`, `e` and `E`, which is exactly
+    With the native library of `local` built, `_tokenize_c` reads the
+    file's bytes under a strict ASCII grammar: blanks are spaces and tabs,
+    lines end in LF or CR LF, indices are plain decimal digits within
+    int64, and labels and values are what `strtod` reads from a whole token
+    of digits, signs, `.`, `e` and `E`, which is exactly
     `[+-]?(D+(.D*)?|.D+)([eE][+-]?D+)?`. It declines everything else (a
     sign or `_` in an index, `nan`, hexadecimal, other whitespace, a lone
     CR, non-ASCII bytes, any malformed line). On declined input, and on a
@@ -179,13 +179,16 @@ def write_libsvm(path, m, labels):
     them, so they read back exactly.
 
     scipy turns the columns row-major (features ascending within each
-    example). With the C library of `local` built, `format_libsvm` fills a
-    buffer of _WRITE_BUF bytes, or of the longest line's worst case, with
-    whole lines, and it is written out each time; otherwise the Python
-    loop, the reference that writes the same bytes, writes one example at
-    a time. Labels that are not one-dimensional and real, or not finite
-    (read_libsvm refuses those), raise ValueError before `path` is opened.
+    example). With the native library of `local` built, `format_libsvm`
+    fills a buffer of _WRITE_BUF bytes, or of the longest line's worst
+    case, with whole lines, and it is written out each time; otherwise the
+    Python loop, the reference that writes the same bytes, writes one
+    example at a time. A matrix without rows, labels not finite (both give
+    files read_libsvm refuses) or not one-dimensional and real raise
+    ValueError before `path` is opened.
     """
+    if m.n_rows == 0:
+        raise ValueError("matrix must have at least one row")
     if np.ndim(labels) != 1 or np.iscomplexobj(labels):
         raise ValueError("labels must be one-dimensional and real")
     if len(labels) != m.n_rows:

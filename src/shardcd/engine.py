@@ -304,8 +304,8 @@ def _aligned(results, gamma, sigma_prime):
     return not gamma * aligned > sigma_prime * spread
 
 
-def _line_search(spec, state, cand, aligned, primal):
-    """Step length t along a logistic round's update cand - state.
+def _line_search(spec, state, da, dv, aligned, primal):
+    """Step length t along a logistic round's update (da, dv) of alpha, v.
 
     An aligned round takes t = 1 and doubles t, up to 64, while the
     primal P(t) strictly falls; no trial falls below a NaN or infinite
@@ -316,8 +316,7 @@ def _line_search(spec, state, cand, aligned, primal):
     rounding of a primal sum, else t = 0. Each trial is one call of
     _primal_change's gathered sums.
     """
-    change = _primal_change(spec, state.alpha, cand.alpha - state.alpha,
-                            state.v, cand.v - state.v)
+    change = _primal_change(spec, state.alpha, da, state.v, dv)
     if aligned:
         t, best = 1.0, change(1.0)
         while t < 64.0:
@@ -388,13 +387,13 @@ def solve(cfg, spec, m, p):
         aligned = not sigma < cap or _aligned(results, cfg.gamma, sigma)
         t = 1.0 if aligned else 0.0
         if spec.data_fit.kind == LOGISTIC:
-            t = _line_search(spec, state, new, aligned, shared.primal)
+            da, dv = new.alpha - state.alpha, new.v - state.v
+            t = _line_search(spec, state, da, dv, aligned, shared.primal)
         if t == 0.0:
             new = SolverState(alpha=state.alpha, v=state.v, round=new.round)
             diag["rejected_rounds"] += 1
-        elif t != 1.0:
-            new = SolverState(alpha=state.alpha + t * (new.alpha - state.alpha),
-                              v=state.v + t * (new.v - state.v),
+        elif t != 1.0:  # only a logistic round steps elsewhere
+            new = SolverState(alpha=state.alpha + t * da, v=state.v + t * dv,
                               round=new.round)
         diag["step"].append(t)
         sigma = max(floor, 0.9 * sigma) if aligned else min(cap, 2.0 * sigma)

@@ -15,12 +15,11 @@ Both regularizers are l(a) = l1 |a| + l2 a^2 / 2 on [-B, B] (L1 is
 (lam, 0, B), the elastic net (lam (1 - eta), lam eta, inf)), so every
 step is one scalar shrinkage clipped to [-B, B], a no-op for B = inf.
 
-The coordinate pass runs in a C kernel (_cd.c), compiled once per
-process with the C compiler on PATH and loaded with ctypes; without a
-working compiler the Python loop runs, which is also the kernel's
-reference, and the two give bit-identical results. The same library
-carries dataio's libsvm tokenizer and its C++17 libsvm formatter
-(_text.cc); it builds only where both compile.
+The coordinate pass runs in a library built once per process from one
+C++17 source, _native.cc, with the C++ compiler on PATH, and loaded with
+ctypes; without a working compiler the Python loop, its reference, runs,
+and the two give bit-identical results. The library also carries
+dataio's libsvm tokenizer and formatter.
 """
 
 from __future__ import annotations
@@ -160,29 +159,28 @@ def coordinate_update(reg, current_total, g_lin, q):
 
 
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_SOURCE = os.path.join(os.path.dirname(__file__), "_native.cc")
 
 
-def _build_command(cc, so):
-    """The compiler call that builds the library `so` with `cc`, which
-    compiles each source as C or C++ by its extension."""
-    return [cc, *_CFLAGS, "-o", so, *(os.path.join(os.path.dirname(
-        __file__), src) for src in ("_cd.c", "_text.cc")), "-lstdc++"]
+def _build_command(cxx, so):
+    """The call of the C++ compiler `cxx` that builds the library `so`."""
+    return [cxx, *_CFLAGS, "-o", so, _SOURCE]
 
 
 def _build_kernel():
-    """Compile _cd.c and _text.cc with the C compiler on PATH into one
-    library in a private temporary directory, load it and remove the
+    """Compile _native.cc with the C++ compiler on PATH, c++ else g++, into
+    a library in a private temporary directory, load it and remove the
     directory; the library, its functions typed, or None when any step
     fails, as without a C++17 `<charconv>` that formats doubles (GCC 11).
     A `CDLL` call releases the GIL: `dataio._tokenize_c`'s threads need it."""
-    cc = shutil.which("cc") or shutil.which("gcc")
-    if cc is None:
+    cxx = shutil.which("c++") or shutil.which("g++")
+    if cxx is None:
         return None
     try:
         with tempfile.TemporaryDirectory(prefix="shardcd-",
                                          ignore_cleanup_errors=True) as tmp:
-            so = os.path.join(tmp, "_cd.so")
-            subprocess.run(_build_command(cc, so), stdin=subprocess.DEVNULL,
+            so = os.path.join(tmp, "_native.so")
+            subprocess.run(_build_command(cxx, so), stdin=subprocess.DEVNULL,
                            capture_output=True, check=True, timeout=120)
             lib = ctypes.CDLL(so)
             cd_pass, count = lib.cd_pass, lib.count_libsvm
@@ -207,8 +205,8 @@ _kernel = _UNBUILT  # the library once built, or None for the Python loops
 
 def kernel_name():
     """Which coordinate pass, libsvm tokenizer and libsvm formatter this
-    process runs, "c" or "python"; the C library is built on the first
-    call."""
+    process runs: "c" for the compiled library's, which is built on the
+    first call, or "python" for the Python loops."""
     global _kernel
     if _kernel is _UNBUILT:
         _kernel = _build_kernel()
@@ -234,9 +232,9 @@ def _coordinate_pass(view, order, totals, z):
     (C-contiguous float64, one entry per pool column) holds the
     coordinates' current values alpha_i + d_i. It and the running product
     z = A d (C-contiguous float64, one entry per matrix row) are updated
-    in place; anything else is refused with ValueError. Runs the C kernel
-    when it built, else the Python loop below, its reference: the same
-    steps in the operation order _cd.c's header states, bit for bit (rows
+    in place; anything else is refused with ValueError. Runs the compiled
+    cd_pass, else the Python loop below, its reference: the same steps in
+    the operation order _native.cc's header states, bit for bit (rows
     within a column are distinct, so the gathered z[r] is reused for the
     write). Returns the number of steps the support bound clipped.
     """

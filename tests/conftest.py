@@ -74,7 +74,7 @@ def pass_kernel(request, monkeypatch):
     if request.param == "python":
         monkeypatch.setattr(local, "_kernel", None)
     elif local.kernel_name() != "c":
-        pytest.skip("no C compiler to build the kernel with")
+        pytest.skip("no C++ compiler to build the kernel with")
     return request.param
 
 

@@ -170,7 +170,7 @@ def test_trace_files_byte_identical(tmp_path, capsys):
 def test_identity_runs_do_not_depend_on_the_kernel(name, tmp_path, capsys,
                                                    monkeypatch):
     if local.kernel_name() != "c":
-        pytest.skip("no C compiler to build the kernel with")
+        pytest.skip("no C++ compiler to build the kernel with")
     outputs = []
     for i, handle in enumerate((local._kernel, None)):
         monkeypatch.setattr(local, "_kernel", handle)

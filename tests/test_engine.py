@@ -655,7 +655,7 @@ def test_solve_is_bit_identical_with_and_without_the_kernel(seed, k, kind, h,
     # long columns (30 to 108 entries expected), on which any summation
     # order other than the kernel's changes the last bits
     if local.kernel_name() != "c":
-        pytest.skip("no C compiler to build the kernel with")
+        pytest.skip("no C++ compiler to build the kernel with")
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(k + 2, 24)), int(rng.integers(60, 120))
     m, b, _ = sc.gen_synthetic(sc.SyntheticSpec(

@@ -10,7 +10,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import shardcd as sc
 from shardcd import dataio, local
@@ -125,6 +125,18 @@ def test_write_libsvm_refuses_labels_not_one_dimensional_and_real(tmp_path):
         assert path.read_text() == "1 1:1.0\n"
 
 
+@both_writers
+def test_write_libsvm_refuses_a_matrix_without_rows(tmp_path):
+    # read_libsvm refuses the empty file it would write; the file is left
+    # untouched
+    m = sc.ColMatrix(0, 2, [0, 0, 0], [], [])
+    path = tmp_path / "kept.txt"
+    path.write_text("1 1:1.0\n")
+    with pytest.raises(ValueError, match="matrix must have at least one row"):
+        sc.write_libsvm(path, m, np.zeros(0))
+    assert path.read_text() == "1 1:1.0\n"
+
+
 def written(path, m, labels, kernel):
     """The bytes write_libsvm writes with the module's kernel handle set
     to `kernel`."""
@@ -173,6 +185,7 @@ def test_c_formatter_writes_repr_of_edge_values(tmp_path):
 def test_c_formatter_writes_repr_of_random_doubles(tmp_path_factory, bits):
     values = np.array(bits, dtype=np.uint64).view(np.float64)
     values = values[np.isfinite(values)]
+    assume(len(values))  # write_libsvm refuses a matrix without rows
     m, labels = one_column(values)
     assert_writers_agree(tmp_path_factory.mktemp("bits") / "bits.svm", m,
                          labels)
@@ -198,7 +211,6 @@ def test_c_formatter_buffer_boundary(tmp_path, monkeypatch):
         (sc.ColMatrix.from_coo(4, long_row, np.full(long_row, 2),
                                np.arange(long_row),
                                np.linspace(-1, 1, long_row)), [0, 2], [0, 2]),
-        (sc.ColMatrix(0, 3, [0, 0, 0, 0], [], []), [], []),
     ]
     rng, default = np.random.default_rng(3), dataio._WRITE_BUF
     monkeypatch.setattr(threading, "Thread", None)  # the writer starts
@@ -259,7 +271,7 @@ def read_outcome(path, kernel):
 
 def needs_c_tokenizer():
     if local.kernel_name() != "c":
-        pytest.skip("no C compiler to build the tokenizer with")
+        pytest.skip("no C++ compiler to build the tokenizer with")
     return local._kernel
 
 

@@ -292,54 +292,43 @@ def test_solve_local_matches_per_column_loop(pass_kernel):
 
 def needs_kernel():
     if local.kernel_name() != "c":
-        pytest.skip("no C compiler to build the kernel with")
+        pytest.skip("no C++ compiler to build the kernel with")
 
 
 def test_kernel_builds_with_a_compiler_on_path():
-    if not (shutil.which("cc") or shutil.which("gcc")):
-        pytest.skip("no C compiler on PATH")
+    if not (shutil.which("c++") or shutil.which("g++")):
+        pytest.skip("no C++ compiler on PATH")
     assert local.kernel_name() == "c"
 
 
 def test_native_source_compiles_without_warnings(tmp_path):
-    cc = shutil.which("cc") or shutil.which("gcc")
-    if cc is None:
-        pytest.skip("no C compiler on PATH")
-    src = os.path.join(os.path.dirname(local.__file__), "_cd.c")
-    # the second build is _cd.c as a compiler without
-    # __builtin_prefetch sees it. The macros are undefined after the system
-    # headers, which gcc cannot read with __GNUC__ undefined (glibc then
-    # typedefs _Float32, a keyword of gcc's).
-    plain = tmp_path / "plain.c"
-    plain.write_text("#include <stdint.h>\n#include <stdlib.h>\n"
-                     "#undef __GNUC__\n#undef __clang__\n"
-                     f'#include "{src}"\n')
-    # each also builds as strict C99, so _cd.c stays plain C99
-    for source in (src, str(plain)):
-        for std in ([], ["-std=c99", "-pedantic-errors"]):
-            build = subprocess.run([cc, *local._CFLAGS, "-Wall", "-Wextra",
-                                    "-Werror", *std,
-                                    "-o", str(tmp_path / "_cd.so"), source],
-                                   capture_output=True, text=True, timeout=120)
-            assert build.returncode == 0, build.stderr
-    expanded = subprocess.run([cc, "-E", str(plain)], capture_output=True,
-                              text=True, timeout=120, check=True).stdout
-    assert "__builtin_prefetch" not in expanded
     cxx = shutil.which("c++") or shutil.which("g++")
     if cxx is None:
         pytest.skip("no C++ compiler on PATH")
-    # the whole library, built as local._build_kernel builds it
-    build = subprocess.run(local._build_command(cc, str(tmp_path / "lib.so")),
-                           capture_output=True, text=True, timeout=120)
-    assert build.returncode == 0, build.stderr
-    # and _text.cc alone, as is and as strict C++17
-    text = os.path.join(os.path.dirname(local.__file__), "_text.cc")
+    so = str(tmp_path / "lib.so")
+    # as is and as strict C++17, then with the command _build_kernel runs
     for std in ([], ["-std=c++17", "-pedantic-errors"]):
         build = subprocess.run([cxx, *local._CFLAGS, "-Wall", "-Wextra",
-                                "-Werror", *std, "-o",
-                                str(tmp_path / "_text.so"), text],
+                                "-Werror", *std, "-o", so, local._SOURCE],
                                capture_output=True, text=True, timeout=120)
         assert build.returncode == 0, build.stderr
+    build = subprocess.run(local._build_command(cxx, so),
+                           capture_output=True, text=True, timeout=120)
+    assert build.returncode == 0, build.stderr
+
+
+def test_package_data_ships_every_native_source():
+    # an installed copy without a source the loader compiles runs the
+    # Python loops
+    tomllib = pytest.importorskip("tomllib")
+    package = os.path.dirname(local.__file__)
+    root = os.path.dirname(os.path.dirname(package))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        shipped = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
+    compiled = [os.path.basename(arg)
+                for arg in local._build_command("c++", "lib.so")
+                if os.path.dirname(arg) == package]
+    assert compiled and set(compiled) <= set(shipped["shardcd"])
 
 
 def test_kernel_matches_python_loop(monkeypatch):
