@@ -46,18 +46,17 @@
  * cols, vals    0-based column and value of each entry (at most max_entries)
  * Blanks are ' ' and '\t', lines end in '\n' or "\r\n", blank lines are
  * skipped, labels and values are numbers as number() reads them (an
- * exponent out of range reads as inf) and indices plain decimal digits, at
- * least 1, strictly ascending within a line and within int64.  Returns the
- * number of examples, or -1 on any other input, for which the Python loop
- * rereads the file.
+ * exponent out of range reads as inf or 0) and indices plain decimal digits,
+ * at least 1, strictly ascending within a line and within int64.  Returns
+ * the number of examples, or -1 on any other input, for which the Python
+ * loop rereads the file.
  *
  * read_libsvm may cut a file into chunks that each end just after a LF and
  * run count_libsvm and parse_libsvm on every chunk in a thread of its own.
  * A chunk is a pointer into the one buffer holding the whole file, which is
- * NUL-terminated after its last byte, never a copy: strtod skips leading
- * whitespace, so on a "1:\n" token it reads past the chunk's LF into the
- * next chunk (the token is declined), and the NUL keeps every such read
- * inside the buffer.
+ * NUL-terminated after its last byte, never a copy.  Only strtod reads past
+ * a chunk's end, on an out-of-range number ending it: the chunk's last byte
+ * is then no LF, so it is the file's last, and the byte after is the NUL.
  *
  * format_libsvm: the writer of shardcd.dataio.write_libsvm.  It writes lines
  * `label[ idx:val]...\n` of rows row, row + 1, ... of a CSR matrix (indptr,
@@ -103,18 +102,26 @@ constexpr Table number_chars()
 
 constexpr Table NUMBER_CHARS = number_chars();
 
-/* Parses the number at p into *x with strtod, which stops at the NUL after the
- * buffer at the latest, and returns its end; or nullptr unless strtod read a
- * whole token (ending at a blank, a line end or the buffer's end) made only of
- * NUMBER_CHARS.  From those strtod reads no leading blank, inf, nan or
- * hexadecimal, and it stops at a '.' that LC_NUMERIC does not make the decimal
- * point, so it accepts exactly [+-]?(D+(.D*)?|.D+)([eE][+-]?D+)?. */
+/* Parses the number at p into *x with std::from_chars, which reads nothing at
+ * or past end, and returns its end; or nullptr unless it read a whole token
+ * (ending at a blank, a line end or end) made only of NUMBER_CHARS.  From
+ * those from_chars reads no blank, inf, nan or hexadecimal, and a '.' is
+ * always the decimal point; it refuses a leading '+', which is skipped here
+ * unless a '-' follows, so it accepts exactly [+-]?(D+(.D*)?|.D+)([eE][+-]?D+)?.
+ * A token out of range it does not store; strtod reads that one, as inf or 0,
+ * and looks at most one byte past it. */
 const char *number(const char *p, const char *end, double *x)
 {
-    char *stop;
-    *x = std::strtod(p, &stop);
-    if (stop == p || !(stop == end || *stop == ' ' || *stop == '\t'
-                       || *stop == '\n' || *stop == '\r'))
+    const char *start = p + (end - p > 1 && p[0] == '+' && p[1] != '-');
+    auto [stop, ec] = std::from_chars(start, end, *x);
+    if (ec == std::errc::result_out_of_range) {
+        char *s;
+        *x = std::strtod(p, &s);
+        stop = s;
+    }
+    if (ec == std::errc::invalid_argument || stop == p
+        || !(stop == end || *stop == ' ' || *stop == '\t' || *stop == '\n'
+             || *stop == '\r'))
         return nullptr;
     for (const char *q = p; q < stop; q++)
         if (!NUMBER_CHARS.at[static_cast<unsigned char>(*q)])

@@ -27,7 +27,9 @@ class ColMatrix:
     transpose, which run the products and see in-place rescaling. Row
     indices within a column are strictly ascending; all stored values
     are finite. Squared column norms are cached at construction and
-    refreshed by :meth:`normalize_columns`.
+    refreshed by :meth:`normalize_columns`. A squared norm beyond the
+    largest double is cached as inf, its correctly rounded value,
+    without a warning.
 
     Parameters
     ----------
@@ -80,9 +82,10 @@ class ColMatrix:
 
     def _refresh_norms(self):
         # a CSR of A^T with squared values sums each column in storage order
-        sq = scipy.sparse.csr_array((self.vals * self.vals, self.rows, self.indptr),
-                                    shape=(self.n_cols, self.n_rows), copy=False)
-        self._col_sq_norms = sq @ np.ones(self.n_rows)
+        with np.errstate(over="ignore"):
+            sq = scipy.sparse.csr_array((self.vals * self.vals, self.rows, self.indptr),
+                                        shape=(self.n_cols, self.n_rows), copy=False)
+            self._col_sq_norms = sq @ np.ones(self.n_rows)
 
     # ------------------------------------------------------------------
     # constructors
@@ -175,9 +178,15 @@ class ColMatrix:
         """Rescale every nonzero column to unit norm, in place.
 
         Zero columns are left untouched. Returns the original column
-        norms so callers can undo the scaling on coefficients.
+        norms so callers can undo the scaling on coefficients. A column
+        whose squared norm overflows takes its norm as s * ||x / s||, s
+        its largest |x|.
         """
         norms = np.sqrt(self._col_sq_norms)
+        for i in np.flatnonzero(np.isinf(norms)):
+            x = self.vals[self.indptr[i]:self.indptr[i + 1]]
+            s = np.abs(x).max()
+            norms[i] = s * np.sqrt(np.square(x / s).sum())
         scale = 1.0 / np.where(norms > 0, norms, 1.0)
         self.vals *= np.repeat(scale, np.diff(self.indptr))
         self._refresh_norms()

@@ -50,14 +50,14 @@ def read_libsvm(path):
     With the native library of `local` built, `_tokenize_c` reads the
     file's bytes under a strict ASCII grammar: blanks are spaces and tabs,
     lines end in LF or CR LF, indices are plain decimal digits within
-    int64, and labels and values are what `strtod` reads from a whole token
-    of digits, signs, `.`, `e` and `E`, which is exactly
-    `[+-]?(D+(.D*)?|.D+)([eE][+-]?D+)?`. It declines everything else (a
-    sign or `_` in an index, `nan`, hexadecimal, other whitespace, a lone
-    CR, non-ASCII bytes, any malformed line). On declined input, and on a
-    label or value that reads as infinite, the Python loop `_tokenize`
-    rereads the file, so both give the same arrays and the same error,
-    which names the first bad token in file order, for any thread count.
+    int64, and labels and values are what `std::from_chars` reads from a
+    whole token of digits, signs, `.`, `e` and `E` (one leading `+`
+    skipped), exactly `[+-]?(D+(.D*)?|.D+)([eE][+-]?D+)?`, or `strtod` out
+    of range (±inf, ±0). It declines all else (a sign or `_` in an index,
+    `nan`, hexadecimal, other whitespace, a lone CR, non-ASCII bytes, any
+    malformed line). Then, and on a label or value that reads as infinite,
+    the Python loop `_tokenize` rereads the file: both give the same arrays
+    and error, naming the first bad token in file order, at any thread count.
     """
     parsed = None
     if local.kernel_name() == "c":

@@ -1,5 +1,6 @@
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,17 @@ def test_normalize_leaves_zero_columns():
     assert norms.tolist() == [1.5, 0.0]
     _, v = m.column(1)
     assert len(v) == 0
+
+
+def test_normalize_scales_a_column_whose_squared_norm_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = sc.ColMatrix(2, 2, [0, 2, 4], [0, 1, 0, 1], [1e200, 1.0, 3.0, 4.0])
+        assert m.col_sq_norms.tolist() == [np.inf, 25.0]
+        norms = m.normalize_columns()
+    assert norms.tolist() == [1e200, 5.0]
+    np.testing.assert_array_max_ulp(m.vals[:2], np.array([1.0, 1e-200]), maxulp=1)
+    assert m.vals[2:].tolist() == [3.0 * (1 / 5.0), 4.0 * (1 / 5.0)]
 
 
 def test_constructor_rejects_bad_columns():

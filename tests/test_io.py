@@ -283,10 +283,13 @@ def needs_c_tokenizer():
     "1 99999999999999999999999:1.0\n", "1 9223372036854775808:1.0\n",
     "1 0:1\n", "1 -2:1\n", "1 2:1 2:1\n", "1 :1\n", "1 1:\n", "1 1:2:3\n",
     "1 1:.\n", "1 1:1e\n", "1 1:1e+\n", "1 1 2:1\n", "1: 1:1\n", "x 1:1\n",
-    # strtod's own leniencies: leading whitespace (a newline would read the
-    # next line's label), a locale's comma, inf, nan(...), a trailing e
+    # what a number reader may take beyond the grammar: leading whitespace
+    # (a newline would read the next line's label), a locale's comma, inf,
+    # nan(...), a trailing e
     "1 1:\n-1 2:1.0", "1 1: 5\n", "1 1:\t5\n", "1 1:\x0b5\n", "1 1:1,5\n",
     "1 1:INF\n", "1 1:nan(0x1)\n", "1 1:1e5e\n",
+    # signs: the one leading '+' that from_chars refuses is skipped, no more
+    "+-1 1:1\n", "1 1:+-5\n", "1 1:++5\n", "1 1:+\n", "1 1:-+5\n",
 ])
 def test_read_libsvm_declined_input_reads_as_in_python(tmp_path, text):
     lib = needs_c_tokenizer()
@@ -299,13 +302,33 @@ def test_read_libsvm_declined_input_reads_as_in_python(tmp_path, text):
             assert read_outcome(path, lib) == want
 
 
-@pytest.mark.parametrize("text", ["1 1:1e999\n", "-1e999 1:1\n",
-                                  "1 1:1e-400 2:4.9e-324\n"])
+@pytest.mark.parametrize("text", [
+    "1 1:1e999\n", "-1e999 1:1\n", "1 1:1e-400 2:4.9e-324\n",
+    # from_chars reports these out of range; strtod reads them, as inf or 0
+    "+1e999 1:1\n", "1 1:+1e-400\n", "1 1:2.4703282292062327e-324\n",
+    "1 1:1.7976931348623159e308\n", "1 1:1e-99999999999999999999\n",
+])
 def test_read_libsvm_out_of_range_numbers_read_as_in_python(tmp_path, text):
     lib = needs_c_tokenizer()
     path = tmp_path / "range.txt"
     path.write_text(text)
     assert dataio._tokenize_c(path.read_bytes()) is not None
+    assert read_outcome(path, lib) == read_outcome(path, None)
+
+
+@pytest.mark.parametrize("number", [
+    "4.9e-324", "2.4703282292062328e-324", "2.2250738585072011e-308",
+    "1.7976931348623158e308", "1e23", "9007199254740993", "0e99999", ".5",
+    "5.", "+.5", "+1e23", "1234567890123456789012345678901234567890",
+])
+def test_read_libsvm_boundary_numbers_read_as_in_python(tmp_path, number):
+    lib = needs_c_tokenizer()
+    path = tmp_path / "boundary.txt"
+    negative = "-" + number.lstrip("+")
+    path.write_text(f"{number} 1:{number}\n{negative} 2:{negative}\n")
+    parsed = dataio._tokenize_c(path.read_bytes())
+    assert parsed is not None
+    assert parsed[0].tolist() == [float(number), float(negative)]
     assert read_outcome(path, lib) == read_outcome(path, None)
 
 
@@ -366,6 +389,25 @@ def test_c_tokenizer_reads_valid_files_as_the_python_loop(text):
                 assert read_outcome(path, lib) == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(xs=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                   min_size=1, max_size=20),
+       form=st.sampled_from(["{!r}", "{:.17e}"]))
+def test_c_tokenizer_reads_every_finite_double_back(xs, form):
+    lib = needs_c_tokenizer()
+    text = "".join(f"{form} 1:{form}\n".format(x, x) for x in xs)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doubles.txt")
+        with open(path, "w") as fh:
+            fh.write(text)
+        assert dataio._tokenize_c(text.encode()) is not None
+        want = read_outcome(path, None)
+        assert read_outcome(path, lib) == want
+    bits = np.array(xs).tobytes()
+    assert want[-1] == (np.dtype(np.float64), bits)  # labels
+    assert want[-2] == (np.dtype(np.float64), bits)  # the one column's values
+
+
 def test_count_libsvm_counts_line_ends_and_colons():
     lib = needs_c_tokenizer()
     text = b"1 1:0.5 2:1\n-1 3:2\r\n\n" * 20  # 440 bytes
@@ -386,7 +428,7 @@ LONG_LINE = "1 " + " ".join(f"{i}:{i}.5" for i in range(1, 30)) + "\n"
     (2, "1 1:0.5\n-1 2:oops\n1 3:1\n-1 y:1\n", [0, 18, 31], False),
     # an infinite value in a later chunk
     (2, "1 1:0.5\n-1 2:1\n1 3:1e999\n", [0, 15, 25], True),
-    # `1:` ending a chunk: strtod reads on into the next chunk's label
+    # `1:` ending a chunk: its empty value declines, read up to the chunk's end
     (2, "1 1:\n-1\n", [0, 5, 8], False),
     # CR LF and blank lines on either side of a cut
     (3, "1 1:0.5\r\n\r\n\n-1 2:1\r\n\n1 3:2\r\n", [0, 11, 20, 28], True),
