@@ -46,10 +46,10 @@
  * cols, vals    0-based column and value of each entry (at most max_entries)
  * Blanks are ' ' and '\t', lines end in '\n' or "\r\n", blank lines are
  * skipped, labels and values are numbers as number() reads them (an
- * exponent out of range reads as inf or 0) and indices plain decimal digits,
- * at least 1, strictly ascending within a line and within int64.  Returns
- * the number of examples, or -1 on any other input, for which the Python
- * loop rereads the file.
+ * exponent out of range reads as inf or 0) and indices int64s as
+ * std::from_chars reads them, at least 1 and strictly ascending within a
+ * line.  Returns the number of examples, or -1 on any other input, for
+ * which the Python loop rereads the file.
  *
  * read_libsvm may cut a file into chunks that each end just after a LF and
  * run count_libsvm and parse_libsvm on every chunk in a thread of its own.
@@ -68,12 +68,13 @@
  * the shortest that read back as the same double, the closest to it on a
  * tie, which is what std::to_chars gives without a precision (libstdc++ 11
  * or later, after Adams, "Ryu: fast float-to-string conversion", PLDI
- * 2018).  repr lays them out in exponent form when the decimal exponent is
- * below -4 or at least 16, with a sign and at least two exponent digits
- * (1e-05, 1.5e+16, 5e-324), which is to_chars's scientific form as it
- * stands; otherwise positionally, with ".0" after an integral value (-0.0,
- * 123.0, 0.0001). */
+ * 2018).  repr lays them out in exponent form when their decimal exponent is
+ * below -4 or at least 16, which holds exactly for x != 0 with |x| < 1e-4 or
+ * |x| >= 1e16: to_chars's scientific form (1e-05, 1.5e+16, 5e-324).  Else
+ * it writes them positionally, which is to_chars's fixed form, with ".0"
+ * after an integral value (-0.0, 123.0, 0.0001). */
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -89,88 +90,46 @@ constexpr int BLOCK = 128; /* at most 255, the largest byte-wide sum */
 constexpr int64_t NUMBER = 24, INDEX = 19, LINE = NUMBER + 1,
                   ENTRY = 1 + INDEX + 1 + NUMBER;
 
-/* Digits, signs, '.', 'e' and 'E': a table tests them faster than ifs. */
-struct Table { char at[256]; };
-
-constexpr Table number_chars()
-{
-    Table t{};
-    for (const char *c = "0123456789+-.eE"; *c; c++)
-        t.at[static_cast<unsigned char>(*c)] = 1;
-    return t;
-}
-
-constexpr Table NUMBER_CHARS = number_chars();
-
 /* Parses the number at p into *x with std::from_chars, which reads nothing at
- * or past end, and returns its end; or nullptr unless it read a whole token
- * (ending at a blank, a line end or end) made only of NUMBER_CHARS.  From
- * those from_chars reads no blank, inf, nan or hexadecimal, and a '.' is
- * always the decimal point; it refuses a leading '+', which is skipped here
- * unless a '-' follows, so it accepts exactly [+-]?(D+(.D*)?|.D+)([eE][+-]?D+)?.
- * A token out of range it does not store; strtod reads that one, as inf or 0,
- * and looks at most one byte past it. */
+ * or past end, and returns its end; or nullptr unless it read a whole token,
+ * ending at a blank, a line end or end, that starts with a digit or '.' after
+ * at most one sign.  That start rules out inf and nan, and from_chars reads
+ * no hexadecimal; it refuses a '+', which is skipped here unless a '-'
+ * follows.  So it accepts exactly [+-]?(D+(.D*)?|.D+)([eE][+-]?D+)?.  A token
+ * out of range it does not store; strtod reads that one, as inf or 0, and
+ * looks at most one byte past it. */
 const char *number(const char *p, const char *end, double *x)
 {
     const char *start = p + (end - p > 1 && p[0] == '+' && p[1] != '-');
+    const char *first = start + (start < end && *start == '-');
+    if (first == end || !((*first >= '0' && *first <= '9') || *first == '.'))
+        return nullptr;
     auto [stop, ec] = std::from_chars(start, end, *x);
     if (ec == std::errc::result_out_of_range) {
         char *s;
         *x = std::strtod(p, &s);
         stop = s;
     }
-    if (ec == std::errc::invalid_argument || stop == p
+    if (ec == std::errc::invalid_argument
         || !(stop == end || *stop == ' ' || *stop == '\t' || *stop == '\n'
              || *stop == '\r'))
         return nullptr;
-    for (const char *q = p; q < stop; q++)
-        if (!NUMBER_CHARS.at[static_cast<unsigned char>(*q)])
-            return nullptr;
     return stop;
-}
-
-char *copy(char *p, const char *from, const char *to)
-{
-    std::memcpy(p, from, to - from);
-    return p + (to - from);
-}
-
-char *zeros(char *p, int n)
-{
-    std::memset(p, '0', n);
-    return p + n;
 }
 
 /* x as repr(x) writes it, at p; returns the end. */
 char *put_double(char *p, double x)
 {
-    char sci[32];
-    const char *end = std::to_chars(sci, sci + sizeof sci, x,
-                                    std::chars_format::scientific).ptr;
-    const char *e = static_cast<const char *>(
-        std::memchr(sci, 'e', end - sci));
-    int exp = 0;
-    std::from_chars(e + 1 + (e[1] == '+'), end, exp);
-    if (exp < -4 || exp >= 16)
-        return copy(p, sci, end);
-    /* the digits: lead, then rest[0, e - rest) */
-    const char *lead = sci + (sci[0] == '-');
-    const char *rest = lead + 1 + (lead[1] == '.');
-    p = copy(p, sci, lead);
-    if (exp < 0) {
-        *p++ = '0';
-        *p++ = '.';
-        p = zeros(p, -exp - 1);
-        *p++ = *lead;
-        return copy(p, rest, e);
+    const double a = std::fabs(x);
+    if (a != 0 && (a < 1e-4 || a >= 1e16))
+        return std::to_chars(p, p + NUMBER, x,
+                             std::chars_format::scientific).ptr;
+    char *end = std::to_chars(p, p + NUMBER, x, std::chars_format::fixed).ptr;
+    if (!std::memchr(p, '.', end - p)) {
+        *end++ = '.';
+        *end++ = '0';
     }
-    *p++ = *lead;
-    const char *point = rest + exp < e ? rest + exp : e;
-    p = zeros(copy(p, rest, point), exp - static_cast<int>(point - rest));
-    *p++ = '.';
-    if (point == e)
-        *p++ = '0';
-    return copy(p, point, e);
+    return end;
 }
 
 }  // namespace
@@ -264,16 +223,11 @@ extern "C" int64_t parse_libsvm(const char *buf, int64_t len, int64_t max_rows,
                 if (p == end || *p == '\n' || *p == '\r')
                     break;
                 int64_t idx = 0;
-                const char *d = p;
-                for (; p < end && *p >= '0' && *p <= '9'; p++) {
-                    if (idx > (INT64_MAX - (*p - '0')) / 10)
-                        return -1;
-                    idx = 10 * idx + (*p - '0');
-                }
-                if (p == d || p == end || *p != ':' || idx <= prev
-                    || k == max_entries)
+                auto [colon, ec] = std::from_chars(p, end, idx);
+                if (ec != std::errc() || colon == end || *colon != ':'
+                    || idx <= prev || k == max_entries)
                     return -1;
-                p = number(p + 1, end, &vals[k]);
+                p = number(colon + 1, end, &vals[k]);
                 if (p == nullptr)
                     return -1;
                 cols[k++] = idx - 1;

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import sq_spectral_norm
-from .engine import (SolverState, _check_drive_settings, _check_integers,
-                     _drive, _worker_seed)
+from .engine import (SolverState, _check_col_norms, _check_drive_settings,
+                     _check_integers, _drive, _worker_seed)
 
 __all__ = ["BaselineConfig", "prox_gd_step", "mb_cd_round", "solve_baseline"]
 
@@ -120,7 +120,9 @@ def mb_cd_round(state, spec, m, b, beta, seed, shared):
 def solve_baseline(cfg, spec, m):
     """Drive a baseline to the gap tolerance through the solver's loop,
     recording the same traces and stop reasons so runs are directly
-    comparable."""
+    comparable. A column whose squared norm overflows raises ValueError
+    before the power iteration of prox-GD's default step."""
+    _check_col_norms(m)
     step_size = cfg.step_size
     if cfg.kind == PROX_GD:
         if step_size is None:

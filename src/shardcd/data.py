@@ -180,13 +180,19 @@ class ColMatrix:
         Zero columns are left untouched. Returns the original column
         norms so callers can undo the scaling on coefficients. A column
         whose squared norm overflows takes its norm as s * ||x / s||, s
-        its largest |x|.
+        its largest |x|; one whose norm itself exceeds the largest double
+        raises ValueError before any value changes, since no returned
+        norm could undo its scaling.
         """
         norms = np.sqrt(self._col_sq_norms)
         for i in np.flatnonzero(np.isinf(norms)):
             x = self.vals[self.indptr[i]:self.indptr[i + 1]]
             s = np.abs(x).max()
-            norms[i] = s * np.sqrt(np.square(x / s).sum())
+            with np.errstate(over="ignore"):
+                norms[i] = s * np.sqrt(np.square(x / s).sum())
+            if np.isinf(norms[i]):
+                raise ValueError(f"column {i}: its norm exceeds the largest "
+                                 f"double, so it cannot be scaled to unit norm")
         scale = 1.0 / np.where(norms > 0, norms, 1.0)
         self.vals *= np.repeat(scale, np.diff(self.indptr))
         self._refresh_norms()

@@ -49,13 +49,13 @@ def read_libsvm(path):
 
     With the native library of `local` built, `_tokenize_c` reads the
     file's bytes under a strict ASCII grammar: blanks are spaces and tabs,
-    lines end in LF or CR LF, indices are plain decimal digits within
-    int64, and labels and values are what `std::from_chars` reads from a
-    whole token of digits, signs, `.`, `e` and `E` (one leading `+`
-    skipped), exactly `[+-]?(D+(.D*)?|.D+)([eE][+-]?D+)?`, or `strtod` out
-    of range (±inf, ±0). It declines all else (a sign or `_` in an index,
-    `nan`, hexadecimal, other whitespace, a lone CR, non-ASCII bytes, any
-    malformed line). Then, and on a label or value that reads as infinite,
+    lines end in LF or CR LF, indices are int64s as `std::from_chars`
+    reads them, and labels and values are what it reads from a whole token
+    that starts with a digit or `.` after one skipped `+` and one `-`,
+    exactly `[+-]?(D+(.D*)?|.D+)([eE][+-]?D+)?`, or `strtod` out of range
+    (±inf, ±0). It declines all else (a `+` or `_` in an index, an index
+    below 1, `nan`, `inf`, hexadecimal, other whitespace, a lone CR,
+    non-ASCII bytes, any malformed line). Then, and on a label or value that reads as infinite,
     the Python loop `_tokenize` rereads the file: both give the same arrays
     and error, naming the first bad token in file order, at any thread count.
     """

@@ -223,6 +223,17 @@ def _check_partition(cfg, m, p):
         raise ValueError("partition does not match matrix columns")
 
 
+def _check_col_norms(m):
+    """Refuse a column whose squared norm overflows, before any round: its
+    curvature sigma'/tau ||x_i||^2 is inf, so every step leaves it where it
+    is, and its ||A||^2 bound leaves prox-GD no step size."""
+    bad = np.flatnonzero(np.isinf(m.col_sq_norms))
+    if len(bad):
+        raise ValueError(f"column {bad[0]}: its squared norm exceeds the "
+                         f"largest double; scale the columns to unit norm "
+                         f"first (ColMatrix.normalize_columns, --normalize)")
+
+
 def check_v(m, alpha, v):
     """Return the drift max |v - A alpha|; a finite drift beyond
     1e-8 (1 + max |v|) is a bookkeeping fault and raises RuntimeError."""
@@ -362,9 +373,11 @@ def solve(cfg, spec, m, p):
     measured wall times, per-round coefficient extremes, each round's
     sigma' (`sigma_prime`) and step t (`step`), the count of
     `rejected_rounds` (rounds with t = 0), clamp/frozen-column counters
-    and the coordinate-pass kernel that ran ("c" or "python").
+    and the coordinate-pass kernel that ran ("c" or "python"). A column
+    whose squared norm overflows raises ValueError (_check_col_norms).
     """
     _check_partition(cfg, m, p)
+    _check_col_norms(m)
     blocks = [BlockColumns.of(m, block) for block in p.blocks]
     diag = {
         "max_abs_coef": [],

@@ -245,3 +245,18 @@ def test_prox_matches_scalar_step():
         for ui, gi in zip(u.tolist(), got.tolist()):
             ref = sc.coordinate_update(reg, ui, 0.0, 1.0 / step)
             assert abs(gi - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("cfg", [
+    sc.BaselineConfig(kind="prox_gd"),  # would take a step of tau / inf
+    sc.BaselineConfig(kind="mb_cd", batch_size=2, beta_scale=2.0),
+], ids=["prox_gd", "mb_cd"])
+def test_baselines_refuse_a_column_whose_squared_norm_overflows(cfg):
+    m = sc.ColMatrix(2, 2, [0, 2, 4], [0, 1, 0, 1], [3.0, 4.0, 1e200, 1.0])
+    fit = sc.DataFit(kind=sc.LEAST_SQUARES, labels=np.array([1.0, 2.0]))
+    spec = sc.make_objective(fit, "l1", 0.1)
+    with pytest.raises(ValueError, match=r"^column 1: its squared norm .*"
+                       r"normalize_columns, --normalize"):
+        sc.solve_baseline(cfg, spec, m)
+    m.normalize_columns()
+    assert sc.solve_baseline(cfg, spec, m).stop_reason == "gap_tol"

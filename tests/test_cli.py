@@ -127,6 +127,19 @@ def test_python_dash_m_entry_point():
     assert "lasso" in proc.stdout
 
 
+def test_column_whose_squared_norm_overflows_needs_normalize(tmp_path,
+                                                            capsys):
+    path = tmp_path / "big.svm"
+    m = sc.ColMatrix(2, 2, [0, 2, 4], [0, 1, 0, 1], [1e200, 1.0, 3.0, 4.0])
+    sc.write_libsvm(path, m, np.array([1.0, 2.0]))
+    flags = f"--data {path} --objective lasso --lambda 0.1"
+    assert run(flags) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: column 0: its squared norm exceeds the largest double")
+    assert run(f"{flags} --normalize") == 0
+    assert "stop=gap_tol" in capsys.readouterr().out
+
+
 def test_missing_data_file_exits_one(capsys):
     assert run("--data /nonexistent.libsvm --objective lasso --lambda 0.1") == 1
     capsys.readouterr()

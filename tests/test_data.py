@@ -182,6 +182,18 @@ def test_normalize_scales_a_column_whose_squared_norm_overflows():
     assert m.vals[2:].tolist() == [3.0 * (1 / 5.0), 4.0 * (1 / 5.0)]
 
 
+def test_normalize_refuses_a_column_whose_norm_overflows():
+    # ||(1.7e308, 1.7e308)|| = 2.4e308 is beyond the largest double
+    vals = [2.0, 1.7e308, 1.7e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = sc.ColMatrix(2, 2, [0, 1, 3], [0, 0, 1], vals)
+        with pytest.raises(ValueError, match=r"^column 1: its norm exceeds"):
+            m.normalize_columns()
+    assert m.vals.tolist() == vals and not m.normalized
+    assert m.col_sq_norms.tolist() == [4.0, np.inf]
+
+
 def test_constructor_rejects_bad_columns():
     with pytest.raises(ValueError):
         sc.ColMatrix.from_columns(2, [[(0, 1.0), (0, 2.0)]])  # duplicate row

@@ -287,6 +287,21 @@ def test_non_finite_zero_start_is_an_input_error():
         sc.solve(cfg, spec, m, sc.partition_columns(20, 2))
 
 
+def test_solve_refuses_a_column_whose_squared_norm_overflows():
+    # column 1's curvature would be inf: every step would leave it at 0
+    # and the gap would stall at 0.1238 for all of max_rounds
+    m = sc.ColMatrix(2, 2, [0, 2, 4], [0, 1, 0, 1], [3.0, 4.0, 1e200, 1.0])
+    fit = sc.DataFit(kind=sc.LEAST_SQUARES, labels=np.array([1.0, 2.0]))
+    spec = sc.make_objective(fit, "l1", 0.1)
+    cfg = sc.EngineConfig(k_count=1, max_rounds=1000, gap_tol=1e-6)
+    with pytest.raises(ValueError, match=r"^column 1: its squared norm .*"
+                       r"\(ColMatrix\.normalize_columns, --normalize\)$"):
+        sc.solve(cfg, spec, m, sc.partition_columns(2, 1))
+    m.normalize_columns()
+    assert sc.solve(cfg, spec, m,
+                    sc.partition_columns(2, 1)).stop_reason == "gap_tol"
+
+
 def test_check_v_detects_stale_v():
     m, b, _ = regression_instance(seed=24)
     a = np.ones(m.n_cols) * 0.01

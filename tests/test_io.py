@@ -169,7 +169,12 @@ EDGE_VALUES = [
     1e-4, 9.999999999999999e-05, 1e-5, 1e16, -1e16, 9999999999999998.0,
     0.1, 1 / 3, 123.0, 1.5e16, 1e-300, 1e300,
 ] + [s * float(10**k) for k in range(19) for s in (1, -1)] + [
-    s * 2.0**e for e in range(-1074, 1024) for s in (1, -1)]
+    s * 2.0**e for e in range(-1074, 1024) for s in (1, -1)] + [
+    # 1,000 ulps each way of where repr's layout changes (1e-4, 1e16) and
+    # where doubles stop being spaced by at most 1 (2^53, and 1e15 below it)
+    s * x for c in (1e-4, 1e16, 2.0**53, 1e15) for s in (1, -1)
+    for x in (np.float64(c).view(np.int64)
+              + np.arange(-1000, 1001)).view(np.float64).tolist()]
 
 
 def test_c_formatter_writes_repr_of_edge_values(tmp_path):
@@ -281,8 +286,9 @@ def needs_c_tokenizer():
     "1\u00a01:0.5\n", "\u0661 1:0.5\n", "\ufeff1 1:0.5\n", "1 1:0.5\x00\n",
     "nan 1:0.5\n", "1 1:nan\n", "1 1:inf\n", "1 1:Infinity\n",
     "1 99999999999999999999999:1.0\n", "1 9223372036854775808:1.0\n",
-    "1 0:1\n", "1 -2:1\n", "1 2:1 2:1\n", "1 :1\n", "1 1:\n", "1 1:2:3\n",
-    "1 1:.\n", "1 1:1e\n", "1 1:1e+\n", "1 1 2:1\n", "1: 1:1\n", "x 1:1\n",
+    "1 0:1\n", "1 -0:1\n", "1 -2:1\n", "1 2:1 2:1\n", "1 :1\n", "1 1:\n",
+    "1 1:2:3\n", "1 1:.\n", "1 1:1e\n", "1 1:1e+\n", "1 1 2:1\n", "1: 1:1\n",
+    "x 1:1\n",
     # what a number reader may take beyond the grammar: leading whitespace
     # (a newline would read the next line's label), a locale's comma, inf,
     # nan(...), a trailing e

@@ -1,6 +1,8 @@
+import ctypes
 import dataclasses
 import math
 import os
+import re
 import shutil
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
@@ -329,6 +331,22 @@ def test_package_data_ships_every_native_source():
                 for arg in local._build_command("c++", "lib.so")
                 if os.path.dirname(arg) == package]
     assert compiled and set(compiled) <= set(shipped["shardcd"])
+
+
+def test_every_native_entry_point_is_typed():
+    # an untyped ctypes function returns a C int and passes Python ints as
+    # C ints, which truncates 64-bit pointers and counts
+    needs_kernel()
+    with open(local._SOURCE) as fh:
+        entries = re.findall(r'extern "C" (\w+) (\w+)\(([^)]*)\)', fh.read())
+    assert len(entries) == 4
+    for ret, name, params in entries:
+        fn = getattr(local._kernel, name)
+        assert (ret, fn.restype) == ("int64_t", ctypes.c_int64), name
+        want = [ctypes.c_void_p if "*" in p else
+                ctypes.c_double if p.split()[0] == "double" else ctypes.c_int64
+                for p in params.split(",")]
+        assert fn.argtypes == want, name
 
 
 def test_kernel_matches_python_loop(monkeypatch):
