@@ -45,18 +45,16 @@
  * counts[i]     number of idx:val entries of example i
  * cols, vals    0-based column and value of each entry (at most max_entries)
  * Blanks are ' ' and '\t', lines end in '\n' or "\r\n", blank lines are
- * skipped, labels and values are numbers as number() reads them (an
- * exponent out of range reads as inf or 0) and indices int64s as
- * std::from_chars reads them, at least 1 and strictly ascending within a
- * line.  Returns the number of examples, or -1 on any other input, for
- * which the Python loop rereads the file.
+ * skipped, labels and values are finite doubles as number() reads them and
+ * indices int64s as std::from_chars reads them, at least 1 and strictly
+ * ascending within a line.  Returns the number of examples; or -1 on any
+ * other input, or unless exactly max_entries entries were read, for which
+ * the Python loop rereads the file.
  *
  * read_libsvm may cut a file into chunks that each end just after a LF and
  * run count_libsvm and parse_libsvm on every chunk in a thread of its own.
- * A chunk is a pointer into the one buffer holding the whole file, which is
- * NUL-terminated after its last byte, never a copy.  Only strtod reads past
- * a chunk's end, on an out-of-range number ending it: the chunk's last byte
- * is then no LF, so it is the file's last, and the byte after is the NUL.
+ * A chunk is a pointer into the one buffer holding the whole file, never a
+ * copy, and no function reads a byte past its chunk's end.
  *
  * format_libsvm: the writer of shardcd.dataio.write_libsvm.  It writes lines
  * `label[ idx:val]...\n` of rows row, row + 1, ... of a CSR matrix (indptr,
@@ -76,7 +74,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 
 namespace {
@@ -95,9 +92,9 @@ constexpr int64_t NUMBER = 24, INDEX = 19, LINE = NUMBER + 1,
  * ending at a blank, a line end or end, that starts with a digit or '.' after
  * at most one sign.  That start rules out inf and nan, and from_chars reads
  * no hexadecimal; it refuses a '+', which is skipped here unless a '-'
- * follows.  So it accepts exactly [+-]?(D+(.D*)?|.D+)([eE][+-]?D+)?.  A token
- * out of range it does not store; strtod reads that one, as inf or 0, and
- * looks at most one byte past it. */
+ * follows.  So it accepts exactly [+-]?(D+(.D*)?|.D+)([eE][+-]?D+)? within a
+ * double's range: a token that overflows or underflows to 0 (1e999, 1e-400)
+ * it declines without storing it, and the Python loop reads that file. */
 const char *number(const char *p, const char *end, double *x)
 {
     const char *start = p + (end - p > 1 && p[0] == '+' && p[1] != '-');
@@ -105,12 +102,7 @@ const char *number(const char *p, const char *end, double *x)
     if (first == end || !((*first >= '0' && *first <= '9') || *first == '.'))
         return nullptr;
     auto [stop, ec] = std::from_chars(start, end, *x);
-    if (ec == std::errc::result_out_of_range) {
-        char *s;
-        *x = std::strtod(p, &s);
-        stop = s;
-    }
-    if (ec == std::errc::invalid_argument
+    if (ec != std::errc()
         || !(stop == end || *stop == ' ' || *stop == '\t' || *stop == '\n'
              || *stop == '\r'))
         return nullptr;
@@ -243,7 +235,7 @@ extern "C" int64_t parse_libsvm(const char *buf, int64_t len, int64_t max_rows,
         if (p < end)
             p++;
     }
-    return n;
+    return k == max_entries ? n : -1;
 }
 
 extern "C" int64_t format_libsvm(int64_t row, int64_t n_rows,

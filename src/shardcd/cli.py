@@ -123,6 +123,7 @@ def _run_check(check, args, m, labels, p, cfg):
         print(f"lemma3 check: worst_violation={worst:.6g} ok={ok}")
         return 0 if ok else 2
     # theta: grade the local solves of one round from the zero start
+    engine._check_col_norms(m)
     state = engine.SolverState.initial(m)
     views = engine._build_views(state, cfg.fixed_sigma_prime, spec, m, p,
                                 engine.duality_gap(spec, m, state.alpha,

@@ -52,19 +52,19 @@ def read_libsvm(path):
     lines end in LF or CR LF, indices are int64s as `std::from_chars`
     reads them, and labels and values are what it reads from a whole token
     that starts with a digit or `.` after one skipped `+` and one `-`,
-    exactly `[+-]?(D+(.D*)?|.D+)([eE][+-]?D+)?`, or `strtod` out of range
-    (±inf, ±0). It declines all else (a `+` or `_` in an index, an index
-    below 1, `nan`, `inf`, hexadecimal, other whitespace, a lone CR,
-    non-ASCII bytes, any malformed line). Then, and on a label or value that reads as infinite,
-    the Python loop `_tokenize` rereads the file: both give the same arrays
-    and error, naming the first bad token in file order, at any thread count.
+    exactly `[+-]?(D+(.D*)?|.D+)([eE][+-]?D+)?`, within a double's range.
+    It declines all else (a `+` or `_` in an index, an index below 1,
+    `nan`, `inf`, a number that overflows or underflows to 0, hexadecimal,
+    other whitespace, a lone CR, non-ASCII bytes, any malformed line).
+    Then the Python loop `_tokenize` rereads the file: both give the same
+    arrays and error, naming the first bad token in file order, at any
+    thread count.
     """
     parsed = None
     if local.kernel_name() == "c":
         with open(path, "rb") as fh:
             parsed = _tokenize_c(fh.read())
-    if parsed is None or not (np.isfinite(parsed[0]).all()
-                              and np.isfinite(parsed[3]).all()):
+    if parsed is None:
         parsed = _tokenize(path)
     labels, counts, cols, vals = parsed
     if not len(counts):
@@ -95,9 +95,9 @@ def _tokenize_c(buf):
 
     Each `_cuts` chunk, in a thread of its own if there are more, counts
     its LFs and colons; this thread allocates arrays from those bounds, and
-    each chunk parses into its slices. Threads get pointers into `buf`
-    (NUL-terminated by Python) and allocate nothing. An entry takes one
-    colon, so a chunk with fewer declines; unused example slots are dropped.
+    each chunk parses into its slices. Threads get pointers into `buf` and
+    allocate nothing. An entry takes one colon, so a chunk with fewer
+    entries declines; unused example slots are dropped.
     """
     at, cuts = ctypes.cast(buf, ctypes.c_void_p).value, _cuts(buf)
     chunks = [(at + lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])]
@@ -119,8 +119,7 @@ def _tokenize_c(buf):
                 vals[e:].ctypes.data)
 
         rows = list(run(parse, range(len(chunks))))
-    if min(rows) < 0 or any(counts[r:r + n].sum() != c for r, n, c
-                            in zip(row_at, rows, colons)):
+    if min(rows) < 0:
         return None
     keep = np.concatenate([np.arange(r, r + n) for r, n in zip(row_at, rows)])
     return labels[keep], counts[keep], cols, vals

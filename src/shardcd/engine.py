@@ -436,8 +436,10 @@ def check_lemma3(spec, m, p, cfg, trials=200, seed=0):
     scaling's (1 when sigma_prime is unset). Each trial also probes
     alpha = 0 with delta / max |A delta|, where the logistic curvature
     peaks. D(alpha) and each G_k come from the certificate at alpha and
-    its _build_views.
+    its _build_views. A column whose squared norm overflows raises
+    ValueError (_check_col_norms).
     """
+    _check_col_norms(m)
     spec.check_dims(m)
     rng = np.random.default_rng(seed)
     ratio = cfg.fixed_sigma_prime / (cfg.gamma * p.k_count)
@@ -478,8 +480,10 @@ def check_sigma_safety(m, p, gamma, probes=64, seed=0):
     (iterates of A^T A, whose limit concentrates mass on the most
     cross-block-aligned direction). A configured sigma_prime is safe on
     this data only if it is at least the returned ratio; the ratio
-    never exceeds gamma * K. All-zero probes count as 0.
+    never exceeds gamma * K. All-zero probes count as 0. A column whose
+    squared norm overflows raises ValueError (_check_col_norms).
     """
+    _check_col_norms(m)
     rng = np.random.default_rng(seed)
 
     def ratio(alpha):

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,24 @@ def test_column_whose_squared_norm_overflows_needs_normalize(tmp_path,
         "error: column 0: its squared norm exceeds the largest double")
     assert run(f"{flags} --normalize") == 0
     assert "stop=gap_tol" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("check", ["sigma", "lemma3", "theta"])
+def test_checks_refuse_a_column_whose_squared_norm_overflows(tmp_path, capsys,
+                                                            check):
+    path = tmp_path / "big.svm"
+    m = sc.ColMatrix(2, 2, [0, 2, 4], [0, 1, 0, 1], [1e200, 1.0, 3.0, 4.0])
+    sc.write_libsvm(path, m, np.array([1.0, 2.0]))
+    flags = f"--data {path} --objective lasso --lambda 0.1 --k 2 --check {check}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: column 0: its squared norm exceeds the largest double")
+    assert run(f"{flags} --normalize") == 0
+    assert capsys.readouterr().out.startswith(f"{check} check: ")
 
 
 def test_missing_data_file_exits_one(capsys):

@@ -296,6 +296,11 @@ def needs_c_tokenizer():
     "1 1:INF\n", "1 1:nan(0x1)\n", "1 1:1e5e\n",
     # signs: the one leading '+' that from_chars refuses is skipped, no more
     "+-1 1:1\n", "1 1:+-5\n", "1 1:++5\n", "1 1:+\n", "1 1:-+5\n",
+    # out of a double's range, which from_chars reports: the Python loop
+    # reads an overflow as inf (an error) and an underflow as 0
+    "1 1:1e999\n", "-1e999 1:1\n", "1 1:1e-400 2:4.9e-324\n",
+    "+1e999 1:1\n", "1 1:+1e-400\n", "1 1:2.4703282292062327e-324\n",
+    "1 1:1.7976931348623159e308\n", "1 1:1e-99999999999999999999\n",
 ])
 def test_read_libsvm_declined_input_reads_as_in_python(tmp_path, text):
     lib = needs_c_tokenizer()
@@ -306,20 +311,6 @@ def test_read_libsvm_declined_input_reads_as_in_python(tmp_path, text):
         with chunked(cpus):
             assert dataio._tokenize_c(path.read_bytes()) is None
             assert read_outcome(path, lib) == want
-
-
-@pytest.mark.parametrize("text", [
-    "1 1:1e999\n", "-1e999 1:1\n", "1 1:1e-400 2:4.9e-324\n",
-    # from_chars reports these out of range; strtod reads them, as inf or 0
-    "+1e999 1:1\n", "1 1:+1e-400\n", "1 1:2.4703282292062327e-324\n",
-    "1 1:1.7976931348623159e308\n", "1 1:1e-99999999999999999999\n",
-])
-def test_read_libsvm_out_of_range_numbers_read_as_in_python(tmp_path, text):
-    lib = needs_c_tokenizer()
-    path = tmp_path / "range.txt"
-    path.write_text(text)
-    assert dataio._tokenize_c(path.read_bytes()) is not None
-    assert read_outcome(path, lib) == read_outcome(path, None)
 
 
 @pytest.mark.parametrize("number", [
@@ -424,6 +415,23 @@ def test_count_libsvm_counts_line_ends_and_colons():
         assert colons.value == text[:end].count(b":")
 
 
+def test_parse_libsvm_reads_nothing_past_its_chunk():
+    lib = needs_c_tokenizer()
+    labels, counts = np.zeros(1), np.zeros(1, np.int64)
+    cols, vals = np.zeros(1, np.int64), np.full(1, -7.0)
+
+    def parse(text, end):  # one example of one entry at most
+        return lib.parse_libsvm(text, end, 1, 1, *(
+            a.ctypes.data for a in (labels, counts, cols, vals)))
+
+    # the chunk ends inside an exponent out of range: declined, not stored
+    assert parse(b"1 1:1e4000 1:1\n", 9) == -1
+    assert vals[0] == -7.0
+    assert parse(b"1 1:0.55\n", 7) == 1
+    assert vals[0] == 0.5
+    assert parse(b"1\n", 2) == -1  # no entry for the one slot
+
+
 LONG_LINE = "1 " + " ".join(f"{i}:{i}.5" for i in range(1, 30)) + "\n"
 
 
@@ -432,8 +440,9 @@ LONG_LINE = "1 " + " ".join(f"{i}:{i}.5" for i in range(1, 30)) + "\n"
     (2, "1 1:0.5\n-1 2:1.0\n1 3:1.0\n-1 x:1\n", [0, 17, 32], False),
     # bad tokens in two chunks: the first in file order is named
     (2, "1 1:0.5\n-1 2:oops\n1 3:1\n-1 y:1\n", [0, 18, 31], False),
-    # an infinite value in a later chunk
-    (2, "1 1:0.5\n-1 2:1\n1 3:1e999\n", [0, 15, 25], True),
+    # an infinite value in a later chunk, and a value that underflows
+    (2, "1 1:0.5\n-1 2:1\n1 3:1e999\n", [0, 15, 25], False),
+    (2, "1 1:0.5\n-1 2:1\n1 3:1e-400\n", [0, 15, 26], False),
     # `1:` ending a chunk: its empty value declines, read up to the chunk's end
     (2, "1 1:\n-1\n", [0, 5, 8], False),
     # CR LF and blank lines on either side of a cut
@@ -445,8 +454,9 @@ LONG_LINE = "1 " + " ".join(f"{i}:{i}.5" for i in range(1, 30)) + "\n"
     (4, "1 1:0.5\n", [0, 8], True),
     # one line longer than a chunk
     (4, LONG_LINE + "-1 2:1\n1\n", [0, 216, 223, 225], True),
-], ids=["bad-last", "bad-twice", "inf-later", "colon-at-cut", "crlf-blank",
-        "no-final-lf", "few-lines", "one-line", "long-line"])
+], ids=["bad-last", "bad-twice", "inf-later", "underflow-later",
+        "colon-at-cut", "crlf-blank", "no-final-lf", "few-lines", "one-line",
+        "long-line"])
 def test_read_libsvm_in_chunks_reads_as_in_python(tmp_path, cpus, text, cuts,
                                                    accepted):
     lib = needs_c_tokenizer()
