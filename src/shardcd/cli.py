@@ -51,7 +51,8 @@ def build_parser():
                         "(default: adapted each round within [gamma, "
                         "gamma * k]; the rate theory assumes a fixed one)")
     p.add_argument("--h", type=int, default=1,
-                   help="local coordinate-descent epochs per round")
+                   help="local coordinate-descent epochs per round over "
+                        "each worker's active set")
     p.add_argument("--rounds", type=int, default=5000, help="round budget")
     p.add_argument("--gap-tol", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=0)

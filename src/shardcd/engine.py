@@ -64,8 +64,9 @@ class EngineConfig:
     is used in every round. The rate theory (theory_round_bound,
     check_lemma3) assumes a fixed sigma_prime; gamma * k_count is always
     safe. h_local is the number of local coordinate-descent epochs per
-    round, the single communication/computation trade-off knob. seed
-    (nonnegative) derives every worker's sampling stream.
+    round over each worker's active set (see solve_local), the single
+    communication/computation trade-off knob. seed (nonnegative) derives
+    every worker's sampling stream.
     """
 
     k_count: int
@@ -371,10 +372,12 @@ def solve(cfg, spec, m, p):
     Returns the final state, one trace row per round, the stop reason
     ("gap_tol", "diverged" or "max_rounds"), and a diagnostics dict with
     measured wall times, per-round coefficient extremes, each round's
-    sigma' (`sigma_prime`) and step t (`step`), the count of
-    `rejected_rounds` (rounds with t = 0), clamp/frozen-column counters
-    and the coordinate-pass kernel that ran ("c" or "python"). A column
-    whose squared norm overflows raises ValueError (_check_col_norms).
+    sigma' (`sigma_prime`), step t (`step`) and per-worker coordinate
+    updates (`worker_updates`, K counts that sum to the round's
+    local_updates), the count of `rejected_rounds` (rounds with t = 0),
+    clamp/frozen-column counters and the coordinate-pass kernel that ran
+    ("c" or "python"). A column whose squared norm overflows raises
+    ValueError (_check_col_norms).
     """
     _check_partition(cfg, m, p)
     _check_col_norms(m)
@@ -383,6 +386,7 @@ def solve(cfg, spec, m, p):
         "max_abs_coef": [],
         "sigma_prime": [],
         "step": [],
+        "worker_updates": [],
         "rejected_rounds": 0,
         "clamp_hits": 0,
         "frozen_cols": m.n_cols - sum(len(c.pool) for c in blocks),
@@ -412,7 +416,8 @@ def solve(cfg, spec, m, p):
         sigma = max(floor, 0.9 * sigma) if aligned else min(cap, 2.0 * sigma)
         diag["clamp_hits"] += sum(r.clamp_hits for r in results)
         diag["max_abs_coef"].append(float(np.max(np.abs(new.alpha), initial=0.0)))
-        return new, sum(r.updates_done for r in results)
+        diag["worker_updates"].append([r.updates_done for r in results])
+        return new, sum(diag["worker_updates"][-1])
 
     return _drive(step, spec, m, cfg.max_rounds, cfg.gap_tol, diag)
 

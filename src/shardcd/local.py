@@ -7,9 +7,11 @@ Each worker owns a column block and, per round, approximately minimizes
 over block-supported updates d, where w is the gradient of the data-fit
 term at the round's shared prediction vector and `const` is that
 vector's share of the data-fit value. Single-coordinate restrictions
-have closed-form minimizers, so the solver is plain randomized
-coordinate descent with an epoch budget; more epochs buy a better
-approximation at the cost of per-round work.
+have closed-form minimizers, so the solver is coordinate descent with an
+epoch budget: each epoch sweeps the block's active set (the columns that
+are nonzero or near their L1 threshold) in a fresh random permutation,
+and more epochs buy a better approximation at the cost of per-round
+work.
 
 Both regularizers are l(a) = l1 |a| + l2 a^2 / 2 on [-B, B] (L1 is
 (lam, 0, B), the elastic net (lam (1 - eta), lam eta, inf)), so every
@@ -34,6 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import ell_value
+
+# a zero column whose |x_i^T w| is below this share of l1 sits out a round
+_ACTIVE_MARGIN = 0.9
 
 __all__ = [
     "BlockColumns", "SubproblemView", "LocalResult",
@@ -284,29 +289,37 @@ def _coordinate_pass(view, order, totals, z):
 
 
 def solve_local(view, h, seed):
-    """Run h epochs of randomized coordinate descent on the subproblem.
+    """Run h epochs of randomized coordinate descent over the active set.
 
-    Performs h * block_size single-coordinate updates on uniformly
-    sampled (with replacement) columns of positive norm, the pool of
-    `view.columns`; a block with none makes no update. z = A * delta is
-    maintained by sparse in-place updates. Deterministic given (view, h,
-    seed); the local objective never increases across updates.
+    The active set holds the pool positions (the columns of positive
+    norm, `view.columns.pool`) whose coefficient is nonzero or whose
+    |x_i^T w| is not below _ACTIVE_MARGIN * l1, a NaN included; each epoch
+    sweeps it once in a fresh random permutation drawn from
+    default_rng(seed). A block with an empty set makes no update and
+    draws nothing, exactly as a sweep of its whole pool would: every
+    column sits at 0 with |x_i^T w| < l1, so with z = 0 each step leaves
+    it there. z = A * delta is maintained by sparse in-place updates.
+    Deterministic given (view, h, seed); the local objective never
+    increases across updates.
     """
     if h < 1:
         raise ValueError("local epoch count h must be >= 1")
     pool = view.columns.pool
     z = np.zeros(view.matrix.n_rows)
-    if not len(pool):
+    start = view.alpha_block[pool]
+    xw = np.asarray(view.xw, dtype=np.float64)[pool]
+    active = np.flatnonzero(
+        (start != 0.0) | ~(np.abs(xw) < _ACTIVE_MARGIN * view.reg.penalty[0]))
+    if not len(active):
         return LocalResult(np.zeros(0, np.int64), np.zeros(0), z, 0)
 
-    n_updates = h * len(view.block)
-    draws = np.random.default_rng(seed).integers(0, len(pool), size=n_updates)
-    start = view.alpha_block[pool]
+    rng = np.random.default_rng(seed)
+    order = np.concatenate([rng.permutation(active) for _ in range(h)])
     totals = start.astype(np.float64)
-    clamp_hits = _coordinate_pass(view, draws, totals, z)
+    clamp_hits = _coordinate_pass(view, order, totals, z)
     moved = np.flatnonzero(totals != start)
     return LocalResult(pool[moved], totals[moved] - start[moved], z,
-                       n_updates, clamp_hits)
+                       len(order), clamp_hits)
 
 
 def _cd_minimize(view, max_sweeps):

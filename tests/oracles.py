@@ -141,8 +141,10 @@ def local_solve_loop(view, h, seed):
 
     Recomputes every column's inner product with the view's gradient one
     column at a time and keeps the update as a dict, with the shrinkage
-    steps written out here. Draws the same coordinate sequence as the
-    package solver. Returns (delta map, A delta, updates, clamp hits).
+    steps written out here. Builds the active set from those products
+    (nonzero coefficient, or |x_i^T w| not below 0.9 l1) and draws the
+    same h permutations of it as the package solver. Returns (delta map,
+    A delta, updates, clamp hits).
     """
     m = view.matrix
     block = view.block
@@ -156,8 +158,14 @@ def local_solve_loop(view, h, seed):
     xw = [float(np.dot(v, view.w[r])) for r, v in cols]
     totals = [float(view.alpha_block[j]) for j in pool]
     reg = view.reg
-    n_updates = h * len(block)
-    draws = np.random.default_rng(seed).integers(0, len(pool), size=n_updates)
+    l1 = reg.lam if reg.kind == "l1" else reg.lam * (1.0 - reg.eta)
+    active = [t for t in range(len(pool))
+              if totals[t] != 0.0 or not abs(xw[t]) < 0.9 * l1]
+    if not active:
+        return {}, z, 0, 0
+    rng = np.random.default_rng(seed)
+    draws = [active[j] for _ in range(h)
+             for j in rng.permutation(len(active)).tolist()]
     clamps = 0
     for t in draws:
         r, v = cols[t]
@@ -180,7 +188,7 @@ def local_solve_loop(view, h, seed):
     delta = {pool[t]: totals[t] - float(view.alpha_block[pool[t]])
              for t in range(len(pool))
              if totals[t] != view.alpha_block[pool[t]]}
-    return delta, z, n_updates, clamps
+    return delta, z, len(draws), clamps
 
 
 def normalized_dense(dense):

@@ -529,6 +529,22 @@ def test_diagnostics_record_normalization():
     assert res.diagnostics["columns_normalized"] is True
 
 
+def test_worker_updates_sum_to_each_rounds_local_updates():
+    # per-worker work of every round, h sweeps of each worker's active set
+    m, spec, p = desk_setup(seed=6, K=4)
+    cfg = sc.EngineConfig(k_count=4, h_local=3, max_rounds=200, gap_tol=1e-8,
+                          seed=2)
+    res = sc.solve(cfg, spec, m, p)
+    per_round = res.diagnostics["worker_updates"]
+    assert res.stop_reason == "gap_tol"
+    assert len(per_round) == len(res.traces) - 1
+    assert [sum(u) for u in per_round] == \
+        [t.local_updates for t in res.traces[1:]]
+    assert all(len(u) == 4 for u in per_round)
+    assert all(0 <= x <= 3 * 10 and x % 3 == 0 for u in per_round for x in u)
+    assert max(per_round[-1]) < max(per_round[0])
+
+
 def test_solve_falls_back_to_python_without_a_compiler(monkeypatch):
     m, spec, p = desk_setup(seed=26, n=60, d=30)
     cfg = sc.EngineConfig(k_count=4, h_local=3, max_rounds=2000, gap_tol=1e-7,

@@ -209,7 +209,15 @@ def test_solve_local_dead_zone_returns_zero_update():
     res = sc.solve_local(view, h=3, seed=0)
     assert len(res.changed) == len(res.delta_alpha) == 0
     assert np.array_equal(res.delta_v, np.zeros(m.n_rows))
-    assert res.updates_done == 48
+    # every column sits at 0 below its threshold: the active set is empty
+    assert res.updates_done == 0
+    # and skipping the block is exact: h sweeps of the whole pool move nothing
+    pool = view.columns.pool
+    order = np.tile(np.arange(len(pool), dtype=np.int64), 3)
+    totals, z = np.zeros(len(pool)), np.zeros(m.n_rows)
+    local._coordinate_pass(view, order, totals, z)
+    assert np.array_equal(totals, np.zeros(len(pool)))
+    assert np.array_equal(z, np.zeros(m.n_rows))
 
 
 def test_solve_local_single_column_is_exact():
@@ -290,6 +298,59 @@ def test_solve_local_matches_per_column_loop(pass_kernel):
         assert np.max(np.abs(res.delta_v - z), initial=0.0) \
             <= 1e-12 * max(1.0, np.max(np.abs(z), initial=0.0))
         assert (res.updates_done, res.clamp_hits) == (updates, clamps)
+
+
+def test_solve_local_sweeps_the_active_set_in_permutations(pass_kernel,
+                                                           monkeypatch):
+    # the order handed to the coordinate pass is h back-to-back
+    # permutations of one set of pool positions, which holds every column
+    # that is nonzero or violates |x_i^T w| <= l1, and a NaN x_i^T w
+    orders = []
+    real = local._coordinate_pass
+
+    def spy(view, order, totals, z):
+        orders.append(order.copy())
+        return real(view, order, totals, z)
+
+    monkeypatch.setattr(local, "_coordinate_pass", spy)
+    rng = np.random.default_rng(61)
+    for trial in range(60):
+        n, d = int(rng.integers(4, 30)), int(rng.integers(3, 20))
+        m, cols = random_matrix(rng, n=n, d=d, density=0.4)
+        if trial % 3 == 0:
+            cols[0] = []
+            m = sc.ColMatrix.from_columns(d, cols)
+        b = rng.standard_normal(d)
+        fit = sc.DataFit(kind=sc.LEAST_SQUARES, labels=b)
+        lam = float(rng.uniform(0.1, 1.2)) * float(np.max(np.abs(m.mat_tvec(b))))
+        spec = sc.make_objective(fit, "l1" if trial % 2 else "elastic_net",
+                                 lam, eta=0.5)
+        alpha = 0.3 * rng.standard_normal(n) * (rng.random(n) < 0.3)
+        block = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                   replace=False))
+        view = subproblem(
+            m, block, sc.f_grad(fit, m.mat_vec(alpha)),
+            alpha_block=alpha[block], sigma_prime=float(rng.uniform(0.5, 4.0)),
+            tau=1.0, reg=spec.reg)
+        pool = view.columns.pool
+        if trial % 4 == 1 and len(pool):
+            view.xw[pool[int(rng.integers(0, len(pool)))]] = math.nan
+        xw, start = view.xw[pool], view.alpha_block[pool]
+        must = np.flatnonzero((start != 0.0) | (np.abs(xw) > spec.reg.penalty[0])
+                              | np.isnan(xw))
+        h = int(rng.integers(1, 4))
+        orders.clear()
+        res = sc.solve_local(view, h=h, seed=trial)
+        if not orders:
+            assert len(must) == 0 and res.updates_done == 0
+            continue
+        (order,) = orders
+        assert res.updates_done == len(order) and len(order) % h == 0
+        epochs = order.reshape(h, -1)
+        active = np.sort(epochs[0])
+        assert np.all(np.diff(active) > 0) and active[-1] < len(pool)
+        assert all(np.array_equal(np.sort(e), active) for e in epochs)
+        assert np.isin(must, active).all()
 
 
 def needs_kernel():
