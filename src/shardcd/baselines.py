@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import sq_spectral_norm
+from .data import _check_integers, sq_spectral_norm
 from .engine import (SolverState, _check_col_norms, _check_drive_settings,
-                     _check_integers, _drive, _worker_seed)
+                     _drive, _worker_seed)
 
 __all__ = ["BaselineConfig", "prox_gd_step", "mb_cd_round", "solve_baseline"]
 

@@ -10,12 +10,35 @@ them from triplets and turn them row-major for export.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 
 __all__ = ["ColMatrix", "Partition", "partition_columns", "sq_spectral_norm"]
+
+
+def _check_integers(**counts):
+    """Refuse a count that is not an integer, naming its field: a float
+    count fails deep in numpy, or (a seed) is silently truncated."""
+    for name, value in counts.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _indices(name, values):
+    """`values` as an int64 array, refusing an entry that is not an
+    integer. An integer array passes on its dtype alone; another must hold
+    integral values (from_columns hands its row ids over as floats)."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu":
+        f = a.astype(np.float64)
+        bad = np.flatnonzero(~(np.isfinite(f) & (np.trunc(f) == f)))
+        if len(bad):
+            raise ValueError(f"{name} must hold integers, got "
+                             f"{f.flat[bad[0]]} at position {bad[0]}")
+    return np.ascontiguousarray(a, dtype=np.int64)
 
 
 class ColMatrix:
@@ -38,14 +61,16 @@ class ColMatrix:
     indptr : array of int, shape (n_cols + 1,)
         Column pointer into `rows` / `vals`.
     rows, vals : arrays, shape (nnz,)
-        Row indices and values of the stored entries.
+        Row indices and values of the stored entries. An index array of
+        floats is taken only if every entry is an integer.
     """
 
     def __init__(self, n_rows, n_cols, indptr, rows, vals):
+        _check_integers(n_rows=n_rows, n_cols=n_cols)
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.rows = np.ascontiguousarray(rows, dtype=np.int64)
+        self.indptr = _indices("indptr", indptr)
+        self.rows = _indices("rows", rows)
         self.vals = np.ascontiguousarray(vals, dtype=np.float64)
         self.normalized = False
         self._csc = self._validate()
@@ -104,8 +129,9 @@ class ColMatrix:
         a shrunken count names the first duplicate in that order, after
         any non-finite value (which a sum keeps non-finite).
         """
-        coo_rows = np.asarray(coo_rows, dtype=np.int64)
-        coo_cols = np.asarray(coo_cols, dtype=np.int64)
+        _check_integers(n_rows=n_rows, n_cols=n_cols)
+        coo_rows = _indices("coo_rows", coo_rows)
+        coo_cols = _indices("coo_cols", coo_cols)
         coo_vals = np.asarray(coo_vals, dtype=np.float64)
         bad = np.flatnonzero((coo_cols < 0) | (coo_cols >= n_cols))
         if len(bad):
@@ -204,13 +230,17 @@ class ColMatrix:
 class Partition:
     """Disjoint assignment of column indices to workers.
 
-    blocks[k] is the sorted index array owned by worker k. The blocks
-    must cover {0, ..., n-1} exactly, n being their total size.
+    blocks[k] is the sorted integer index array owned by worker k. The
+    blocks must cover {0, ..., n-1} exactly, n being their total size.
     """
 
     blocks: tuple
 
     def __post_init__(self):
+        for k, dtype in enumerate(np.asarray(b).dtype for b in self.blocks):
+            if dtype.kind not in "iu":
+                raise ValueError(f"partition block {k} must hold integers, "
+                                 f"got dtype {dtype}")
         ids = np.concatenate([np.zeros(0, np.int64), *self.blocks])
         seen = np.bincount(ids[(ids >= 0) & (ids < len(ids))], minlength=len(ids))
         bad = np.flatnonzero(seen != 1)
@@ -232,6 +262,7 @@ def partition_columns(n, k):
     by at most one, the larger first. Any other disjoint cover can be
     built as a Partition directly.
     """
+    _check_integers(n=n, k=k)
     if k <= 0:
         raise ValueError("k must be positive")
     if k > n:

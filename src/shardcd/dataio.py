@@ -13,8 +13,7 @@ import numpy as np
 import scipy.sparse
 
 from . import local
-from .data import ColMatrix
-from .engine import _check_integers
+from .data import ColMatrix, _check_integers
 
 __all__ = [
     "DataFormatError", "SyntheticSpec",

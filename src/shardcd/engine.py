@@ -1,17 +1,17 @@
 """Synchronous multi-worker driver with per-round gap certificates.
 
 One round: freeze the shared prediction vector v = A alpha, hand every
-worker a read-only view (its column block, the data-fit gradient w, its
-columns' inner products A^T w, and its share of the data-fit value), let
-each produce a block-local update, then apply all updates at a barrier,
-scaled by the aggregation weight gamma, in fixed ascending worker order
-so runs are bit-reproducible. Workers run one after another in this
-process. Rounds are transactional: a worker failure leaves the state
-untouched.
+worker a read-only view (its column block, its columns' inner products
+A^T w with the data-fit gradient w, and its share of the data-fit
+value), let each produce a block-local update, then apply all updates at
+a barrier, scaled by the aggregation weight gamma, in fixed ascending
+worker order so runs are bit-reproducible. Workers run one after another
+in this process. Rounds are transactional: a worker failure leaves the
+state untouched.
 
 Each piece of whole-data work is done once per round. Every state is
-certified, and the certificate's f(v), w = grad f(v) and A^T w feed the
-views of the round that starts there; each block's column ids and
+certified, and the certificate's f(v) and A^T w, w = grad f(v), feed
+the views of the round that starts there; each block's column ids and
 squared norms are built once per solve.
 
 One driver loop (_drive) certifies, checks v = A alpha, records a trace
@@ -34,12 +34,12 @@ diagnostics.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _check_integers
 from .local import (BlockColumns, SubproblemView, kernel_name, solve_local,
                     subproblem_value)
 # benchmarks/tracing.py wraps duality_gap, f_grad and f_value here by name
@@ -99,14 +99,6 @@ class EngineConfig:
         return self.sigma_prime
 
 
-def _check_integers(**counts):
-    """Refuse a count that is not an integer, naming its field: a float
-    count fails deep in numpy, or (a seed) is silently truncated."""
-    for name, value in counts.items():
-        if not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def _check_drive_settings(max_rounds, gap_tol, seed):
     """Reject the _drive settings under which it could return a result
     without a certificate, never stop on the gap (a NaN gap_tol), or fail
@@ -161,7 +153,7 @@ def _build_views(state, sigma_prime, spec, m, p, shared, blocks=None):
     """One view per worker at `state`, with the round's sigma_prime.
 
     `shared` is the certificate (GapReport) taken at `state`; every view
-    reads its f(v), w and A^T w. `blocks` holds each block's
+    reads its f(v) and A^T w. `blocks` holds each block's
     BlockColumns when the caller built them already, else each is built.
     """
     f_share = shared.fit / p.k_count
@@ -169,7 +161,6 @@ def _build_views(state, sigma_prime, spec, m, p, shared, blocks=None):
         SubproblemView(
             matrix=m,
             block=block,
-            w=shared.w,
             alpha_block=state.alpha[block],
             sigma_prime=sigma_prime,
             tau=spec.data_fit.tau,
@@ -375,8 +366,9 @@ def solve(cfg, spec, m, p):
     sigma' (`sigma_prime`), step t (`step`) and per-worker coordinate
     updates (`worker_updates`, K counts that sum to the round's
     local_updates), the count of `rejected_rounds` (rounds with t = 0),
-    clamp/frozen-column counters and the coordinate-pass kernel that ran
-    ("c" or "python"). A column whose squared norm overflows raises
+    clamp/frozen-column counters, whether the matrix's columns were
+    normalized (`columns_normalized`) and the coordinate-pass kernel that
+    ran ("c" or "python"). A column whose squared norm overflows raises
     ValueError (_check_col_norms).
     """
     _check_partition(cfg, m, p)

@@ -74,17 +74,15 @@ class SubproblemView:
     """Read-only slice of shared state a worker needs for one round.
 
     `alpha_block` holds the current coefficients of the owned columns,
-    `w` the data-fit gradient at the shared prediction vector, `xw` the
-    owned columns' inner products with it, (A^T w)[block], `columns` the
-    block's per-solve constants, and `f_share` the worker's share of the
-    data-fit value (so local objective values are comparable across
-    workers). The driver computes all of them once per round; the view
-    only holds them.
+    `xw` their inner products (A^T w)[block] with the data-fit gradient w
+    at the shared prediction vector, `columns` the block's per-solve
+    constants, and `f_share` the worker's share of the data-fit value (so
+    local objective values are comparable across workers). The driver
+    computes all of them once per round; the view only holds them.
     """
 
     matrix: object
     block: np.ndarray
-    w: np.ndarray
     alpha_block: np.ndarray
     sigma_prime: float
     tau: float
@@ -123,10 +121,11 @@ def subproblem_value(view, delta, z):
     """Evaluate the local objective at a block update.
 
     `delta` is a dense float64 update with one entry per block column,
-    and `z` the caller-maintained product A * delta.
+    and `z` the caller-maintained product A * delta. The linear term
+    w^T z is taken as xw^T delta, equal up to rounding.
     """
     quad = 0.5 * (view.sigma_prime / view.tau) * float(np.dot(z, z))
-    return (view.f_share + float(np.dot(view.w, z)) + quad
+    return (view.f_share + float(np.dot(view.xw, delta)) + quad
             + float(np.sum(ell_value(view.reg, view.alpha_block + delta))))
 
 

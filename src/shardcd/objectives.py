@@ -315,7 +315,7 @@ class GapReport(NamedTuple):
     `dual` is the smaller of the dual objectives at w = grad f(v) and at
     its rescaling s w (see duality_gap), and `gap` = dual + primal. `fit`
     is the data-fit value f(v), `w` = grad f(v) and `atw` = A^T w; the
-    next round's local views start from exactly these three, so the
+    next round's local views start from exactly `fit` and `atw`, so the
     rescaling never feeds back into the iterates.
     """
 

@@ -47,7 +47,7 @@ def enet_objective(b, lam=0.3, eta=0.5):
 def subproblem(matrix, block, w, **fields):
     """A SubproblemView with the inputs the driver computes per round,
     xw = (A^T w)[block] and the block's BlockColumns, filled in here."""
-    return sc.SubproblemView(matrix=matrix, block=block, w=w,
+    return sc.SubproblemView(matrix=matrix, block=block,
                              xw=matrix.mat_tvec(w)[block],
                              columns=sc.BlockColumns.of(matrix, block),
                              **fields)

@@ -136,15 +136,16 @@ def cyclic_cd_lasso_like(dense_a, b, reg, iters=20000, tol=1e-15):
     return alpha
 
 
-def local_solve_loop(view, h, seed):
+def local_solve_loop(view, w, h, seed):
     """Per-column reference for the local coordinate-descent solve.
 
-    Recomputes every column's inner product with the view's gradient one
-    column at a time and keeps the update as a dict, with the shrinkage
-    steps written out here. Builds the active set from those products
-    (nonzero coefficient, or |x_i^T w| not below 0.9 l1) and draws the
-    same h permutations of it as the package solver. Returns (delta map,
-    A delta, updates, clamp hits).
+    Recomputes every column's inner product with the data-fit gradient
+    `w` the view was built from, one column at a time, and keeps the
+    update as a dict, with the shrinkage steps written out here. Builds
+    the active set from those products (nonzero coefficient, or
+    |x_i^T w| not below 0.9 l1) and draws the same h permutations of it
+    as the package solver. Returns (delta map, A delta, updates, clamp
+    hits).
     """
     m = view.matrix
     block = view.block
@@ -155,7 +156,7 @@ def local_solve_loop(view, h, seed):
         return {}, z, 0, 0
     sp_tau = view.sigma_prime / view.tau
     cols = [m.column(int(block[j])) for j in pool]
-    xw = [float(np.dot(v, view.w[r])) for r, v in cols]
+    xw = [float(np.dot(v, w[r])) for r, v in cols]
     totals = [float(view.alpha_block[j]) for j in pool]
     reg = view.reg
     l1 = reg.lam if reg.kind == "l1" else reg.lam * (1.0 - reg.eta)

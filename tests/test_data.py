@@ -125,6 +125,18 @@ def test_partition_errors():
         sc.partition_columns(4, 5)
 
 
+def test_integral_float_indices_still_build():
+    # from_columns hands its row ids to from_coo as one float array, so an
+    # integral float index builds wherever a fractional one is refused
+    m = sc.ColMatrix.from_columns(3, [[(2, 1.5), (0.0, -1.0)], [(1.0, 2.0)]])
+    assert m.rows.dtype == np.int64
+    assert np.array_equal(m.toarray(), [[-1.0, 0.0], [0.0, 2.0], [1.5, 0.0]])
+    same = sc.ColMatrix(3, 2, m.indptr.astype(float), m.rows.astype(float),
+                        m.vals)
+    assert np.array_equal(same.indptr, m.indptr)
+    assert np.array_equal(same.rows, m.rows)
+
+
 @pytest.mark.parametrize("blocks, message", [
     (([0, 1, 2], [2, 3]), "repeat column 2"),        # overlap
     (([0, 1], [0, 1, 2, 3]), "repeat column 0"),

@@ -788,7 +788,8 @@ def test_accepted_rounds_satisfy_lemma3_and_never_raise_the_primal(
         total = sum(r.delta_v for r in results)
         sq = sum(float(np.dot(r.delta_v, r.delta_v)) for r in results)
         sigma = views[0].sigma_prime
-        rhs = fv + gamma * float(np.dot(views[0].w, total)) \
+        w = sc.duality_gap(spec, m, state.alpha, state.v).w
+        rhs = fv + gamma * float(np.dot(w, total)) \
             + gamma * sigma / (2.0 * fit.tau) * sq
         assert sc.f_value(fit, new.v) <= rhs + 1e-9 * abs(fv)
     assert steps.count(0.0) == res.diagnostics["rejected_rounds"]

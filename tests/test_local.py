@@ -33,6 +33,11 @@ def make_view(seed=1, n=12, d=8, kind="l1", sigma_prime=2.0, alpha_scale=0.2):
         f_share=sc.f_value(spec.data_fit, v) / 2.0), spec
 
 
+def view_grad(view, spec):
+    """The data-fit gradient w a make_view view was built from."""
+    return sc.f_grad(spec.data_fit, view.matrix.mat_vec(view.alpha_block))
+
+
 def changes(res):
     """A local result's update as a position -> change map."""
     return dict(zip(res.changed.tolist(), res.delta_alpha.tolist()))
@@ -59,7 +64,7 @@ def test_view_requires_the_driver_inputs():
     spec = lasso_objective(m, b)
     block = np.arange(6, dtype=np.int64)
     w = sc.f_grad(spec.data_fit, np.zeros(m.n_rows))
-    full = dict(matrix=m, block=block, w=w, alpha_block=np.zeros(6),
+    full = dict(matrix=m, block=block, alpha_block=np.zeros(6),
                 sigma_prime=1.0, tau=1.0, reg=spec.reg,
                 xw=m.mat_tvec(w)[block], columns=sc.BlockColumns.of(m, block))
     assert sc.SubproblemView(**full).xw is full["xw"]
@@ -86,8 +91,8 @@ def test_subproblem_value_matches_dense_recompute():
     z = np.zeros(m.n_rows)
     for j in np.flatnonzero(delta):
         m.axpy_column(int(view.block[j]), delta[j], z)
-    # term-by-term recomputation
-    lin = float(np.dot(view.w, z))
+    # term-by-term recomputation, the linear term as w^T z
+    lin = float(np.dot(view_grad(view, spec), z))
     quad = 0.5 * view.sigma_prime / view.tau * float(np.dot(z, z))
     pen = 0.0
     for j in range(len(view.block)):
@@ -170,9 +175,10 @@ def test_coordinate_update_matches_golden_section():
 
 def test_manual_update_stream_is_monotone():
     for kind in ("l1", "elastic_net"):
-        view, _ = make_view(seed=8, n=10, d=6, kind=kind, alpha_scale=0.5)
+        view, spec = make_view(seed=8, n=10, d=6, kind=kind, alpha_scale=0.5)
         rng = np.random.default_rng(8)
         m = view.matrix
+        w = view_grad(view, spec)
         sp_tau = view.sigma_prime / view.tau
         delta = np.zeros(len(view.block))
         z = np.zeros(m.n_rows)
@@ -184,7 +190,7 @@ def test_manual_update_stream_is_monotone():
             if len(v) == 0:
                 continue
             c = float(view.alpha_block[j] + delta[j])
-            g_lin = float(np.dot(v, view.w[r])) + sp_tau * float(np.dot(v, z[r]))
+            g_lin = float(np.dot(v, w[r])) + sp_tau * float(np.dot(v, z[r]))
             q = sp_tau * float(np.dot(v, v))
             new = sc.coordinate_update(view.reg, c, g_lin, q)
             dlt = new - c
@@ -284,13 +290,14 @@ def test_solve_local_matches_per_column_loop(pass_kernel):
         v = m.mat_vec(alpha)
         block = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
                                    replace=False))
+        w = sc.f_grad(fit, v)
         view = subproblem(
-            m, block, sc.f_grad(fit, v),
+            m, block, w,
             alpha_block=alpha[block], sigma_prime=float(rng.uniform(0.5, 4.0)),
             tau=1.0, reg=spec.reg, f_share=sc.f_value(fit, v))
         h = int(rng.integers(1, 4))
         res = sc.solve_local(view, h=h, seed=trial)
-        delta, z, updates, clamps = local_solve_loop(view, h, trial)
+        delta, z, updates, clamps = local_solve_loop(view, w, h, trial)
         assert res.changed.tolist() == sorted(delta)
         for j, dv in delta.items():
             got, ref = alpha[block[j]] + changes(res)[j], alpha[block[j]] + dv

@@ -57,6 +57,24 @@ def solve_with_three_labels():
      "duplicate entry at (row 1, column 0)"),
     (lambda: sc.ColMatrix.from_coo(-1, 2, [], [], []), ValueError,
      "matrix shape must be nonnegative"),
+    (lambda: sc.ColMatrix(2.5, 2, [0, 1, 2], [0, 1], [1.0, 2.0]), ValueError,
+     "n_rows must be an integer, got 2.5"),
+    (lambda: sc.ColMatrix(2, 2, [0, 1.5, 2], [0, 1], [1.0, 2.0]), ValueError,
+     "indptr must hold integers, got 1.5 at position 1"),
+    (lambda: sc.ColMatrix(2, 2, [0, 1, 2], [0, np.nan], [1.0, 2.0]),
+     ValueError, "rows must hold integers, got nan at position 1"),
+    (lambda: sc.ColMatrix.from_coo(2.5, 2, [0], [0], [1.0]), ValueError,
+     "n_rows must be an integer, got 2.5"),
+    (lambda: sc.ColMatrix.from_coo(2, 2, [0.7, 1.2], [0, 1], [1.0, 2.0]),
+     ValueError, "coo_rows must hold integers, got 0.7 at position 0"),
+    (lambda: sc.ColMatrix.from_coo(2, 2, [0, 1], [0, 1.9], [1.0, 2.0]),
+     ValueError, "coo_cols must hold integers, got 1.9 at position 1"),
+    (lambda: sc.Partition((np.array([0.0, 1.0]),)), ValueError,
+     "partition block 0 must hold integers, got dtype float64"),
+    (lambda: sc.partition_columns(4.0, 2), ValueError,
+     "n must be an integer, got 4.0"),
+    (lambda: sc.partition_columns(4, 2.5), ValueError,
+     "k must be an integer, got 2.5"),
     (lambda: ONES.column(2), IndexError, "column index 2 out of range [0, 2)"),
     (lambda: ONES.mat_tvec(np.zeros(3)), ValueError,
      "vector length 3 != n_rows 2"),
@@ -81,7 +99,11 @@ def solve_with_three_labels():
 ], ids=["h_local", "solve_local-h", "batch_size", "beta_scale-low",
         "beta_scale-high", "prox_gd-zero-matrix", "shape", "indptr-length",
         "indptr-endpoints", "indptr-decreasing", "rows-vals", "row-range",
-        "duplicate-row", "from_coo-shape", "column-range", "mat_tvec-length",
+        "duplicate-row", "from_coo-shape", "shape-integer", "indptr-integer",
+        "rows-integer", "from_coo-shape-integer", "from_coo-rows-integer",
+        "from_coo-cols-integer", "partition-integer",
+        "partition_columns-n-integer", "partition_columns-k-integer",
+        "column-range", "mat_tvec-length",
         "axpy_column-length", "write-labels", "synthetic-n", "labels-finite",
         "regularizer-kind", "check_dims", "enet-eta", "objective-kind",
         "f_value-length"])
