@@ -70,7 +70,11 @@
  * below -4 or at least 16, which holds exactly for x != 0 with |x| < 1e-4 or
  * |x| >= 1e16: to_chars's scientific form (1e-05, 1.5e+16, 5e-324).  Else
  * it writes them positionally, which is to_chars's fixed form, with ".0"
- * after an integral value (-0.0, 123.0, 0.0001). */
+ * after an integral value (-0.0, 123.0, 0.0001).
+ *
+ * write_libsvm may run format_libsvm on disjoint row ranges from several
+ * threads at once: it reads the matrix and labels and writes only its
+ * caller's buffer and *next. */
 #include <charconv>
 #include <cmath>
 #include <cstdint>

@@ -277,10 +277,11 @@ def sq_spectral_norm(m, iters=50, seed=0):
     returns the final Rayleigh quotient ||A u||^2 / ||u||^2. Returns 0.0
     for a matrix without columns or with all-zero ones.
     """
+    _check_integers(iters=iters, seed=seed)
     a = m._csc
     u = np.random.default_rng(seed).standard_normal(a.shape[1])
     est = 0.0
-    for _ in range(max(int(iters), 1)):
+    for _ in range(max(iters, 1)):
         y = a @ u
         z = a.T @ y
         nz = np.linalg.norm(z)

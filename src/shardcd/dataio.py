@@ -6,7 +6,7 @@ import ctypes
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,12 +75,18 @@ def read_libsvm(path):
     return ColMatrix(*shape, csc.indptr, csc.indices, csc.data), labels
 
 
-def _cuts(buf):
-    """Chunk bounds in `buf`: at most one chunk per usable CPU and per
-    _CHUNK_MIN bytes, each but the last ending just after a LF."""
+def _threads(size):
+    """Threads for `size` bytes of work: at most one per usable CPU and
+    per _CHUNK_MIN bytes, and at least one."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    n = max(1, min(cpus, len(buf) // _CHUNK_MIN))
+    return max(1, min(cpus, size // _CHUNK_MIN))
+
+
+def _cuts(buf):
+    """Chunk bounds in `buf`: at most `_threads(len(buf))` chunks, each
+    but the last ending just after a LF."""
+    n = _threads(len(buf))
     cuts = [0]
     for i in range(1, n):
         lf = buf.find(b"\n", max(cuts[-1], i * len(buf) // n))
@@ -177,13 +183,19 @@ def write_libsvm(path, m, labels):
     them, so they read back exactly.
 
     scipy turns the columns row-major (features ascending within each
-    example). With the native library of `local` built, `format_libsvm`
-    fills a buffer of _WRITE_BUF bytes, or of the longest line's worst
-    case, with whole lines, and it is written out each time; otherwise the
-    Python loop, the reference that writes the same bytes, writes one
-    example at a time. A matrix without rows, labels not finite (both give
-    files read_libsvm refuses) or not one-dimensional and real raise
-    ValueError before `path` is opened.
+    example). With the native library of `local` built, the rows are cut
+    into blocks whose worst case under `format_libsvm`, 25 + 45 k bytes
+    for a line of k entries, fits a buffer of _WRITE_BUF bytes or of the
+    longest line's worst case. `format_libsvm` formats each block into a
+    buffer of its own on one of `_threads(worst case of all lines)`
+    threads, and this thread writes the blocks out in row order. With T
+    threads this thread allocates T + 1 buffers and hands block i + T + 1
+    the buffer of block i once that is written; with one it formats every
+    block itself into one buffer and starts no thread. An error waits for
+    the blocks in flight. Otherwise the Python loop, the reference that
+    writes the same bytes, writes one example at a time. A matrix without
+    rows, labels not finite (both give files read_libsvm refuses) or not
+    one-dimensional and real raise ValueError before `path` is opened.
     """
     if m.n_rows == 0:
         raise ValueError("matrix must have at least one row")
@@ -198,17 +210,34 @@ def write_libsvm(path, m, labels):
         indptr, cols, vals, labels = (np.ascontiguousarray(a, t) for a, t in (
             (by_row.indptr, np.int64), (by_row.indices, np.int64),
             (by_row.data, np.float64), (labels, np.float64)))
-        # format_libsvm's worst case for a line of k entries: 25 + 45 k bytes
-        longest = np.diff(indptr).max(initial=0)
-        buf = np.empty(max(_WRITE_BUF, 25 + 45 * longest), np.uint8)
-        ptrs = [a.ctypes.data for a in (indptr, cols, vals, labels, buf)]
-        row, next_row = 0, ctypes.c_int64()
-        with open(path, "wb") as fh:
-            while row < m.n_rows:
-                n = local._kernel.format_libsvm(row, m.n_rows, *ptrs, len(buf),
-                                                ctypes.byref(next_row))
-                fh.write(memoryview(buf)[:n])
-                row = next_row.value
+        worst = 25 + 45 * np.diff(indptr)  # format_libsvm's bound per line
+        cap, ends = max(_WRITE_BUF, int(worst.max())), np.cumsum(worst)
+        cuts = [0]
+        while cuts[-1] < m.n_rows:
+            done = ends[cuts[-1] - 1] if cuts[-1] else 0
+            cuts.append(int(np.searchsorted(ends, done + cap, "right")))
+        threads = _threads(int(ends[-1]))
+        bufs = [np.empty(cap, np.uint8) for _ in range(threads + (threads > 1))]
+        ptrs = [a.ctypes.data for a in (indptr, cols, vals, labels)]
+
+        def fill(i):
+            nxt, buf = ctypes.c_int64(), bufs[i % len(bufs)]
+            n = local._kernel.format_libsvm(cuts[i], cuts[i + 1], *ptrs,
+                                            buf.ctypes.data, cap,
+                                            ctypes.byref(nxt))
+            if nxt.value != cuts[i + 1]:
+                raise RuntimeError(f"format_libsvm stopped at row {nxt.value}"
+                                   f" of block [{cuts[i]}, {cuts[i + 1]})")
+            return memoryview(buf)[:n]
+
+        blocks = len(cuts) - 1
+        with ThreadPoolExecutor(threads) as pool, open(path, "wb") as fh:
+            run = pool.submit if threads > 1 else _now
+            jobs = [run(fill, i) for i in range(min(len(bufs), blocks))]
+            for i in range(blocks):
+                fh.write(jobs[i].result())
+                if i + len(bufs) < blocks:
+                    jobs.append(run(fill, i + len(bufs)))
     else:
         bounds = by_row.indptr.tolist()
         features = by_row.indices + 1
@@ -219,6 +248,13 @@ def write_libsvm(path, m, labels):
                     features[lo:hi].tolist(), by_row.data[lo:hi].tolist())]
                 fh.write(" ".join(parts) + "\n")
     return m.n_rows
+
+
+def _now(fn, *args):
+    """fn(*args), run on this thread, as a finished Future."""
+    done = Future()
+    done.set_result(fn(*args))
+    return done
 
 
 @dataclass(frozen=True)

@@ -436,6 +436,7 @@ def check_lemma3(spec, m, p, cfg, trials=200, seed=0):
     its _build_views. A column whose squared norm overflows raises
     ValueError (_check_col_norms).
     """
+    _check_integers(trials=trials, seed=seed)
     _check_col_norms(m)
     spec.check_dims(m)
     rng = np.random.default_rng(seed)
@@ -480,6 +481,7 @@ def check_sigma_safety(m, p, gamma, probes=64, seed=0):
     never exceeds gamma * K. All-zero probes count as 0. A column whose
     squared norm overflows raises ValueError (_check_col_norms).
     """
+    _check_integers(probes=probes, seed=seed)
     _check_col_norms(m)
     rng = np.random.default_rng(seed)
 
@@ -493,7 +495,7 @@ def check_sigma_safety(m, p, gamma, probes=64, seed=0):
         return gamma * aligned / spread if spread else 0.0
 
     worst = max(ratio(rng.standard_normal(m.n_cols))
-                for _ in range(max(int(probes), 1)))
+                for _ in range(max(probes, 1)))
     # refine: power iteration drives probes toward the top singular vector
     u = rng.standard_normal(m.n_cols)
     for _ in range(30):

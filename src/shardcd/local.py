@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_integers
 from .objectives import ell_value
 
 # a zero column whose |x_i^T w| is below this share of l1 sits out a round
@@ -176,7 +177,8 @@ def _build_kernel():
     a library in a private temporary directory, load it and remove the
     directory; the library, its functions typed, or None when any step
     fails, as without a C++17 `<charconv>` that formats doubles (GCC 11).
-    A `CDLL` call releases the GIL: `dataio._tokenize_c`'s threads need it."""
+    A `CDLL` call releases the GIL: the threads of `dataio._tokenize_c` and
+    `dataio.write_libsvm` need it."""
     cxx = shutil.which("c++") or shutil.which("g++")
     if cxx is None:
         return None
@@ -301,6 +303,7 @@ def solve_local(view, h, seed):
     Deterministic given (view, h, seed); the local objective never
     increases across updates.
     """
+    _check_integers(h=h)
     if h < 1:
         raise ValueError("local epoch count h must be >= 1")
     pool = view.columns.pool

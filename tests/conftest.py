@@ -81,9 +81,12 @@ def pass_kernel(request, monkeypatch):
 @contextlib.contextmanager
 def chunked(cpus):
     """Let read_libsvm's C tokenizer cut a file of any size into as many
-    chunks as `cpus` and the file's lines allow."""
+    chunks as `cpus` and the file's lines allow, and write_libsvm's C
+    formatter format a matrix of any size on `cpus` threads, in blocks
+    no larger than its longest line's worst case."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataio, "_CHUNK_MIN", 1)
+        mp.setattr(dataio, "_WRITE_BUF", 1)
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                    raising=False)
         yield
@@ -91,8 +94,9 @@ def chunked(cpus):
 
 def both_readers(test):
     """Run a read_libsvm test on the C tokenizer, when the C library
-    builds, in one chunk and in up to three, and then on the Python loop,
-    under the test's own name."""
+    builds, in one chunk and in up to three (and a write_libsvm in it on
+    one thread and on three), and then on the Python loop, under the
+    test's own name."""
     @functools.wraps(test)
     def run(*args, **kwargs):
         if local.kernel_name() == "c":
@@ -107,12 +111,15 @@ def both_readers(test):
 
 def both_writers(test):
     """Run a write_libsvm test on the C formatter, when the C library
-    builds, and then on the Python loop, under the test's own name. A
-    `both_readers` test that writes runs both writers already."""
+    builds, on one thread and on three, and then on the Python loop, under
+    the test's own name. A `both_readers` test that writes runs all three
+    writers already."""
     @functools.wraps(test)
     def run(*args, **kwargs):
         if local.kernel_name() == "c":
             test(*args, **kwargs)
+            with chunked(3):
+                test(*args, **kwargs)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(local, "_kernel", None)
             test(*args, **kwargs)

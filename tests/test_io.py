@@ -1,5 +1,7 @@
 import csv
 import ctypes
+import errno
+import io
 import json
 import math
 import os
@@ -147,10 +149,14 @@ def written(path, m, labels, kernel):
 
 
 def assert_writers_agree(path, m, labels):
-    """The C formatter writes the Python loop's bytes; returns them."""
+    """The C formatter writes the Python loop's bytes on one, two and three
+    threads; returns them."""
     lib = needs_c_tokenizer()  # the library that holds the formatter
     want = written(path, m, labels, None)
     assert written(path, m, labels, lib) == want
+    for cpus in (2, 3):
+        with chunked(cpus):
+            assert written(path, m, labels, lib) == want
     return want
 
 
@@ -206,16 +212,21 @@ def test_c_formatter_buffer_boundary(tmp_path, monkeypatch):
             return lib.format_libsvm(row, *args)
 
     long_row = 30_000  # its worst case, 25 + 45 * 30_000 bytes, tops 1 MiB
-    # each case with the rows its calls start at, for the default buffer
+    # each case with the rows its blocks start at, for the default buffer
     # and for one too small for any line, which a buffer of the longest
-    # line's worst case replaces
+    # line's worst case replaces; a block ends before the row whose worst
+    # case would take the block's sum past the buffer
     cases = [
+        # worst cases 25, 25, 25: buffers of 1 MiB and 25 bytes
         (sc.ColMatrix(3, 0, [0], [], []), [0], [0, 1, 2]),  # label-only rows
+        # worst cases 70, 25, 70: buffers of 1 MiB and 70 bytes
         (sc.ColMatrix.from_coo(3, 2_000_000, [0, 2], [1_500_000, 1_999_999],
-                               [0.5, -2.0]), [0], [0, 2]),
+                               [0.5, -2.0]), [0], [0, 1, 2]),
+        # worst cases 25, 25, 1_350_025, 25: a buffer of 1_350_025 bytes
         (sc.ColMatrix.from_coo(4, long_row, np.full(long_row, 2),
                                np.arange(long_row),
-                               np.linspace(-1, 1, long_row)), [0, 2], [0, 2]),
+                               np.linspace(-1, 1, long_row)), [0, 2, 3],
+         [0, 2, 3]),
     ]
     rng, default = np.random.default_rng(3), dataio._WRITE_BUF
     monkeypatch.setattr(threading, "Thread", None)  # the writer starts
@@ -514,6 +525,103 @@ def test_read_libsvm_starts_a_thread_per_chunk_at_most(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(dataio, "_CHUNK_MIN", 1)
     assert len(dataio._cuts(path.read_bytes())) == 3
+
+
+class Blocks:
+    """The C library, recording the row range of each format_libsvm call
+    from whichever thread makes it."""
+
+    def __init__(self, lib):
+        self.lib, self.ranges = lib, []
+
+    def format_libsvm(self, row, n_rows, *args):
+        self.ranges.append((row, n_rows))
+        return self.lib.format_libsvm(row, n_rows, *args)
+
+
+def many_rows(rows=40):
+    rng = np.random.default_rng(5)
+    m, _ = random_matrix(rng, n=6, d=rows)
+    return m, rng.standard_normal(rows)
+
+
+def test_write_libsvm_starts_no_thread_on_one_cpu_or_a_small_file(
+        tmp_path, monkeypatch):
+    lib = needs_c_tokenizer()
+    m, labels = one_column([1.0, -0.5, 2.0])  # worst cases 70 bytes a line
+    path = tmp_path / "lines.svm"
+    want = written(path, m, labels, None)
+
+    def refuse(*args, **kwargs):
+        raise NoThread
+
+    monkeypatch.setattr(threading, "Thread", refuse)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    assert written(path, m, labels, lib) == want  # under _CHUNK_MIN
+    with chunked(1):
+        assert written(path, m, labels, lib) == want
+    monkeypatch.setattr(dataio, "_WRITE_BUF", 1)  # a block per line
+    monkeypatch.setattr(dataio, "_CHUNK_MIN", 106)  # 210 // 106: 1 thread
+    assert written(path, m, labels, lib) == want
+    monkeypatch.setattr(dataio, "_CHUNK_MIN", 105)  # 210 // 105: 2 threads
+    with pytest.raises(NoThread):  # the patch does catch threads
+        written(path, m, labels, lib)
+
+
+def test_write_libsvm_starts_a_thread_per_cpu_at_most(tmp_path, monkeypatch):
+    lib = needs_c_tokenizer()
+    m, labels = many_rows()
+    path = tmp_path / "rows.svm"
+    want = written(path, m, labels, None)
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    blocks = Blocks(lib)
+    with chunked(3):
+        assert written(path, m, labels, blocks) == want
+    assert 1 <= len(started) <= 3
+    assert not any(t.is_alive() for t in started)
+    # the blocks tile the rows in order, more of them than threads
+    ranges = sorted(blocks.ranges)
+    assert len(ranges) > 3
+    assert [lo for lo, _ in ranges[1:]] == [hi for _, hi in ranges[:-1]]
+    assert (ranges[0][0], ranges[-1][1]) == (0, m.n_rows)
+    # without sched_getaffinity, cpu_count bounds the threads
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(dataio, "_CHUNK_MIN", 1)
+    monkeypatch.setattr(dataio, "_WRITE_BUF", 1)
+    del started[:]
+    assert written(path, m, labels, lib) == want
+    assert 1 <= len(started) <= 2
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_write_libsvm_raises_a_write_error_once_its_threads_end(
+        tmp_path, monkeypatch, cpus):
+    needs_c_tokenizer()
+    m, labels = many_rows()
+    writes = []
+
+    class Full(io.FileIO):
+        def write(self, data):
+            writes.append(len(data))
+            if len(writes) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return super().write(data)
+
+    monkeypatch.setattr(dataio, "open", Full, raising=False)
+    before = threading.active_count()
+    with chunked(cpus), pytest.raises(OSError, match="No space left"):
+        sc.write_libsvm(tmp_path / "full.svm", m, labels)
+    assert len(writes) == 2
+    assert threading.active_count() == before
 
 
 def test_gen_synthetic_deterministic_and_dense():

@@ -13,6 +13,7 @@ ONES = sc.ColMatrix(2, 2, [0, 1, 2], [0, 1], [1.0, 1.0])
 EMPTY = sc.ColMatrix(2, 2, [0, 0, 0], [], [])
 FIT = sc.DataFit(kind=sc.LEAST_SQUARES, labels=[1.0, -1.0])
 LASSO = sc.make_objective(FIT, "l1", 0.1)
+HALVES = sc.partition_columns(2, 2)
 
 
 def local_view():
@@ -96,6 +97,17 @@ def solve_with_three_labels():
      "unknown regularizer kind 'x'"),
     (lambda: sc.f_value(FIT, np.zeros(3)), ValueError,
      "vector length 3 != label length 2"),
+    (lambda: sc.solve_local(local_view(), 1.5, 0), ValueError,
+     "h must be an integer, got 1.5"),
+    (lambda: sc.sq_spectral_norm(ONES, iters=2.5), ValueError,
+     "iters must be an integer, got 2.5"),
+    (lambda: sc.sq_spectral_norm(ONES, seed=1.5), ValueError,
+     "seed must be an integer, got 1.5"),
+    (lambda: sc.check_sigma_safety(ONES, HALVES, 1.0, probes=2.5),
+     ValueError, "probes must be an integer, got 2.5"),
+    (lambda: sc.check_lemma3(LASSO, ONES, HALVES, sc.EngineConfig(k_count=2),
+                             trials=2.5),
+     ValueError, "trials must be an integer, got 2.5"),
 ], ids=["h_local", "solve_local-h", "batch_size", "beta_scale-low",
         "beta_scale-high", "prox_gd-zero-matrix", "shape", "indptr-length",
         "indptr-endpoints", "indptr-decreasing", "rows-vals", "row-range",
@@ -106,7 +118,8 @@ def solve_with_three_labels():
         "column-range", "mat_tvec-length",
         "axpy_column-length", "write-labels", "synthetic-n", "labels-finite",
         "regularizer-kind", "check_dims", "enet-eta", "objective-kind",
-        "f_value-length"])
+        "f_value-length", "solve_local-h-integer", "iters-integer",
+        "sq_spectral_norm-seed-integer", "probes-integer", "trials-integer"])
 def test_argument_check_raises(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
