@@ -52,9 +52,7 @@ class BaselineConfig:
             raise ValueError(f"unknown baseline kind {self.kind!r}")
         if self.step_size is not None:
             _check_step(self.step_size, "step_size")
-        _check_integers(batch_size=self.batch_size)
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        _check_integers(1, batch_size=self.batch_size)
         if not 1.0 <= self.beta_scale <= self.batch_size:
             raise ValueError("beta_scale must lie in [1, batch_size]")
         _check_drive_settings(self.max_rounds, self.gap_tol, self.seed)

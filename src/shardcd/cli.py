@@ -19,7 +19,7 @@ from .baselines import BaselineConfig, solve_baseline
 from .data import partition_columns
 from .dataio import DataFormatError, SyntheticSpec, gen_synthetic, read_libsvm, write_trace
 from .engine import EngineConfig
-from .local import measure_theta
+from .local import BlockColumns, measure_theta
 from .objectives import (DataFit, LEAST_SQUARES, LOGISTIC, make_objective)
 
 __all__ = ["cli_main", "main"]
@@ -111,25 +111,25 @@ def _make_spec(args, labels):
 
 def _run_check(check, args, m, labels, p, cfg):
     if check == "sigma":
-        worst = engine.check_sigma_safety(m, p, cfg.gamma, probes=64,
-                                          seed=cfg.seed)
+        worst = engine.check_sigma_safety(m, p, cfg.gamma, seed=cfg.seed)
         safe = worst <= cfg.fixed_sigma_prime + 1e-9
         print(f"sigma check: worst_ratio={worst:.6g} sigma_prime="
               f"{cfg.fixed_sigma_prime:.6g} safe={safe}")
         return 0 if safe else 2
     spec = _make_spec(args, labels)
     if check == "lemma3":
-        worst = engine.check_lemma3(spec, m, p, cfg, trials=200, seed=cfg.seed)
+        worst = engine.check_lemma3(spec, m, p, cfg, seed=cfg.seed)
         ok = worst <= 1e-8
         print(f"lemma3 check: worst_violation={worst:.6g} ok={ok}")
         return 0 if ok else 2
     # theta: grade the local solves of one round from the zero start
     engine._check_col_norms(m)
     state = engine.SolverState.initial(m)
-    views = engine._build_views(state, cfg.fixed_sigma_prime, spec, m, p,
-                                engine.duality_gap(spec, m, state.alpha,
-                                                   state.v))
-    _, results = engine.run_round(state, cfg, spec, m, p, views)
+    views = engine._build_views(
+        state, cfg.fixed_sigma_prime, spec,
+        engine.duality_gap(spec, m, state.alpha, state.v),
+        [BlockColumns.of(m, block) for block in p.blocks])
+    _, results = engine.run_round(state, cfg, views)
     thetas = [measure_theta(v, r) for v, r in zip(views, results)]
     print(f"theta check: h={cfg.h_local} max={max(thetas):.6g} "
           f"mean={float(np.mean(thetas)):.6g}")

@@ -19,12 +19,15 @@ import scipy.sparse
 __all__ = ["ColMatrix", "Partition", "partition_columns", "sq_spectral_norm"]
 
 
-def _check_integers(**counts):
+def _check_integers(low=None, /, **counts):
     """Refuse a count that is not an integer, naming its field: a float
-    count fails deep in numpy, or (a seed) is silently truncated."""
+    count fails deep in numpy, or (a seed) is silently truncated. Given
+    `low`, refuse a count below it too."""
     for name, value in counts.items():
         if not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+        if low is not None and value < low:
+            raise ValueError(f"{name} must be >= {low}")
 
 
 def _indices(name, values):
@@ -277,11 +280,12 @@ def sq_spectral_norm(m, iters=50, seed=0):
     returns the final Rayleigh quotient ||A u||^2 / ||u||^2. Returns 0.0
     for a matrix without columns or with all-zero ones.
     """
-    _check_integers(iters=iters, seed=seed)
+    _check_integers(1, iters=iters)
+    _check_integers(seed=seed)
     a = m._csc
     u = np.random.default_rng(seed).standard_normal(a.shape[1])
     est = 0.0
-    for _ in range(max(iters, 1)):
+    for _ in range(iters):
         y = a @ u
         z = a.T @ y
         nz = np.linalg.norm(z)

@@ -195,11 +195,12 @@ def write_libsvm(path, m, labels):
     the blocks in flight. Otherwise the Python loop, the reference that
     writes the same bytes, writes one example at a time. A matrix without
     rows, labels not finite (both give files read_libsvm refuses) or not
-    one-dimensional and real raise ValueError before `path` is opened.
+    one-dimensional and real (boolean, integer or float) raise ValueError
+    before `path` is opened.
     """
     if m.n_rows == 0:
         raise ValueError("matrix must have at least one row")
-    if np.ndim(labels) != 1 or np.iscomplexobj(labels):
+    if np.ndim(labels) != 1 or np.asarray(labels).dtype.kind not in "biuf":
         raise ValueError("labels must be one-dimensional and real")
     if len(labels) != m.n_rows:
         raise ValueError("labels must have one entry per matrix row")

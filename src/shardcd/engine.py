@@ -1,7 +1,7 @@
 """Synchronous multi-worker driver with per-round gap certificates.
 
 One round: freeze the shared prediction vector v = A alpha, hand every
-worker a read-only view (its column block, its columns' inner products
+worker a read-only view (its BlockColumns, its columns' inner products
 A^T w with the data-fit gradient w, and its share of the data-fit
 value), let each produce a block-local update, then apply all updates at
 a barrier, scaled by the aggregation weight gamma, in fixed ascending
@@ -11,8 +11,9 @@ state untouched.
 
 Each piece of whole-data work is done once per round. Every state is
 certified, and the certificate's f(v) and A^T w, w = grad f(v), feed
-the views of the round that starts there; each block's column ids and
-squared norms are built once per solve.
+the views of the round that starts there. Each worker's BlockColumns
+(the matrix, its column ids and their squared norms) is built once per
+solve and is the round's one statement of which columns it owns.
 
 One driver loop (_drive) certifies, checks v = A alpha, records a trace
 row and decides the stop after every round, for the solver and for both
@@ -78,11 +79,7 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integers(k_count=self.k_count, h_local=self.h_local)
-        if self.k_count < 1:
-            raise ValueError("k_count must be >= 1")
-        if self.h_local < 1:
-            raise ValueError("h_local must be >= 1")
+        _check_integers(1, k_count=self.k_count, h_local=self.h_local)
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
         if self.sigma_prime is not None \
@@ -149,37 +146,33 @@ def _worker_seed(global_seed, k, t):
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _build_views(state, sigma_prime, spec, m, p, shared, blocks=None):
-    """One view per worker at `state`, with the round's sigma_prime.
-
-    `shared` is the certificate (GapReport) taken at `state`; every view
-    reads its f(v) and A^T w. `blocks` holds each block's
-    BlockColumns when the caller built them already, else each is built.
-    """
-    f_share = shared.fit / p.k_count
+def _build_views(state, sigma_prime, spec, shared, blocks):
+    """One view per BlockColumns in `blocks`, at `state`, with the
+    round's sigma_prime. `shared` is the certificate (GapReport) taken at
+    `state`: every view reads its A^T w and an even share of its f(v)."""
+    f_share = shared.fit / len(blocks)
     return [
         SubproblemView(
-            matrix=m,
-            block=block,
-            alpha_block=state.alpha[block],
+            alpha_block=state.alpha[cols.block],
             sigma_prime=sigma_prime,
             tau=spec.data_fit.tau,
             reg=spec.reg,
-            xw=shared.atw[block],
-            columns=BlockColumns.of(m, block) if blocks is None else blocks[k],
+            xw=shared.atw[cols.block],
+            columns=cols,
             f_share=f_share,
         )
-        for k, block in enumerate(p.blocks)
+        for cols in blocks
     ]
 
 
-def run_round(state, cfg, spec, m, p, views):
+def run_round(state, cfg, views):
     """Execute one synchronous round; returns (new state, worker results).
 
     `views` are the workers' views at `state`, made by _build_views from
-    the certificate taken there. Local solves run on disjoint blocks,
-    then the coefficient and shared-vector updates are reduced at a
-    barrier in ascending worker order. Coefficients are clipped to the
+    the certificate taken there; worker k's update lands on
+    views[k].columns.block. Local solves run on disjoint blocks, then the
+    coefficient and shared-vector updates are reduced at a barrier in
+    ascending worker order. Coefficients are clipped to the views'
     penalty's [-B, B] unconditionally: for the L1 box this only removes
     rounding, since each is a convex combination of two in-box values,
     and for B = inf (elastic net) the clip does nothing. Any worker
@@ -190,18 +183,17 @@ def run_round(state, cfg, spec, m, p, views):
     sign of a round that overflowed. solve silences them in _drive only
     because its "diverged" stop reports the overflow.
     """
-    _check_partition(cfg, m, p)
     t = state.round
-    results = [solve_local(views[k], cfg.h_local, _worker_seed(cfg.seed, k, t))
-               for k in range(p.k_count)]
+    results = [solve_local(view, cfg.h_local, _worker_seed(cfg.seed, k, t))
+               for k, view in enumerate(views)]
 
     # barrier: apply all updates in fixed ascending worker order
     new_alpha = state.alpha.copy()
-    dv = np.zeros(m.n_rows)
-    for block, res in zip(p.blocks, results):
-        new_alpha[block[res.changed]] += cfg.gamma * res.delta_alpha
+    dv = np.zeros(len(state.v))
+    for view, res in zip(views, results):
+        new_alpha[view.columns.block[res.changed]] += cfg.gamma * res.delta_alpha
         dv += res.delta_v
-    bound = spec.reg.penalty[2]
+    bound = views[0].reg.penalty[2]
     np.clip(new_alpha, -bound, bound, out=new_alpha)
     new_v = state.v + cfg.gamma * dv
     return SolverState(alpha=new_alpha, v=new_v, round=t + 1), results
@@ -390,8 +382,8 @@ def solve(cfg, spec, m, p):
 
     def step(state, shared):
         nonlocal sigma
-        views = _build_views(state, sigma, spec, m, p, shared, blocks)
-        new, results = run_round(state, cfg, spec, m, p, views)
+        views = _build_views(state, sigma, spec, shared, blocks)
+        new, results = run_round(state, cfg, views)
         diag["sigma_prime"].append(sigma)
         aligned = not sigma < cap or _aligned(results, cfg.gamma, sigma)
         t = 1.0 if aligned else 0.0
@@ -436,7 +428,8 @@ def check_lemma3(spec, m, p, cfg, trials=200, seed=0):
     its _build_views. A column whose squared norm overflows raises
     ValueError (_check_col_norms).
     """
-    _check_integers(trials=trials, seed=seed)
+    _check_integers(1, trials=trials)
+    _check_integers(seed=seed)
     _check_col_norms(m)
     spec.check_dims(m)
     rng = np.random.default_rng(seed)
@@ -454,13 +447,13 @@ def check_lemma3(spec, m, p, cfg, trials=200, seed=0):
                                               delta / peak if peak else delta)):
             state = SolverState(alpha=alpha, v=m.mat_vec(alpha))
             shared = duality_gap(spec, m, alpha, state.v)
-            views = _build_views(state, sigma_prime, spec, m, p, shared, blocks)
+            views = _build_views(state, sigma_prime, spec, shared, blocks)
             rhs = (1.0 - gamma) * shared.primal
             for view in views:
+                block = view.columns.block
                 dk = np.zeros(m.n_cols)
-                dk[view.block] = delta[view.block]
-                rhs += gamma * subproblem_value(view, delta[view.block],
-                                                m.mat_vec(dk))
+                dk[block] = delta[block]
+                rhs += gamma * subproblem_value(view, delta[block], m.mat_vec(dk))
             a_new = alpha + gamma * delta
             lhs = primal_value(spec, m, a_new, m.mat_vec(a_new))
             worst = max(worst, lhs - rhs)
@@ -478,10 +471,14 @@ def check_sigma_safety(m, p, gamma, probes=64, seed=0):
     (iterates of A^T A, whose limit concentrates mass on the most
     cross-block-aligned direction). A configured sigma_prime is safe on
     this data only if it is at least the returned ratio; the ratio
-    never exceeds gamma * K. All-zero probes count as 0. A column whose
-    squared norm overflows raises ValueError (_check_col_norms).
+    never exceeds gamma * K. All-zero probes count as 0. A gamma outside
+    (0, 1], fewer than one probe or a column whose squared norm overflows
+    (_check_col_norms) raises ValueError.
     """
-    _check_integers(probes=probes, seed=seed)
+    _check_integers(1, probes=probes)
+    _check_integers(seed=seed)
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError("gamma must lie in (0, 1]")
     _check_col_norms(m)
     rng = np.random.default_rng(seed)
 
@@ -495,7 +492,7 @@ def check_sigma_safety(m, p, gamma, probes=64, seed=0):
         return gamma * aligned / spread if spread else 0.0
 
     worst = max(ratio(rng.standard_normal(m.n_cols))
-                for _ in range(max(probes, 1)))
+                for _ in range(probes))
     # refine: power iteration drives probes toward the top singular vector
     u = rng.standard_normal(m.n_cols)
     for _ in range(30):

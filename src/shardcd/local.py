@@ -49,41 +49,43 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class BlockColumns:
-    """Constants of one column block, built once per solve.
+    """One worker's columns, built once per solve.
 
-    `pool` holds the local positions of the block's positive-norm
-    columns, the only ones coordinate descent updates; `ids` holds their
-    matrix column ids (int64, for indexing `indptr`) and `sq` their
-    squared norms.
+    `matrix` is the data matrix and `block` the worker's column ids
+    (int64), the round's one statement of either. `pool` holds the local
+    positions of the block's positive-norm columns, the only ones
+    coordinate descent updates; `ids` holds their matrix column ids
+    (int64, for indexing `indptr`) and `sq` their squared norms.
     """
 
+    matrix: object
+    block: np.ndarray
     pool: np.ndarray
     ids: np.ndarray
     sq: np.ndarray
 
     @classmethod
     def of(cls, m, block):
+        block = np.asarray(block, dtype=np.int64)
         sq = m.col_sq_norms[block]
         pool = np.flatnonzero(sq > 0.0)
         # ids index indptr directly, so numpy's negative wrap is applied here
-        ids = np.asarray(block, dtype=np.int64)[pool] % m.n_cols
-        return cls(pool, ids, sq[pool])
+        return cls(m, block, pool, block[pool] % m.n_cols, sq[pool])
 
 
 @dataclass
 class SubproblemView:
     """Read-only slice of shared state a worker needs for one round.
 
-    `alpha_block` holds the current coefficients of the owned columns,
-    `xw` their inner products (A^T w)[block] with the data-fit gradient w
-    at the shared prediction vector, `columns` the block's per-solve
-    constants, and `f_share` the worker's share of the data-fit value (so
+    `columns` describes the worker's columns (the matrix, the block and
+    its per-solve constants). `alpha_block` holds the current
+    coefficients of those columns, `xw` their inner products
+    (A^T w)[block] with the data-fit gradient w at the shared prediction
+    vector, and `f_share` the worker's share of the data-fit value (so
     local objective values are comparable across workers). The driver
     computes all of them once per round; the view only holds them.
     """
 
-    matrix: object
-    block: np.ndarray
     alpha_block: np.ndarray
     sigma_prime: float
     tau: float
@@ -103,9 +105,9 @@ class SubproblemView:
 class LocalResult:
     """Outcome of one local solve.
 
-    `changed` holds the ascending local positions (int64) of the
-    coordinates the solve moved and `delta_alpha` their coefficient
-    changes (float64); under L1 few coordinates move, and
+    `changed` holds the ascending local positions (int64) in
+    `view.columns.block` of the coordinates the solve moved and
+    `delta_alpha` their changes (float64); under L1 few move, and
     `len(delta_alpha)` counts them. delta_v is the running product
     A * delta, maintained incrementally and equal to the fresh product
     up to accumulation rounding. Zero-norm columns are never moved.
@@ -244,7 +246,7 @@ def _coordinate_pass(view, order, totals, z):
     within a column are distinct, so the gathered z[r] is reused for the
     write). Returns the number of steps the support bound clipped.
     """
-    cols, m = view.columns, view.matrix
+    cols, m = view.columns, view.columns.matrix
     sp_tau = view.sigma_prime / view.tau
     xw = np.asarray(view.xw, dtype=np.float64)[cols.pool]
     qs = sp_tau * cols.sq
@@ -303,11 +305,11 @@ def solve_local(view, h, seed):
     Deterministic given (view, h, seed); the local objective never
     increases across updates.
     """
-    _check_integers(h=h)
+    _check_integers(h=h, seed=seed)
     if h < 1:
         raise ValueError("local epoch count h must be >= 1")
     pool = view.columns.pool
-    z = np.zeros(view.matrix.n_rows)
+    z = np.zeros(view.columns.matrix.n_rows)
     start = view.alpha_block[pool]
     xw = np.asarray(view.xw, dtype=np.float64)[pool]
     active = np.flatnonzero(
@@ -332,11 +334,11 @@ def _cd_minimize(view, max_sweeps):
     used as the reference when grading a budgeted local solve.
     """
     pool = view.columns.pool
-    z = np.zeros(view.matrix.n_rows)
+    z = np.zeros(view.columns.matrix.n_rows)
     start = view.alpha_block[pool]
     totals = start.astype(np.float64)
     order = np.arange(len(pool), dtype=np.int64)
-    delta = np.zeros(len(view.block))
+    delta = np.zeros(len(view.columns.block))
     value = subproblem_value(view, delta, z)
     for _ in range(max_sweeps):
         _coordinate_pass(view, order, totals, z)
@@ -358,8 +360,8 @@ def measure_theta(view, result):
     optimal (denominator below 1e-14). Single-run diagnostic, not a
     certified bound.
     """
-    delta = np.zeros(len(view.block))
-    g_zero = subproblem_value(view, delta, np.zeros(view.matrix.n_rows))
+    delta = np.zeros(len(view.columns.block))
+    g_zero = subproblem_value(view, delta, np.zeros(view.columns.matrix.n_rows))
     delta[result.changed] = result.delta_alpha
     g_res = subproblem_value(view, delta, result.delta_v)
     g_ref = _cd_minimize(view, max_sweeps=400)

@@ -327,11 +327,18 @@ class GapReport(NamedTuple):
     atw: np.ndarray
 
 
+def _check_coefs(m, a):
+    if len(a) != m.n_cols:
+        raise ValueError(f"coefficient length {len(a)} != n_cols {m.n_cols}")
+
+
 def primal_value(spec, m, a, v):
     """Objective value f(v) + sum_i l(a_i) with caller-maintained v = A a.
 
-    Returns +inf when a coordinate violates the L1 support bound.
+    Returns +inf when a coordinate violates the L1 support bound; an `a`
+    without one entry per column of `m` raises ValueError.
     """
+    _check_coefs(m, a)
     return f_value(spec.data_fit, v) + float(np.sum(ell_value(spec.reg, a)))
 
 
@@ -343,10 +350,12 @@ def duality_gap(spec, m, a, v):
     linear weight, where the penalty's conjugate charge vanishes, and
     reports the smaller; gap = dual + primal >= -1e-9 up to rounding
     bounds the primal suboptimality from above. A coefficient outside the
-    support bound [-B, B] is an error: the iterate left the level set the
-    certificate is defined on. A non-finite iterate (a diverged run)
-    yields a non-finite gap.
+    support bound [-B, B] (the iterate left the level set the certificate
+    is defined on) or an `a` without one entry per column of `m` raises
+    ValueError. A non-finite iterate (a diverged run) yields a non-finite
+    gap.
     """
+    _check_coefs(m, a)
     pen = float(np.sum(ell_value(spec.reg, a)))
     if pen == math.inf and np.any(np.abs(a) > spec.reg.support_bound):
         raise ValueError("coefficient outside the support bound [-B, B]")

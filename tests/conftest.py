@@ -47,18 +47,18 @@ def enet_objective(b, lam=0.3, eta=0.5):
 def subproblem(matrix, block, w, **fields):
     """A SubproblemView with the inputs the driver computes per round,
     xw = (A^T w)[block] and the block's BlockColumns, filled in here."""
-    return sc.SubproblemView(matrix=matrix, block=block,
-                             xw=matrix.mat_tvec(w)[block],
+    return sc.SubproblemView(xw=matrix.mat_tvec(w)[block],
                              columns=sc.BlockColumns.of(matrix, block),
                              **fields)
 
 
 def hand_round(state, cfg, spec, m, p):
     """One engine.run_round from `state` at cfg.fixed_sigma_prime, its
-    views built from the certificate taken at `state`."""
-    views = engine._build_views(state, cfg.fixed_sigma_prime, spec, m, p,
-                                sc.duality_gap(spec, m, state.alpha, state.v))
-    return engine.run_round(state, cfg, spec, m, p, views)
+    views built on p's blocks from the certificate taken at `state`."""
+    views = engine._build_views(state, cfg.fixed_sigma_prime, spec,
+                                sc.duality_gap(spec, m, state.alpha, state.v),
+                                [sc.BlockColumns.of(m, b) for b in p.blocks])
+    return engine.run_round(state, cfg, views)
 
 
 @pytest.fixture
@@ -92,28 +92,11 @@ def chunked(cpus):
         yield
 
 
-def both_readers(test):
-    """Run a read_libsvm test on the C tokenizer, when the C library
-    builds, in one chunk and in up to three (and a write_libsvm in it on
-    one thread and on three), and then on the Python loop, under the
-    test's own name."""
-    @functools.wraps(test)
-    def run(*args, **kwargs):
-        if local.kernel_name() == "c":
-            test(*args, **kwargs)
-            with chunked(3):
-                test(*args, **kwargs)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(local, "_kernel", None)
-            test(*args, **kwargs)
-    return run
-
-
-def both_writers(test):
-    """Run a write_libsvm test on the C formatter, when the C library
-    builds, on one thread and on three, and then on the Python loop, under
-    the test's own name. A `both_readers` test that writes runs all three
-    writers already."""
+def libsvm_paths(test):
+    """Run a read_libsvm or write_libsvm test on the C library's tokenizer
+    and formatter, when the library builds, in one chunk on one thread and
+    in up to three chunks on three threads, and then on the Python loop,
+    under the test's own name."""
     @functools.wraps(test)
     def run(*args, **kwargs):
         if local.kernel_name() == "c":

@@ -147,8 +147,8 @@ def local_solve_loop(view, w, h, seed):
     as the package solver. Returns (delta map, A delta, updates, clamp
     hits).
     """
-    m = view.matrix
-    block = view.block
+    m = view.columns.matrix
+    block = view.columns.block
     sq = m.col_sq_norms
     pool = [j for j in range(len(block)) if sq[block[j]] > 0.0]
     z = np.zeros(m.n_rows)

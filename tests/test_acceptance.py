@@ -45,9 +45,10 @@ def c5_run():
     tight = sc.solve(sc.EngineConfig(k_count=4, h_local=5, max_rounds=3000,
                                      gap_tol=1e-12, seed=3), spec, m, p)
     zero = sc.SolverState.initial(m)
-    views = _build_views(zero, cfg.fixed_sigma_prime, spec, m, p,
-                         sc.duality_gap(spec, m, zero.alpha, zero.v))
-    _, results = sc.run_round(zero, cfg, spec, m, p, views)
+    views = _build_views(zero, cfg.fixed_sigma_prime, spec,
+                         sc.duality_gap(spec, m, zero.alpha, zero.v),
+                         [sc.BlockColumns.of(m, b) for b in p.blocks])
+    _, results = sc.run_round(zero, cfg, views)
     theta = max(sc.measure_theta(v, r) for v, r in zip(views, results))
     return dict(m=m, b=b, spec=spec, p=p, cfg=cfg, res=res, elapsed=elapsed,
                 d_star=tight.traces[-1].primal, theta=theta)

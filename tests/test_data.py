@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shardcd as sc
-from conftest import both_writers, random_matrix
+from conftest import libsvm_paths, random_matrix
 from oracles import dense_from_columns, normalized_dense
 
 
@@ -257,7 +257,7 @@ def bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
-@both_writers
+@libsvm_paths
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_storage_matches_lexsort_reference_and_round_trips(data):

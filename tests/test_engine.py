@@ -54,11 +54,18 @@ def test_mismatched_partition_rejected():
         with pytest.raises(ValueError,
                            match="config expects 2 workers, partition has 4"):
             sc.solve(cfg, spec, m, p)
-    other = sc.partition_columns(m.n_cols - 1, 2)
-    with pytest.raises(ValueError):
-        hand_round(sc.SolverState.initial(m),
-                   sc.EngineConfig(k_count=2, max_rounds=1, gap_tol=0.0),
-                   spec, m, other)
+
+
+def test_hand_round_on_a_non_contiguous_partition_keeps_v_equal_to_a_alpha():
+    # each worker's update lands on its own view's block, whatever columns
+    # that block holds: no second statement of the partition can disagree
+    m, b, _ = regression_instance(seed=3, n=4, d=12)
+    spec = lasso_objective(m, b)
+    p = sc.Partition((np.array([0, 2]), np.array([1, 3])))
+    cfg = sc.EngineConfig(k_count=2, max_rounds=1, gap_tol=0.0)
+    state, results = hand_round(sc.SolverState.initial(m), cfg, spec, m, p)
+    assert all(len(r.changed) for r in results)
+    eng.check_v(m, state.alpha, state.v)
 
 
 def test_single_worker_big_budget_decreases_primal():
@@ -149,11 +156,12 @@ def test_hand_stepped_round_warns_where_solve_stops_diverged(pass_kernel):
     state = sc.SolverState.initial(m)
     cert = sc.duality_gap(spec, m, state.alpha, state.v)
     assert math.isfinite(cert.gap)
-    views = eng._build_views(state, cfg.fixed_sigma_prime, spec, m, p, cert)
+    views = eng._build_views(state, cfg.fixed_sigma_prime, spec, cert,
+                             [sc.BlockColumns.of(m, b) for b in p.blocks])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeWarning, match="overflow"):
-            eng.run_round(state, cfg, spec, m, p, views)
+            eng.run_round(state, cfg, views)
         res = sc.solve(cfg, spec, m, p)
     assert res.stop_reason == "diverged"
     assert res.state.round == res.traces[-1].round == 0
@@ -264,7 +272,7 @@ def test_nan_update_is_accepted_and_stops_as_diverged(monkeypatch):
 
     def poisoned(view, h, seed):
         res = real(view, h, seed)
-        if view.block[0] == p.blocks[1][0]:
+        if view.columns.block[0] == p.blocks[1][0]:
             res.delta_v[0] = math.nan
         return res
 
@@ -610,8 +618,9 @@ def test_round_given_its_views_computes_no_product_or_certificate(monkeypatch):
     cfg = sc.EngineConfig(k_count=2, h_local=2, max_rounds=1, gap_tol=0.0,
                           seed=1)
     state = sc.SolverState.initial(m)
-    views = eng._build_views(state, cfg.fixed_sigma_prime, spec, m, p,
-                             sc.duality_gap(spec, m, state.alpha, state.v))
+    views = eng._build_views(state, cfg.fixed_sigma_prime, spec,
+                             sc.duality_gap(spec, m, state.alpha, state.v),
+                             [sc.BlockColumns.of(m, b) for b in p.blocks])
     calls = []
     for name in ("mat_vec", "mat_tvec"):
         real = getattr(sc.ColMatrix, name)
@@ -621,7 +630,7 @@ def test_round_given_its_views_computes_no_product_or_certificate(monkeypatch):
             or real(self, x))
     monkeypatch.setattr(eng, "duality_gap",
                         lambda *args: calls.append("duality_gap"))
-    new, results = eng.run_round(state, cfg, spec, m, p, views)
+    new, results = eng.run_round(state, cfg, views)
     assert calls == []
     assert new.round == 1 and len(results) == 2
     assert np.any(new.alpha)
@@ -726,8 +735,8 @@ def _solve_recording_rounds(cfg, spec, m, p):
     calls = []
     real = eng.run_round
 
-    def recording(state, cfg, spec, m, p, views):
-        new, results = real(state, cfg, spec, m, p, views)
+    def recording(state, cfg, views):
+        new, results = real(state, cfg, views)
         calls.append((state, views, new, results))
         return new, results
 

@@ -18,10 +18,10 @@ import shardcd as sc
 from shardcd import dataio, local
 from shardcd.dataio import DataFormatError, TRACE_FIELDS
 from shardcd.engine import RoundTrace
-from conftest import both_readers, both_writers, chunked, random_matrix
+from conftest import chunked, libsvm_paths, random_matrix
 
 
-@both_readers
+@libsvm_paths
 def test_read_libsvm_two_lines(tmp_path):
     path = tmp_path / "tiny.txt"
     path.write_text("1 1:0.5\n-1 2:1.0\n")
@@ -31,7 +31,7 @@ def test_read_libsvm_two_lines(tmp_path):
     assert m.toarray().tolist() == [[0.5, 0.0], [0.0, 1.0]]
 
 
-@both_readers
+@libsvm_paths
 def test_read_libsvm_empty_file(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("")
@@ -39,7 +39,7 @@ def test_read_libsvm_empty_file(tmp_path):
         sc.read_libsvm(path)
 
 
-@both_readers
+@libsvm_paths
 def test_read_libsvm_malformed_line_reports_number(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 1:0.5\n-1 2:oops\n")
@@ -47,7 +47,7 @@ def test_read_libsvm_malformed_line_reports_number(tmp_path):
         sc.read_libsvm(path)
 
 
-@both_readers
+@libsvm_paths
 def test_read_libsvm_skips_blank_lines(tmp_path):
     path = tmp_path / "blank.txt"
     path.write_text("1 1:0.5\n\n-1 2:1.0\n\n")
@@ -56,7 +56,7 @@ def test_read_libsvm_skips_blank_lines(tmp_path):
     assert labels.tolist() == [1.0, -1.0]
 
 
-@both_readers
+@libsvm_paths
 def test_read_libsvm_label_only_example(tmp_path):
     path = tmp_path / "bare.txt"
     path.write_text("1 1:0.5\n-1\n1 2:1.0\n")
@@ -69,7 +69,7 @@ def test_read_libsvm_label_only_example(tmp_path):
     assert out.read_text() == "1.0 1:0.5\n-1.0\n1.0 2:1.0\n"
 
 
-@both_readers
+@libsvm_paths
 def test_read_libsvm_rejects_nonascending(tmp_path):
     path = tmp_path / "order.txt"
     path.write_text("1 2:1.0 1:0.5\n")
@@ -80,7 +80,7 @@ def test_read_libsvm_rejects_nonascending(tmp_path):
         sc.read_libsvm(path)
 
 
-@both_readers
+@libsvm_paths
 @pytest.mark.parametrize("line", ["nan 1:0.5", "1 1:nan", "1 1:0.5 2:inf",
                                   "-1 2:-inf"])
 def test_read_libsvm_rejects_non_finite(tmp_path, line):
@@ -90,7 +90,7 @@ def test_read_libsvm_rejects_non_finite(tmp_path, line):
         sc.read_libsvm(path)
 
 
-@both_readers
+@libsvm_paths
 def test_read_libsvm_names_the_first_bad_token(tmp_path):
     # a non-finite number before a malformed token is the one named
     path = tmp_path / "two.txt"
@@ -100,7 +100,7 @@ def test_read_libsvm_names_the_first_bad_token(tmp_path):
         sc.read_libsvm(path)
 
 
-@both_writers
+@libsvm_paths
 def test_write_libsvm_refuses_non_finite_labels(tmp_path):
     # read_libsvm refuses what it would write; the file is left untouched
     m = sc.ColMatrix.from_columns(2, [[(0, 1.0)], [(1, 2.0)]])
@@ -112,22 +112,26 @@ def test_write_libsvm_refuses_non_finite_labels(tmp_path):
         assert path.read_text() == "1 1:1.0\n"
 
 
-@both_writers
+@libsvm_paths
 def test_write_libsvm_refuses_labels_not_one_dimensional_and_real(tmp_path):
-    # a (2, 1) or (2, 2) array has one entry per row by len(), and complex
-    # labels are finite; the file is left untouched
+    # a (2, 1) or (2, 2) array has one entry per row by len(), complex
+    # labels are finite, and string labels have no finiteness; the file is
+    # left untouched. Boolean, integer and float labels are written
     m = sc.ColMatrix.from_columns(2, [[(0, 1.0)], [(1, 2.0)]])
     path = tmp_path / "kept.txt"
     path.write_text("1 1:1.0\n")
     for bad in (np.ones((2, 1)), np.ones((2, 2)), np.float64(1.0),
-                np.array([1.0, 2j]), [1.0, 1j]):
+                np.array([1.0, 2j]), [1.0, 1j], np.array(["a", "b"])):
         with pytest.raises(ValueError,
                            match="labels must be one-dimensional and real"):
             sc.write_libsvm(path, m, bad)
         assert path.read_text() == "1 1:1.0\n"
+    for good in (np.array([True, False]), np.array([3, -1]), [0.5, 2.0]):
+        sc.write_libsvm(path, m, good)
+        assert np.array_equal(sc.read_libsvm(path)[1], np.asarray(good, float))
 
 
-@both_writers
+@libsvm_paths
 def test_write_libsvm_refuses_a_matrix_without_rows(tmp_path):
     # read_libsvm refuses the empty file it would write; the file is left
     # untouched
@@ -242,7 +246,7 @@ def test_c_formatter_buffer_boundary(tmp_path, monkeypatch):
             assert starts == expected
 
 
-@both_readers
+@libsvm_paths
 def test_libsvm_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     m, _ = random_matrix(rng, n=9, d=6, density=0.5)
@@ -263,7 +267,7 @@ def test_libsvm_round_trip(tmp_path):
         assert np.array_equal(m2.vals, m.vals)
 
 
-@both_readers
+@libsvm_paths
 def test_read_libsvm_index_beyond_int64_is_a_bad_token(tmp_path):
     path = tmp_path / "huge.txt"
     path.write_text("1 1:0.5\n-1 99999999999999999999999:1.0\n")

@@ -35,7 +35,7 @@ def make_view(seed=1, n=12, d=8, kind="l1", sigma_prime=2.0, alpha_scale=0.2):
 
 def view_grad(view, spec):
     """The data-fit gradient w a make_view view was built from."""
-    return sc.f_grad(spec.data_fit, view.matrix.mat_vec(view.alpha_block))
+    return sc.f_grad(spec.data_fit, view.columns.matrix.mat_vec(view.alpha_block))
 
 
 def changes(res):
@@ -51,7 +51,7 @@ def one_dim_objective(view, z_other, j, delta_others):
         delta = delta_others.copy()
         delta[j] = a - alpha_j
         z = z_other.copy()
-        view.matrix.axpy_column(int(view.block[j]), a - alpha_j, z)
+        view.columns.matrix.axpy_column(int(view.columns.block[j]), a - alpha_j, z)
         return sc.subproblem_value(view, delta, z)
 
     return fn
@@ -64,8 +64,7 @@ def test_view_requires_the_driver_inputs():
     spec = lasso_objective(m, b)
     block = np.arange(6, dtype=np.int64)
     w = sc.f_grad(spec.data_fit, np.zeros(m.n_rows))
-    full = dict(matrix=m, block=block, alpha_block=np.zeros(6),
-                sigma_prime=1.0, tau=1.0, reg=spec.reg,
+    full = dict(alpha_block=np.zeros(6), sigma_prime=1.0, tau=1.0, reg=spec.reg,
                 xw=m.mat_tvec(w)[block], columns=sc.BlockColumns.of(m, block))
     assert sc.SubproblemView(**full).xw is full["xw"]
     for missing in ("xw", "columns"):
@@ -76,8 +75,8 @@ def test_view_requires_the_driver_inputs():
 
 def test_subproblem_value_at_zero():
     view, spec = make_view(seed=2)
-    val = sc.subproblem_value(view, np.zeros(len(view.block)),
-                              np.zeros(view.matrix.n_rows))
+    val = sc.subproblem_value(view, np.zeros(len(view.columns.block)),
+                              np.zeros(view.columns.matrix.n_rows))
     ref = view.f_share + float(np.sum(sc.ell_value(view.reg, view.alpha_block)))
     assert val == pytest.approx(ref, rel=1e-12)
 
@@ -85,17 +84,17 @@ def test_subproblem_value_at_zero():
 def test_subproblem_value_matches_dense_recompute():
     rng = np.random.default_rng(3)
     view, spec = make_view(seed=3)
-    m = view.matrix
-    delta = np.zeros(len(view.block))
+    m = view.columns.matrix
+    delta = np.zeros(len(view.columns.block))
     delta[[0, 4, 7]] = [0.3, -0.2, 0.05]
     z = np.zeros(m.n_rows)
     for j in np.flatnonzero(delta):
-        m.axpy_column(int(view.block[j]), delta[j], z)
+        m.axpy_column(int(view.columns.block[j]), delta[j], z)
     # term-by-term recomputation, the linear term as w^T z
     lin = float(np.dot(view_grad(view, spec), z))
     quad = 0.5 * view.sigma_prime / view.tau * float(np.dot(z, z))
     pen = 0.0
-    for j in range(len(view.block)):
+    for j in range(len(view.columns.block)):
         pen += sc.ell_value(view.reg, float(view.alpha_block[j] + delta[j]))
     ref = view.f_share + lin + quad + pen
     assert sc.subproblem_value(view, delta, z) == pytest.approx(ref, rel=1e-12)
@@ -104,11 +103,11 @@ def test_subproblem_value_matches_dense_recompute():
 def test_subproblem_quadratic_term_linear_in_sigma():
     view, _ = make_view(seed=4, sigma_prime=2.0)
     view2, _ = make_view(seed=4, sigma_prime=4.0)
-    delta = np.zeros(len(view.block))
+    delta = np.zeros(len(view.columns.block))
     delta[[1, 3]] = [0.4, -0.1]
-    z = np.zeros(view.matrix.n_rows)
+    z = np.zeros(view.columns.matrix.n_rows)
     for j in np.flatnonzero(delta):
-        view.matrix.axpy_column(int(view.block[j]), delta[j], z)
+        view.columns.matrix.axpy_column(int(view.columns.block[j]), delta[j], z)
     g1 = sc.subproblem_value(view, delta, z)
     g2 = sc.subproblem_value(view2, delta, z)
     quad1 = 0.5 * view.sigma_prime * float(np.dot(z, z))
@@ -177,15 +176,15 @@ def test_manual_update_stream_is_monotone():
     for kind in ("l1", "elastic_net"):
         view, spec = make_view(seed=8, n=10, d=6, kind=kind, alpha_scale=0.5)
         rng = np.random.default_rng(8)
-        m = view.matrix
+        m = view.columns.matrix
         w = view_grad(view, spec)
         sp_tau = view.sigma_prime / view.tau
-        delta = np.zeros(len(view.block))
+        delta = np.zeros(len(view.columns.block))
         z = np.zeros(m.n_rows)
         prev = sc.subproblem_value(view, delta, z)
         for _ in range(200):
-            j = int(rng.integers(0, len(view.block)))
-            i = int(view.block[j])
+            j = int(rng.integers(0, len(view.columns.block)))
+            i = int(view.columns.block[j])
             r, v = m.column(i)
             if len(v) == 0:
                 continue
@@ -260,13 +259,13 @@ def test_solve_local_residual_consistency():
     # ascending positions of the moved coordinates, and their changes
     assert res.changed.dtype == np.int64
     assert res.delta_alpha.dtype == np.float64
-    assert 0 < len(res.changed) == len(res.delta_alpha) <= len(view.block)
+    assert 0 < len(res.changed) == len(res.delta_alpha) <= len(view.columns.block)
     assert np.all(np.diff(res.changed) > 0)
     assert np.all(res.delta_alpha != 0.0)
-    acc = np.zeros(view.matrix.n_cols)
+    acc = np.zeros(view.columns.matrix.n_cols)
     for j, dv in changes(res).items():
-        acc[view.block[j]] += dv
-    ref = view.matrix.mat_vec(acc)
+        acc[view.columns.block[j]] += dv
+    ref = view.columns.matrix.mat_vec(acc)
     assert np.max(np.abs(res.delta_v - ref)) <= 1e-10 * (1 + np.max(np.abs(ref)))
 
 
@@ -482,8 +481,8 @@ def test_kernel_refuses_columns_outside_the_matrix():
     needs_kernel()
     view, _ = make_view(seed=3)
     cols = view.columns
-    view.columns = sc.BlockColumns(cols.pool, cols.ids + view.matrix.n_cols,
-                                   cols.sq)
+    view.columns = sc.BlockColumns(cols.matrix, cols.block, cols.pool,
+                                   cols.ids + cols.matrix.n_cols, cols.sq)
     with pytest.raises(ValueError, match="do not match the matrix"):
         sc.solve_local(view, h=1, seed=0)
 
@@ -537,7 +536,7 @@ def test_kernel_pass_is_bit_identical_to_a_sequential_sum(monkeypatch):
 
 def test_pass_refuses_arrays_the_kernel_would_overrun(pass_kernel):
     view, _ = make_view(seed=3)
-    n_pool, n_rows = len(view.columns.pool), view.matrix.n_rows
+    n_pool, n_rows = len(view.columns.pool), view.columns.matrix.n_rows
     totals, z = np.zeros(n_pool), np.zeros(n_rows)
     for order, what in [(np.array([0, n_pool]), "order"),
                         (np.array([-1, 0]), "order"),
@@ -574,7 +573,7 @@ def test_solve_local_skips_zero_columns():
 def test_measure_theta_zero_update_is_one():
     view, _ = make_view(seed=13, kind="elastic_net")
     res = sc.LocalResult(np.zeros(0, np.int64), np.zeros(0),
-                         np.zeros(view.matrix.n_rows), 0)
+                         np.zeros(view.columns.matrix.n_rows), 0)
     assert sc.measure_theta(view, res) == pytest.approx(1.0)
 
 

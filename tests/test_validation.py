@@ -108,6 +108,25 @@ def solve_with_three_labels():
     (lambda: sc.check_lemma3(LASSO, ONES, HALVES, sc.EngineConfig(k_count=2),
                              trials=2.5),
      ValueError, "trials must be an integer, got 2.5"),
+    (lambda: sc.duality_gap(LASSO, ONES, np.zeros(5), np.zeros(2)), ValueError,
+     "coefficient length 5 != n_cols 2"),
+    (lambda: sc.primal_value(LASSO, ONES, np.ones(5), np.zeros(2)), ValueError,
+     "coefficient length 5 != n_cols 2"),
+    (lambda: sc.check_sigma_safety(ONES, HALVES, np.nan), ValueError,
+     "gamma must lie in (0, 1]"),
+    (lambda: sc.check_sigma_safety(ONES, HALVES, 5.0), ValueError,
+     "gamma must lie in (0, 1]"),
+    (lambda: sc.check_lemma3(LASSO, ONES, HALVES, sc.EngineConfig(k_count=2),
+                             trials=0),
+     ValueError, "trials must be >= 1"),
+    (lambda: sc.check_sigma_safety(ONES, HALVES, 1.0, probes=0), ValueError,
+     "probes must be >= 1"),
+    (lambda: sc.check_sigma_safety(ONES, HALVES, 1.0, probes=-3), ValueError,
+     "probes must be >= 1"),
+    (lambda: sc.sq_spectral_norm(ONES, iters=0), ValueError,
+     "iters must be >= 1"),
+    (lambda: sc.solve_local(local_view(), 1, 1.5), ValueError,
+     "seed must be an integer, got 1.5"),
 ], ids=["h_local", "solve_local-h", "batch_size", "beta_scale-low",
         "beta_scale-high", "prox_gd-zero-matrix", "shape", "indptr-length",
         "indptr-endpoints", "indptr-decreasing", "rows-vals", "row-range",
@@ -119,7 +138,10 @@ def solve_with_three_labels():
         "axpy_column-length", "write-labels", "synthetic-n", "labels-finite",
         "regularizer-kind", "check_dims", "enet-eta", "objective-kind",
         "f_value-length", "solve_local-h-integer", "iters-integer",
-        "sq_spectral_norm-seed-integer", "probes-integer", "trials-integer"])
+        "sq_spectral_norm-seed-integer", "probes-integer", "trials-integer",
+        "duality_gap-length", "primal_value-length", "sigma-gamma-nan",
+        "sigma-gamma-high", "trials-zero", "probes-zero", "probes-negative",
+        "iters-zero", "solve_local-seed-integer"])
 def test_argument_check_raises(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
