@@ -19,7 +19,6 @@ from .baselines import BaselineConfig, solve_baseline
 from .data import partition_columns
 from .dataio import DataFormatError, SyntheticSpec, gen_synthetic, read_libsvm, write_trace
 from .engine import EngineConfig
-from .local import BlockColumns, measure_theta
 from .objectives import (DataFit, LEAST_SQUARES, LOGISTIC, make_objective)
 
 __all__ = ["cli_main", "main"]
@@ -122,15 +121,7 @@ def _run_check(check, args, m, labels, p, cfg):
         ok = worst <= 1e-8
         print(f"lemma3 check: worst_violation={worst:.6g} ok={ok}")
         return 0 if ok else 2
-    # theta: grade the local solves of one round from the zero start
-    engine._check_col_norms(m)
-    state = engine.SolverState.initial(m)
-    views = engine._build_views(
-        state, cfg.fixed_sigma_prime, spec,
-        engine.duality_gap(spec, m, state.alpha, state.v),
-        [BlockColumns.of(m, block) for block in p.blocks])
-    _, results = engine.run_round(state, cfg, views)
-    thetas = [measure_theta(v, r) for v, r in zip(views, results)]
+    thetas = engine.check_theta(spec, m, p, cfg)
     print(f"theta check: h={cfg.h_local} max={max(thetas):.6g} "
           f"mean={float(np.mean(thetas)):.6g}")
     return 0

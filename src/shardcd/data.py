@@ -233,8 +233,8 @@ class ColMatrix:
 class Partition:
     """Disjoint assignment of column indices to workers.
 
-    blocks[k] is the sorted integer index array owned by worker k. The
-    blocks must cover {0, ..., n-1} exactly, n being their total size.
+    blocks[k] is the integer index array owned by worker k, in any order.
+    The blocks must cover {0, ..., n-1} exactly, n being their total size.
     """
 
     blocks: tuple

@@ -41,16 +41,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import _check_integers
-from .local import (BlockColumns, SubproblemView, kernel_name, solve_local,
-                    subproblem_value)
+from .local import (BlockColumns, SubproblemView, kernel_name, measure_theta,
+                    solve_local, subproblem_value)
 # benchmarks/tracing.py wraps duality_gap, f_grad and f_value here by name
 from .objectives import (ELASTIC_NET, LOGISTIC, _primal_change,  # noqa: F401
                          duality_gap, f_grad, f_value, primal_value)
 
 __all__ = [
     "EngineConfig", "SolverState", "RoundTrace", "SolveResult",
-    "run_round", "solve", "check_v",
-    "check_lemma3", "check_sigma_safety", "theory_round_bound",
+    "run_round", "solve", "check_v", "check_lemma3", "check_sigma_safety",
+    "check_theta", "theory_round_bound",
 ]
 
 
@@ -169,14 +169,14 @@ def run_round(state, cfg, views):
     """Execute one synchronous round; returns (new state, worker results).
 
     `views` are the workers' views at `state`, made by _build_views from
-    the certificate taken there; worker k's update lands on
-    views[k].columns.block. Local solves run on disjoint blocks, then the
-    coefficient and shared-vector updates are reduced at a barrier in
-    ascending worker order. Coefficients are clipped to the views'
-    penalty's [-B, B] unconditionally: for the L1 box this only removes
-    rounding, since each is a convex combination of two in-box values,
-    and for B = inf (elastic net) the clip does nothing. Any worker
-    failure aborts the round with the input state unchanged.
+    the certificate there on one partition's blocks (overlap is not
+    checked); worker k's update lands on views[k].columns.block. Local
+    solves run, then their coefficient and shared-vector updates are
+    reduced at a barrier in ascending worker order. Coefficients are
+    clipped to the views' penalty's [-B, B] unconditionally: for the L1
+    box this only removes rounding, since each is a convex combination of
+    two in-box values; for B = inf (elastic net) the clip does nothing. A
+    worker failure aborts the round with the input state unchanged.
 
     numpy's overflow and invalid-value warnings stay on here: a caller who
     steps rounds by hand gets no stop reason, so a warning is its only
@@ -199,12 +199,16 @@ def run_round(state, cfg, views):
     return SolverState(alpha=new_alpha, v=new_v, round=t + 1), results
 
 
-def _check_partition(cfg, m, p):
-    if p.k_count != cfg.k_count:
-        raise ValueError(f"config expects {cfg.k_count} workers, "
+def _blocks(m, p, k_count=None):
+    """p's BlockColumns on m; refuses a p whose column or (given k_count)
+    worker count differs, and a column whose squared norm overflows."""
+    if k_count is not None and p.k_count != k_count:
+        raise ValueError(f"config expects {k_count} workers, "
                          f"partition has {p.k_count}")
     if p.n_cols != m.n_cols:
         raise ValueError("partition does not match matrix columns")
+    _check_col_norms(m)
+    return [BlockColumns(m, block) for block in p.blocks]
 
 
 def _check_col_norms(m):
@@ -360,12 +364,10 @@ def solve(cfg, spec, m, p):
     local_updates), the count of `rejected_rounds` (rounds with t = 0),
     clamp/frozen-column counters, whether the matrix's columns were
     normalized (`columns_normalized`) and the coordinate-pass kernel that
-    ran ("c" or "python"). A column whose squared norm overflows raises
-    ValueError (_check_col_norms).
+    ran ("c" or "python"). A partition that does not match m or cfg, or a
+    column whose squared norm overflows, raises ValueError (_blocks).
     """
-    _check_partition(cfg, m, p)
-    _check_col_norms(m)
-    blocks = [BlockColumns.of(m, block) for block in p.blocks]
+    blocks = _blocks(m, p, cfg.k_count)
     diag = {
         "max_abs_coef": [],
         "sigma_prime": [],
@@ -425,17 +427,16 @@ def check_lemma3(spec, m, p, cfg, trials=200, seed=0):
     scaling's (1 when sigma_prime is unset). Each trial also probes
     alpha = 0 with delta / max |A delta|, where the logistic curvature
     peaks. D(alpha) and each G_k come from the certificate at alpha and
-    its _build_views. A column whose squared norm overflows raises
-    ValueError (_check_col_norms).
+    its _build_views. What solve refuses (_blocks, spec.check_dims)
+    raises ValueError.
     """
     _check_integers(1, trials=trials)
     _check_integers(seed=seed)
-    _check_col_norms(m)
+    blocks = _blocks(m, p, cfg.k_count)
     spec.check_dims(m)
     rng = np.random.default_rng(seed)
     ratio = cfg.fixed_sigma_prime / (cfg.gamma * p.k_count)
     scale = 0.45 * spec.reg.support_bound if spec.reg.kind == "l1" else 1.0
-    blocks = [BlockColumns.of(m, block) for block in p.blocks]
     worst = -math.inf
     for _ in range(trials):
         gamma = float(rng.uniform(0.05, 1.0))
@@ -472,21 +473,21 @@ def check_sigma_safety(m, p, gamma, probes=64, seed=0):
     cross-block-aligned direction). A configured sigma_prime is safe on
     this data only if it is at least the returned ratio; the ratio
     never exceeds gamma * K. All-zero probes count as 0. A gamma outside
-    (0, 1], fewer than one probe or a column whose squared norm overflows
-    (_check_col_norms) raises ValueError.
+    (0, 1], fewer than one probe or what solve refuses in `m` and `p`
+    (_blocks) raises ValueError.
     """
     _check_integers(1, probes=probes)
     _check_integers(seed=seed)
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
-    _check_col_norms(m)
+    blocks = _blocks(m, p)
     rng = np.random.default_rng(seed)
 
     def ratio(alpha):
         zs = []
-        for block in p.blocks:
+        for cols in blocks:
             ak = np.zeros(m.n_cols)
-            ak[block] = alpha[block]
+            ak[cols.block] = alpha[cols.block]
             zs.append(m.mat_vec(ak))
         aligned, spread = _alignment(zs)
         return gamma * aligned / spread if spread else 0.0
@@ -504,6 +505,18 @@ def check_sigma_safety(m, p, gamma, probes=64, seed=0):
         u = u_next / nrm
         worst = max(worst, ratio(u))
     return worst
+
+
+def check_theta(spec, m, p, cfg):
+    """measure_theta of each worker's solve in one run_round from the zero
+    start at cfg.fixed_sigma_prime; refuses what check_lemma3 refuses."""
+    blocks = _blocks(m, p, cfg.k_count)
+    spec.check_dims(m)
+    state = SolverState.initial(m)
+    views = _build_views(state, cfg.fixed_sigma_prime, spec,
+                         duality_gap(spec, m, state.alpha, state.v), blocks)
+    _, results = run_round(state, cfg, views)
+    return [measure_theta(view, res) for view, res in zip(views, results)]
 
 
 def theory_round_bound(spec, m, cfg, theta):

@@ -31,11 +31,11 @@ import os
 import shutil
 import subprocess
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _check_integers
+from .data import _check_integers, _indices
 from .objectives import ell_value
 
 # a zero column whose |x_i^T w| is below this share of l1 sits out a round
@@ -49,31 +49,41 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class BlockColumns:
-    """One worker's columns, built once per solve.
+    """One worker's columns, built once per solve as BlockColumns(m, block).
 
     `matrix` is the data matrix and `block` the worker's column ids
-    (int64), the round's one statement of either. `pool` holds the local
-    positions of the block's positive-norm columns, the only ones
-    coordinate descent updates; `ids` holds their matrix column ids
-    (int64, for indexing `indptr`) and `sq` their squared norms.
+    (int64), the round's one statement of either. Ids that are not
+    distinct integers in [0, m.n_cols) are refused with ValueError: the
+    coordinate pass indexes `indptr` with them unchecked, and the barrier
+    adds a repeated id's update once. `pool` holds the local positions of
+    the block's positive-norm columns, the only ones coordinate descent
+    updates; `ids` holds their matrix column ids and `sq` their squared
+    norms. All four arrays are read-only copies.
     """
 
     matrix: object
     block: np.ndarray
-    pool: np.ndarray
-    ids: np.ndarray
-    sq: np.ndarray
+    pool: np.ndarray = field(init=False)
+    ids: np.ndarray = field(init=False)
+    sq: np.ndarray = field(init=False)
 
-    @classmethod
-    def of(cls, m, block):
-        block = np.asarray(block, dtype=np.int64)
-        sq = m.col_sq_norms[block]
+    def __post_init__(self):
+        n, block = self.matrix.n_cols, _indices("block", self.block)
+        outside = block[(block < 0) | (block >= n)]
+        if len(outside):
+            raise ValueError(f"block column {outside[0]} out of range [0, {n})")
+        repeated = np.flatnonzero(np.bincount(block) > 1)
+        if len(repeated):
+            raise ValueError(f"block repeats column {repeated[0]}")
+        sq = self.matrix.col_sq_norms[block]
         pool = np.flatnonzero(sq > 0.0)
-        # ids index indptr directly, so numpy's negative wrap is applied here
-        return cls(m, block, pool, block[pool] % m.n_cols, sq[pool])
+        for name, a in (("block", block.copy()), ("pool", pool),
+                        ("ids", block[pool]), ("sq", sq[pool])):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SubproblemView:
     """Read-only slice of shared state a worker needs for one round.
 
@@ -240,7 +250,8 @@ def _coordinate_pass(view, order, totals, z):
     (C-contiguous float64, one entry per pool column) holds the
     coordinates' current values alpha_i + d_i. It and the running product
     z = A d (C-contiguous float64, one entry per matrix row) are updated
-    in place; anything else is refused with ValueError. Runs the compiled
+    in place; anything else is refused with ValueError (the block's ids
+    were checked when its BlockColumns was built). Runs the compiled
     cd_pass, else the Python loop below, its reference: the same steps in
     the operation order _native.cc's header states, bit for bit (rows
     within a column are distinct, so the gathered z[r] is reused for the
@@ -253,9 +264,6 @@ def _coordinate_pass(view, order, totals, z):
     l1, l2, bound = view.reg.penalty
     ids = cols.ids
     # the kernel indexes unchecked: refuse what could read or write out of bounds
-    if not (_c_array(ids, np.int64, len(qs)) and len(xw) == len(qs)
-            and _within(ids, m.n_cols)):
-        raise ValueError("block columns do not match the matrix")
     if not (_c_array(order, np.int64, len(order)) and _within(order, len(ids))):
         raise ValueError("order is not a C-contiguous int64 array of pool positions")
     if not _c_array(totals, np.float64, len(ids)):

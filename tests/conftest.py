@@ -48,7 +48,7 @@ def subproblem(matrix, block, w, **fields):
     """A SubproblemView with the inputs the driver computes per round,
     xw = (A^T w)[block] and the block's BlockColumns, filled in here."""
     return sc.SubproblemView(xw=matrix.mat_tvec(w)[block],
-                             columns=sc.BlockColumns.of(matrix, block),
+                             columns=sc.BlockColumns(matrix, block),
                              **fields)
 
 
@@ -57,7 +57,7 @@ def hand_round(state, cfg, spec, m, p):
     views built on p's blocks from the certificate taken at `state`."""
     views = engine._build_views(state, cfg.fixed_sigma_prime, spec,
                                 sc.duality_gap(spec, m, state.alpha, state.v),
-                                [sc.BlockColumns.of(m, b) for b in p.blocks])
+                                [sc.BlockColumns(m, b) for b in p.blocks])
     return engine.run_round(state, cfg, views)
 
 

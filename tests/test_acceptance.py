@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import shardcd as sc
-from shardcd.engine import _build_views
 from conftest import random_matrix
 from oracles import golden_min, linear_fit_r2, numeric_conjugate, numeric_sup
 
@@ -44,12 +43,7 @@ def c5_run():
     elapsed = time.perf_counter() - t0
     tight = sc.solve(sc.EngineConfig(k_count=4, h_local=5, max_rounds=3000,
                                      gap_tol=1e-12, seed=3), spec, m, p)
-    zero = sc.SolverState.initial(m)
-    views = _build_views(zero, cfg.fixed_sigma_prime, spec,
-                         sc.duality_gap(spec, m, zero.alpha, zero.v),
-                         [sc.BlockColumns.of(m, b) for b in p.blocks])
-    _, results = sc.run_round(zero, cfg, views)
-    theta = max(sc.measure_theta(v, r) for v, r in zip(views, results))
+    theta = max(sc.check_theta(spec, m, p, cfg))
     return dict(m=m, b=b, spec=spec, p=p, cfg=cfg, res=res, elapsed=elapsed,
                 d_star=tight.traces[-1].primal, theta=theta)
 

@@ -157,7 +157,7 @@ def test_hand_stepped_round_warns_where_solve_stops_diverged(pass_kernel):
     cert = sc.duality_gap(spec, m, state.alpha, state.v)
     assert math.isfinite(cert.gap)
     views = eng._build_views(state, cfg.fixed_sigma_prime, spec, cert,
-                             [sc.BlockColumns.of(m, b) for b in p.blocks])
+                             [sc.BlockColumns(m, b) for b in p.blocks])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeWarning, match="overflow"):
@@ -620,7 +620,7 @@ def test_round_given_its_views_computes_no_product_or_certificate(monkeypatch):
     state = sc.SolverState.initial(m)
     views = eng._build_views(state, cfg.fixed_sigma_prime, spec,
                              sc.duality_gap(spec, m, state.alpha, state.v),
-                             [sc.BlockColumns.of(m, b) for b in p.blocks])
+                             [sc.BlockColumns(m, b) for b in p.blocks])
     calls = []
     for name in ("mat_vec", "mat_tvec"):
         real = getattr(sc.ColMatrix, name)

@@ -35,3 +35,6 @@ def test_lower_layers_import_no_higher_one():
     assert graph["data"] == set()
     assert graph["objectives"] == set()
     assert graph["dataio"] == {"data", "local"}
+    # the CLI reaches the worker layer only through the engine
+    assert graph["cli"] == {"baselines", "data", "dataio", "engine",
+                            "objectives"}

@@ -14,12 +14,17 @@ EMPTY = sc.ColMatrix(2, 2, [0, 0, 0], [], [])
 FIT = sc.DataFit(kind=sc.LEAST_SQUARES, labels=[1.0, -1.0])
 LASSO = sc.make_objective(FIT, "l1", 0.1)
 HALVES = sc.partition_columns(2, 2)
+FIRST = sc.partition_columns(1, 1)  # misses column 1
 
 
 def local_view():
     return subproblem(ONES, np.arange(2, dtype=np.int64), np.zeros(2),
                       alpha_block=np.zeros(2), sigma_prime=1.0, tau=1.0,
                       reg=LASSO.reg, f_share=0.0)
+
+
+def block_of_ones(block):
+    return sc.BlockColumns(ONES, np.array(block))
 
 
 def solve_with_three_labels():
@@ -127,6 +132,23 @@ def solve_with_three_labels():
      "iters must be >= 1"),
     (lambda: sc.solve_local(local_view(), 1, 1.5), ValueError,
      "seed must be an integer, got 1.5"),
+    (lambda: sc.check_lemma3(LASSO, ONES, FIRST, sc.EngineConfig(k_count=1)),
+     ValueError, "partition does not match matrix columns"),
+    (lambda: sc.check_sigma_safety(ONES, FIRST, 1.0), ValueError,
+     "partition does not match matrix columns"),
+    (lambda: sc.check_theta(LASSO, ONES, FIRST, sc.EngineConfig(k_count=1)),
+     ValueError, "partition does not match matrix columns"),
+    (lambda: sc.check_lemma3(LASSO, ONES, HALVES, sc.EngineConfig(k_count=3)),
+     ValueError, "config expects 3 workers, partition has 2"),
+    (lambda: sc.check_theta(LASSO, ONES, HALVES, sc.EngineConfig(k_count=3)),
+     ValueError, "config expects 3 workers, partition has 2"),
+    (lambda: block_of_ones([0.7]), ValueError,
+     "block must hold integers, got 0.7 at position 0"),
+    (lambda: block_of_ones([0, 2]), ValueError,
+     "block column 2 out of range [0, 2)"),
+    (lambda: block_of_ones([-1]), ValueError,
+     "block column -1 out of range [0, 2)"),
+    (lambda: block_of_ones([1, 1]), ValueError, "block repeats column 1"),
 ], ids=["h_local", "solve_local-h", "batch_size", "beta_scale-low",
         "beta_scale-high", "prox_gd-zero-matrix", "shape", "indptr-length",
         "indptr-endpoints", "indptr-decreasing", "rows-vals", "row-range",
@@ -141,7 +163,10 @@ def solve_with_three_labels():
         "sq_spectral_norm-seed-integer", "probes-integer", "trials-integer",
         "duality_gap-length", "primal_value-length", "sigma-gamma-nan",
         "sigma-gamma-high", "trials-zero", "probes-zero", "probes-negative",
-        "iters-zero", "solve_local-seed-integer"])
+        "iters-zero", "solve_local-seed-integer", "lemma3-partition-columns",
+        "sigma-partition-columns", "theta-partition-columns",
+        "lemma3-partition-workers", "theta-partition-workers",
+        "block-integer", "block-high", "block-negative", "block-repeat"])
 def test_argument_check_raises(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
